@@ -12,10 +12,11 @@ object location and metadata, such as tags, access information".
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
+
+from repro.storage.interface import entry_bytes
 
 __all__ = ["OverwritePolicy", "VersionedValue", "Record", "payload_size"]
 
@@ -28,12 +29,9 @@ class OverwritePolicy(Enum):
     ERROR = "error"
 
 
-def payload_size(value: Any, overhead: int = 64) -> int:
+def payload_size(value: Any) -> int:
     """Approximate wire size of a JSON-serializable value, bytes."""
-    try:
-        return len(json.dumps(value, default=str)) + overhead
-    except (TypeError, ValueError):
-        return overhead + 256
+    return entry_bytes(value, overhead=64)
 
 
 @dataclass

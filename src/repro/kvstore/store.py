@@ -399,13 +399,9 @@ class DhtKeyValueStore:
         # owner later crashes still have the promised redundancy.
         for key_hex, replica in list(self.replicas.items()):
             wire = replica.wire()
+            size = payload_size(wire)
             for peer in self._replica_targets(key_hex):
-                self._safe_notify(
-                    peer.name,
-                    MSG_REPLICA,
-                    {"record": wire},
-                    size=payload_size(wire),
-                )
+                self._safe_notify(peer.name, MSG_REPLICA, {"record": wire}, size=size)
         yield from self.chimera.leave()
 
     # -- local entry points shared with the RPC handlers ---------------------
@@ -622,21 +618,22 @@ class DhtKeyValueStore:
         )
 
     def _push_replicas(self, record: Record) -> None:
+        targets = self._replica_targets(record.key_hex)
+        if not targets:
+            return
         wire = record.wire()
-        for peer in self._replica_targets(record.key_hex):
-            self._safe_notify(
-                peer.name, MSG_REPLICA, {"record": wire}, size=payload_size(wire)
-            )
+        size = payload_size(wire)
+        for peer in targets:
+            self._safe_notify(peer.name, MSG_REPLICA, {"record": wire}, size=size)
 
     def _push_cache_updates(self, record: Record) -> None:
         holders = self.cache_holders.get(record.key_hex)
         if not holders:
             return
         wire = record.wire()
+        size = payload_size(wire)
         for holder in list(holders):
-            self._safe_notify(
-                holder, MSG_CACHE_UPDATE, {"record": wire}, size=payload_size(wire)
-            )
+            self._safe_notify(holder, MSG_CACHE_UPDATE, {"record": wire}, size=size)
 
     def _cache_insert(self, record: Record) -> None:
         self.cache[record.key_hex] = record

@@ -485,21 +485,38 @@ class ChimeraNode:
         firing per-peer join callbacks or announcements — the caller is
         constructing the whole overlay at once, so there is no stored
         data to redistribute and no protocol traffic to emit.
+
+        On an empty view the red-black tree is built in one balanced
+        pass from the sorted ids.  The routing table is filled in the
+        given peer order (its slots are first-writer-wins), and the leaf
+        set is pruned once: pruning after every add and pruning at the
+        end keep the same closest members.
         """
+        fresh: dict[int, PeerInfo] = {}
+        own = self.id.value
         for peer in peers:
-            if peer.id == self.id or peer.id in self.known:
-                continue
-            self.known.insert(peer.id, peer.name)
-            self.leaf.add(peer.id)
+            if peer.id.value != own:
+                fresh.setdefault(peer.id.value, peer)
+        bulk = not self.known
+        if bulk:
+            ordered = [fresh[value] for value in sorted(fresh)]
+            self.known = RedBlackTree.from_sorted([(p.id, p.name) for p in ordered])
+        else:
+            for peer in fresh.values():
+                self.known.insert(peer.id, peer.name)
+        for peer in fresh.values():
             self.table.add(peer.id)
+        self.leaf.update(peer.id for peer in fresh.values())
         self._route_cache.clear()
         self.view_version += 1
+        if bulk:
+            self._ids_cache = tuple(p.id for p in ordered)
+            self._ids_cache_version = self.view_version
 
     def _add_peer(self, peer: PeerInfo) -> None:
         if peer.id == self.id:
             return
-        is_new = peer.id not in self.known
-        self.known.insert(peer.id, peer.name)
+        is_new = self.known.insert(peer.id, peer.name)
         self.leaf.add(peer.id)
         self.table.add(peer.id)
         if is_new:

@@ -9,12 +9,13 @@ predecessor on the ring) and ordered traversal are served from it.
 This is a textbook CLRS red-black tree with a nil sentinel, supporting
 insert, delete, search, min/max, successor/predecessor, floor/ceiling,
 and in-order iteration.  Keys must be mutually orderable; an optional
-value is stored alongside each key.
+value is stored alongside each key.  :meth:`RedBlackTree.from_sorted`
+builds a tree from already-sorted items in one O(n) pass.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional, Tuple
+from typing import Any, Iterator, Optional, Sequence, Tuple
 
 __all__ = ["RedBlackTree"]
 
@@ -42,6 +43,43 @@ class RedBlackTree:
         self._nil.left = self._nil.right = self._nil.parent = self._nil
         self._root = self._nil
         self._size = 0
+
+    @classmethod
+    def from_sorted(cls, items: Sequence[Tuple[Any, Any]]) -> "RedBlackTree":
+        """A tree holding ``items``: (key, value) pairs in strictly
+        ascending key order.  Raises ValueError on unsorted or duplicate
+        keys.
+
+        Each subtree's root is the middle item of its range, so levels
+        ``0 .. full-1`` are complete and only the deepest level is
+        partial.  Colouring that partial level red and everything else
+        black gives every root-to-leaf path the same black height with
+        no red-red edge — a valid red-black tree without a single
+        rotation.
+        """
+        for (a, _), (b, _) in zip(items, items[1:]):
+            if not a < b:
+                raise ValueError("from_sorted needs strictly ascending keys")
+        tree = cls()
+        nil = tree._nil
+        full = (len(items) + 1).bit_length() - 1
+
+        def build(lo: int, hi: int, depth: int, parent: _Node) -> _Node:
+            # Only called on non-empty ranges [lo, hi).
+            mid = (lo + hi) // 2
+            key, value = items[mid]
+            node = _Node(key, value, _RED if depth >= full else _BLACK, nil)
+            node.parent = parent
+            if lo < mid:
+                node.left = build(lo, mid, depth + 1, node)
+            if mid + 1 < hi:
+                node.right = build(mid + 1, hi, depth + 1, node)
+            return node
+
+        if items:
+            tree._root = build(0, len(items), 0, nil)
+        tree._size = len(items)
+        return tree
 
     # -- basics ---------------------------------------------------------------
 
@@ -144,15 +182,16 @@ class RedBlackTree:
 
     # -- mutation ------------------------------------------------------------
 
-    def insert(self, key: Any, value: Any = None) -> None:
-        """Insert ``key`` (replacing the value if it already exists)."""
+    def insert(self, key: Any, value: Any = None) -> bool:
+        """Insert ``key`` (replacing the value if it already exists);
+        returns True if the key is new."""
         parent = self._nil
         node = self._root
         while node is not self._nil:
             parent = node
             if key == node.key:
                 node.value = value
-                return
+                return False
             node = node.left if key < node.key else node.right
         fresh = _Node(key, value, _RED, self._nil)
         fresh.parent = parent
@@ -164,6 +203,7 @@ class RedBlackTree:
             parent.right = fresh
         self._size += 1
         self._insert_fixup(fresh)
+        return True
 
     def delete(self, key: Any) -> bool:
         """Remove ``key``; returns False if it was not present."""
@@ -348,8 +388,12 @@ class RedBlackTree:
         2. No red node has a red child.
         3. Every root-to-leaf path has the same number of black nodes.
         4. In-order traversal yields strictly increasing keys.
+        5. Every child's parent link points back at its parent.
         """
         assert self._root.color is _BLACK, "root must be black"
+        assert self._root is self._nil or self._root.parent is self._nil, (
+            "root has a parent"
+        )
         self._check_subtree(self._root)
         keys = self.keys()
         assert all(a < b for a, b in zip(keys, keys[1:])), "keys out of order"
@@ -362,6 +406,8 @@ class RedBlackTree:
             assert node.left.color is _BLACK and node.right.color is _BLACK, (
                 "red node with red child"
             )
+        for child in (node.left, node.right):
+            assert child is self._nil or child.parent is node, "broken parent link"
         left_black = self._check_subtree(node.left)
         right_black = self._check_subtree(node.right)
         assert left_black == right_black, "black-height mismatch"

@@ -37,9 +37,9 @@ class RoutingTable:
         The physical-proximity refinement of real Pastry is out of scope
         (the home LAN is flat), so an occupied slot is kept as-is.
         """
-        if node == self.owner:
-            return False
         row = self.owner.shared_prefix_len(node)
+        if row >= ID_DIGITS:
+            return False  # our own id
         col = node.digit(row)
         if self._rows[row][col] is None:
             self._rows[row][col] = node
@@ -48,9 +48,9 @@ class RoutingTable:
 
     def remove(self, node: NodeId) -> bool:
         """Forget ``node`` (e.g. it failed); returns True if present."""
-        if node == self.owner:
-            return False
         row = self.owner.shared_prefix_len(node)
+        if row >= ID_DIGITS:
+            return False  # our own id
         col = node.digit(row)
         if self._rows[row][col] == node:
             self._rows[row][col] = None
@@ -83,7 +83,14 @@ class RoutingTable:
 
 
 class LeafSet:
-    """The numerically closest neighbours on each side of the owner."""
+    """The numerically closest neighbours on each side of the owner.
+
+    Members are kept with a cached clockwise ring order (closest
+    first), rebuilt lazily after a membership change, so the ring
+    views below — read on every uncached routing decision — never
+    sort.  Clockwise distances from the owner are distinct, so the
+    counter-clockwise order is exactly the clockwise order reversed.
+    """
 
     def __init__(self, owner: NodeId, per_side: int = 4) -> None:
         if per_side <= 0:
@@ -91,6 +98,7 @@ class LeafSet:
         self.owner = owner
         self.per_side = per_side
         self._members: set[NodeId] = set()
+        self._ring: Optional[list[NodeId]] = None
 
     def __len__(self) -> int:
         return len(self._members)
@@ -102,47 +110,50 @@ class LeafSet:
         return set(self._members)
 
     def add(self, node: NodeId) -> None:
-        if node == self.owner:
+        if node == self.owner or node in self._members:
             return
         self._members.add(node)
+        self._ring = None
         self._prune()
 
     def update(self, nodes: Iterable[NodeId]) -> None:
-        for node in nodes:
-            if node != self.owner:
-                self._members.add(node)
-        self._prune()
+        merged = self._members.union(nodes)
+        merged.discard(self.owner)
+        if len(merged) != len(self._members):
+            self._members = merged
+            self._ring = None
+            self._prune()
 
     def remove(self, node: NodeId) -> bool:
         if node in self._members:
             self._members.remove(node)
+            self._ring = None
             return True
         return False
 
     # -- ring-ordered views --------------------------------------------------
 
+    def _clockwise(self) -> list[NodeId]:
+        """Members ordered clockwise from the owner (cached)."""
+        ring = self._ring
+        if ring is None:
+            ring = self._ring = sorted(
+                self._members, key=self.owner.clockwise_distance
+            )
+        return ring
+
     def rights(self) -> list[NodeId]:
         """Members ordered clockwise from the owner (closest first)."""
-        ordered = sorted(self._members, key=self.owner.clockwise_distance)
-        return ordered[: self.per_side]
+        return self._clockwise()[: self.per_side]
 
     def lefts(self) -> list[NodeId]:
         """Members ordered counter-clockwise from the owner."""
-        ordered = sorted(
-            self._members, key=lambda n: n.clockwise_distance(self.owner)
-        )
-        return ordered[: self.per_side]
+        return self._clockwise()[: -self.per_side - 1 : -1]
 
     def neighbours(self) -> list[NodeId]:
         """Immediate left and right neighbours (0, 1, or 2 nodes)."""
-        out = []
-        rights = self.rights()
-        lefts = self.lefts()
-        if rights:
-            out.append(rights[0])
-        if lefts and (not out or lefts[0] != out[0]):
-            out.append(lefts[0])
-        return out
+        ring = self._clockwise()
+        return [ring[0], ring[-1]] if len(ring) > 1 else list(ring)
 
     def covers(self, key: NodeId) -> bool:
         """True if ``key`` falls within the leaf-set arc.
@@ -150,11 +161,12 @@ class LeafSet:
         When the set is not full the node effectively knows its whole
         vicinity, so the leaf set covers every key.
         """
-        if len(self._members) < 2 * self.per_side:
+        per_side = self.per_side
+        if len(self._members) < 2 * per_side:
             return True
-        leftmost = self.lefts()[-1]
-        rightmost = self.rights()[-1]
-        return key.between(leftmost, rightmost)
+        ring = self._clockwise()
+        # The farthest left and farthest right members bound the arc.
+        return key.between(ring[-per_side], ring[per_side - 1])
 
     def closest(self, key: NodeId) -> NodeId:
         """Member (or the owner) numerically closest to ``key``.
@@ -169,10 +181,11 @@ class LeafSet:
 
     def _prune(self) -> None:
         """Keep only the per-side closest members in each direction."""
-        # lefts() is rights() in reverse (clockwise distances are
-        # distinct), so with <= 2*per_side members the two windows
-        # cover everything and pruning is a no-op — skip the sorts.
-        if len(self._members) <= 2 * self.per_side:
+        # With <= 2*per_side members the two windows cover everything
+        # and pruning is a no-op.
+        per_side = self.per_side
+        if len(self._members) <= 2 * per_side:
             return
-        keep = set(self.rights()) | set(self.lefts())
-        self._members = keep
+        ring = self._clockwise()
+        ring = self._ring = ring[:per_side] + ring[-per_side:]
+        self._members = set(ring)

@@ -158,7 +158,7 @@ class Repairer:
         )
         for record in records:
             try:
-                meta = ObjectMeta.from_wire(dict(record.latest.value))
+                meta = ObjectMeta.from_wire(record.latest.value)
             except (TypeError, ValueError, AttributeError):
                 continue  # not object metadata after all
             try:

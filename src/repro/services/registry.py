@@ -45,6 +45,8 @@ class ServiceRegistry:
         self.local[service.qualified_name] = service
         key = service_key(service.qualified_name)
         entry = yield from self._read_entry(key)
+        if entry is None:
+            entry = {"nodes": [], "policy": None, "profile": {}}
         if self.name not in entry["nodes"]:
             entry["nodes"].append(self.name)
         if policy is not None:
@@ -70,9 +72,8 @@ class ServiceRegistry:
         """Process: withdraw this node from the service's node list."""
         self.local.pop(service.qualified_name, None)
         key = service_key(service.qualified_name)
-        try:
-            entry = yield from self.store.get(key)
-        except KeyNotFoundError:
+        entry = yield from self._read_entry(key)
+        if entry is None:
             return None
         if self.name in entry["nodes"]:
             entry["nodes"].remove(self.name)
@@ -120,8 +121,11 @@ class ServiceRegistry:
         return qualified_name in self.local
 
     def _read_entry(self, key: str):
+        """Process: a private, editable copy of the entry (None if the
+        service was never registered).  The fetched value itself is the
+        one the store holds, so it is never edited in place."""
         try:
             entry = yield from self.store.get(key)
         except KeyNotFoundError:
-            entry = {"nodes": [], "policy": None, "profile": {}}
-        return entry
+            return None
+        return {**entry, "nodes": list(entry["nodes"])}

@@ -28,10 +28,20 @@ from typing import Any, Callable, Optional
 __all__ = ["IStore", "MemStore", "RecoveryReport", "entry_bytes"]
 
 
+#: One shared encoder: ``encode`` gives exactly ``json.dumps(value,
+#: default=str)`` without building a new encoder per call.
+_ENCODER = json.JSONEncoder(default=str)
+
+
 def entry_bytes(value: Any, overhead: int = 32) -> int:
-    """Approximate serialized size of one journal payload, bytes."""
+    """Approximate serialized size of ``value`` plus ``overhead``, bytes.
+
+    The one size estimate every layer uses: journal entries here, KV
+    wire payloads (``repro.kvstore.payload_size``) with their own
+    overhead.
+    """
     try:
-        return len(json.dumps(value, default=str)) + overhead
+        return len(_ENCODER.encode(value)) + overhead
     except (TypeError, ValueError):
         return overhead + 256
 

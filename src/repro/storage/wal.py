@@ -113,7 +113,14 @@ class WalStore(IStore):
         self.synced = 0
         self.appends = 0
         self.compactions = 0
-        self._snapshot_bytes = 0.0
+        #: Serialized bytes of the snapshot: each live key's journaled
+        #: size, and their running total.  The sizes stay exact because
+        #: a journaled payload is never edited after append: ``wire()``
+        #: builds fresh containers, and callers copy a value fetched
+        #: from the KV store before editing it (``ObjectMeta.from_wire``,
+        #: ``ServiceRegistry``).
+        self._snapshot_sizes: dict[tuple[str, str], int] = {}
+        self._snapshot_bytes = 0
 
     def _make_table(self, name: str) -> dict:
         return WalTable(self, name)
@@ -143,22 +150,20 @@ class WalStore(IStore):
         n = self.synced
         if n == 0:
             return 0
+        sizes = self._snapshot_sizes
         for entry in self.log[:n]:
             tbl = self.snapshot.setdefault(entry.table, {})
+            slot = (entry.table, entry.key)
+            self._snapshot_bytes -= sizes.pop(slot, 0)
             if entry.op == "put":
                 tbl[entry.key] = entry.value
+                sizes[slot] = entry.size
+                self._snapshot_bytes += entry.size
             else:
                 tbl.pop(entry.key, None)
         del self.log[:n]
         self.synced = 0
         self.compactions += 1
-        self._snapshot_bytes = float(
-            sum(
-                entry_bytes(value)
-                for tbl in self.snapshot.values()
-                for value in tbl.values()
-            )
-        )
         self._count("storage.wal.compactions")
         return n
 

@@ -150,4 +150,12 @@ class ObjectMeta:
 
     @classmethod
     def from_wire(cls, data: dict) -> "ObjectMeta":
-        return cls(**data)
+        # Own copies of the lists: ``data`` may be the very value a KV
+        # record (and a storage journal) holds, which must not change
+        # when this object is edited.
+        return cls(
+            **{
+                name: list(value) if isinstance(value, list) else value
+                for name, value in data.items()
+            }
+        )

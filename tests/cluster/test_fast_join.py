@@ -10,7 +10,7 @@ join converges to.
 import pytest
 
 from repro.cluster import Cloud4Home, scale_overlay
-from repro.overlay import NodeId
+from repro.overlay import ChimeraNode, LeafSet, NodeId, RedBlackTree, RoutingTable
 
 
 def global_owner(nodes, key):
@@ -66,3 +66,42 @@ class TestFastJoinDeterminism:
             ]
 
         assert views(7) == views(7)
+
+
+class TestSeedViewMatchesPerPeerJoin:
+    def test_bulk_seed_equals_per_peer_add(self, monkeypatch):
+        """seed_view's bulk load installs exactly the state that adding
+        the same peers one by one through ``_add_peer`` does."""
+        seeded = {}
+        original = ChimeraNode.seed_view
+
+        def recording(node, peers):
+            peers = list(peers)
+            seeded[node.name] = peers
+            original(node, peers)
+
+        monkeypatch.setattr(ChimeraNode, "seed_view", recording)
+        c4h = Cloud4Home(scale_overlay(2000, seed=3))
+        c4h.start(monitors=False, publish=False)
+        assert len(seeded) == 2000
+        for device in c4h.devices:
+            node = device.chimera
+            bulk = (
+                list(node.known.items()),
+                node.leaf.members(),
+                node.table._rows,
+                node.sorted_ids(),
+            )
+            node.known = RedBlackTree()
+            node.leaf = LeafSet(node.id, per_side=node.leaf.per_side)
+            node.table = RoutingTable(node.id)
+            node.on_node_joined = []
+            for peer in seeded[node.name]:
+                node._add_peer(peer)
+            node.known.check_invariants()
+            assert (
+                list(node.known.items()),
+                node.leaf.members(),
+                node.table._rows,
+                node.sorted_ids(),
+            ) == bulk, node.name

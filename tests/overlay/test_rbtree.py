@@ -171,3 +171,50 @@ class TestInvariants:
         assert t.predecessor(probe) == (below[-1] if below else None)
         assert t.floor(probe) == (at_most[-1] if at_most else None)
         assert t.ceiling(probe) == (at_least[0] if at_least else None)
+
+
+class TestFromSorted:
+    def test_every_small_size_is_a_valid_tree(self):
+        for n in range(130):
+            items = [(k, str(k)) for k in range(n)]
+            t = RedBlackTree.from_sorted(items)
+            t.check_invariants()
+            assert len(t) == n
+            assert list(t.items()) == items
+
+    @given(st.sets(st.integers(-10_000, 10_000), max_size=300))
+    @settings(max_examples=100, deadline=None)
+    def test_items_match_input(self, keys):
+        items = [(k, -k) for k in sorted(keys)]
+        t = RedBlackTree.from_sorted(items)
+        t.check_invariants()
+        assert list(t.items()) == items
+        for k in keys:
+            assert t.get(k) == -k
+
+    @given(
+        st.sets(st.integers(0, 500), max_size=200),
+        st.lists(st.integers(0, 600), max_size=100),
+        st.lists(st.integers(0, 600), max_size=100),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_mutations_after_bulk_load_keep_invariants(self, keys, inserts, deletes):
+        t = RedBlackTree.from_sorted([(k, None) for k in sorted(keys)])
+        reference = set(keys)
+        for k in inserts:
+            assert t.insert(k) == (k not in reference)
+            reference.add(k)
+            t.check_invariants()
+        for k in deletes:
+            assert t.delete(k) == (k in reference)
+            reference.discard(k)
+            t.check_invariants()
+        assert t.keys() == sorted(reference)
+
+    def test_rejects_unsorted_input(self):
+        with pytest.raises(ValueError):
+            RedBlackTree.from_sorted([(2, None), (1, None)])
+
+    def test_rejects_duplicate_keys(self):
+        with pytest.raises(ValueError):
+            RedBlackTree.from_sorted([(1, "a"), (1, "b")])

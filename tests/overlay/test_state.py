@@ -158,3 +158,89 @@ class TestLeafSet:
             chosen = ls.closest(probe)
             for m in ls.members() | {owner}:
                 assert chosen.distance(probe) <= m.distance(probe)
+
+
+class _SortOracle:
+    """The leaf set rebuilt by full sorts on every call, as reference."""
+
+    def __init__(self, owner, per_side):
+        self.owner = owner
+        self.per_side = per_side
+        self.members = set()
+
+    def add(self, node):
+        if node != self.owner:
+            self.members.add(node)
+        self._prune()
+
+    def update(self, nodes):
+        self.members |= {n for n in nodes if n != self.owner}
+        self._prune()
+
+    def remove(self, node):
+        self.members.discard(node)
+
+    def rights(self):
+        return sorted(self.members, key=self.owner.clockwise_distance)[
+            : self.per_side
+        ]
+
+    def lefts(self):
+        return sorted(
+            self.members, key=lambda n: n.clockwise_distance(self.owner)
+        )[: self.per_side]
+
+    def covers(self, key):
+        if len(self.members) < 2 * self.per_side:
+            return True
+        return key.between(self.lefts()[-1], self.rights()[-1])
+
+    def closest(self, key):
+        return min(
+            [self.owner, *self.members], key=lambda n: (n.distance(key), n.value)
+        )
+
+    def _prune(self):
+        if len(self.members) > 2 * self.per_side:
+            self.members = set(self.rights()) | set(self.lefts())
+
+
+leaf_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), ids),
+        st.tuples(st.just("update"), st.lists(ids, max_size=12)),
+        st.tuples(st.just("remove"), ids),
+        st.tuples(st.just("remove-member"), st.integers(0, 64)),
+    ),
+    max_size=40,
+)
+
+
+class TestLeafSetRingCache:
+    """The cached clockwise order must never go stale."""
+
+    @given(ids, st.integers(1, 4), leaf_ops, st.lists(ids, min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_views_match_sort_oracle(self, owner, per_side, ops, probes):
+        ls = LeafSet(owner, per_side=per_side)
+        oracle = _SortOracle(owner, per_side)
+        for op, arg in ops:
+            if op == "remove-member":
+                if not oracle.members:
+                    continue
+                arg = sorted(oracle.members)[arg % len(oracle.members)]
+                op = "remove"
+            if op == "add" and arg.value % 5 == 0:
+                arg = owner  # adding the owner is a no-op
+            if op == "remove":
+                assert ls.remove(arg) == (arg in oracle.members)
+            getattr(oracle, op)(arg)
+            if op != "remove":
+                getattr(ls, op)(arg)
+            assert ls.members() == oracle.members
+            assert len(ls) == len(oracle.members)
+            assert ls.rights() == oracle.rights()
+            assert ls.lefts() == oracle.lefts()
+            for probe in [*probes, *oracle.members]:
+                assert ls.covers(probe) == oracle.covers(probe)
+                assert ls.closest(probe) == oracle.closest(probe)

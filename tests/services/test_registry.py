@@ -4,6 +4,7 @@ import pytest
 
 from repro.kvstore import DhtKeyValueStore, KeyNotFoundError
 from repro.services import FaceDetection, MediaConversion, ServiceRegistry
+from repro.services.registry import service_key
 from tests.conftest import build_overlay
 
 
@@ -84,3 +85,19 @@ class TestRegistry:
         run(sim, regs[0].register(svc))
         assert regs[0].hosts_locally(svc.qualified_name)
         assert not regs[1].hosts_locally(svc.qualified_name)
+
+    def test_register_does_not_edit_the_stored_value(self):
+        """Registration is read-modify-write on a copy: the value the
+        owner's record holds changes only when the put lands."""
+        sim, net, nodes, stores, regs = build_registries(3)
+        run(sim, regs[0].register(FaceDetection()))
+        key = service_key(FaceDetection().qualified_name)
+        stored = next(
+            s.primary[h].latest.value
+            for s in stores
+            for h in s.primary
+            if s.primary[h].name == key
+        )
+        snapshot = list(stored["nodes"])
+        run(sim, regs[1].register(FaceDetection()))
+        assert stored["nodes"] == snapshot

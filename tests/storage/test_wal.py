@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.storage import WalStore
+from repro.storage import WalStore, entry_bytes
 from repro.storage.wal import WalTable
 
 
@@ -197,3 +197,34 @@ class TestCrashAndReplay:
         assert stats["durable"] is True
         assert stats["appends"] == 1
         assert stats["synced"] == 1
+
+
+class TestSnapshotBytes:
+    def test_running_total_matches_a_full_recount(self):
+        store = WalStore(snapshot_every=5)
+        a, b = store.table("a"), store.table("b")
+        for i in range(40):
+            a[f"k{i % 7}"] = {"v": "x" * i}
+            b[f"k{i % 3}"] = [i] * (i % 5)
+            if i % 4 == 0:
+                a.pop(f"k{(i + 1) % 7}", None)
+            if i % 9 == 0:
+                b.clear()
+        store.compact()
+        assert store.compactions > 1
+        assert store._snapshot_bytes == sum(
+            entry_bytes(value)
+            for tbl in store.snapshot.values()
+            for value in tbl.values()
+        )
+
+    def test_replay_counts_snapshot_and_log_bytes(self):
+        store = WalStore(snapshot_every=2)
+        tbl = store.table("t")
+        tbl["a"] = "x" * 100
+        tbl["b"] = "y"  # compaction: snapshot {"a", "b"}
+        tbl["a"] = "z"  # still in the log
+        report = store.replay()
+        assert report.bytes_replayed == (
+            entry_bytes("x" * 100) + entry_bytes("y") + entry_bytes("z")
+        )

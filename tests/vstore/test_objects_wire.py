@@ -119,3 +119,17 @@ class TestStripedValidation:
     def test_negative_codec_params_rejected(self):
         with pytest.raises(ValueError):
             ObjectMeta(name="x", size_mb=8.0, stripe_k=-1)
+
+
+class TestFromWireOwnsItsLists:
+    def test_editing_the_meta_leaves_the_wire_value_alone(self):
+        """The wire dict may be the value a KV record and its journal
+        hold: editing the decoded meta must not reach back into it."""
+        wire = striped_meta(replicas=["n1"], lost_replicas=["n2"]).wire()
+        before = {k: list(v) if isinstance(v, list) else v for k, v in wire.items()}
+        meta = ObjectMeta.from_wire(wire)
+        meta.replicas.append("n3")
+        meta.lost_replicas.remove("n2")
+        meta.chunk_nodes[0] = "n4"
+        meta.tags.append("edited")
+        assert wire == before
