@@ -1,10 +1,10 @@
-"""Kernel event throughput: step()-per-event loop vs batched run."""
+"""Kernel event throughput: events per wall second of ``Simulator.run``."""
 
 from __future__ import annotations
 
 import time
 
-from repro.sim import SimulationError, Simulator
+from repro.sim import Simulator
 
 
 def _build_workload(n_procs: int, n_waits: int) -> tuple[Simulator, list]:
@@ -21,62 +21,29 @@ def _build_workload(n_procs: int, n_waits: int) -> tuple[Simulator, list]:
     return sim, finish
 
 
-def _drain_stepped(sim: Simulator) -> int:
-    events = 0
-    while True:
-        try:
-            sim.step()
-        except SimulationError:
-            return events
-        events += 1
-
-
-def _drain_batched(sim: Simulator) -> int:
-    events = 0
-    while True:
-        n = sim.run_batch(4096)
-        events += n
-        if n < 4096:
-            return events
-
-
 def bench_kernel(n_procs: int = 2000, n_waits: int = 50, repeats: int = 3) -> dict:
-    """Identical workloads drained through both loops; best-of wall time.
+    """Drain the same workload ``repeats`` times; best-of wall time.
 
-    The two dispatch loops differ by a few percent at most, so a single
-    measurement is dominated by scheduler noise — take the best of
-    ``repeats`` runs per mode and verify simulated results agree every
-    time.
+    Every repeat must process the same number of events and finish at
+    the same simulated times, so the figure is a rate on a fixed,
+    deterministic event stream.
     """
-    stepped_s = float("inf")
-    batched_s = float("inf")
-    events_stepped = events_batched = 0
+    wall_s = float("inf")
+    events = None
     finish_ref = None
     for _ in range(max(1, repeats)):
-        sim_a, finish_a = _build_workload(n_procs, n_waits)
+        sim, finish = _build_workload(n_procs, n_waits)
         t0 = time.perf_counter()
-        events_stepped = _drain_stepped(sim_a)
-        stepped_s = min(stepped_s, time.perf_counter() - t0)
-
-        sim_b, finish_b = _build_workload(n_procs, n_waits)
-        t0 = time.perf_counter()
-        events_batched = _drain_batched(sim_b)
-        batched_s = min(batched_s, time.perf_counter() - t0)
-
-        assert events_stepped == events_batched, "event counts diverged"
-        assert finish_a == finish_b, "simulated completion times diverged"
-        assert sim_a.now == sim_b.now
+        sim.run()
+        wall_s = min(wall_s, time.perf_counter() - t0)
         if finish_ref is None:
-            finish_ref = finish_a
+            events, finish_ref = sim._event_seq, finish
         else:
-            assert finish_a == finish_ref, "runs are not deterministic"
-
+            assert sim._event_seq == events, "event counts are not deterministic"
+            assert finish == finish_ref, "runs are not deterministic"
     return {
-        "events": events_batched,
+        "events": events,
         "repeats": repeats,
-        "stepped_wall_s": stepped_s,
-        "batched_wall_s": batched_s,
-        "stepped_events_per_s": events_stepped / stepped_s,
-        "batched_events_per_s": events_batched / batched_s,
-        "speedup": stepped_s / batched_s,
+        "wall_s": wall_s,
+        "events_per_s": events / wall_s,
     }

@@ -1,4 +1,10 @@
-"""100 MB XenSocket transfer: per-page events vs coalesced timeout."""
+"""XenSocket transfers: wall time and kernel events of ``transfer()``.
+
+A transfer is one closed-form timeout, so its kernel event count must
+not grow with the payload.  That count is exact, which makes
+:data:`EVENT_BUDGET` a gate that is safe on any runner: per-page events
+coming back (26,404 events for 100 MB) fail it at once.
+"""
 
 from __future__ import annotations
 
@@ -9,32 +15,37 @@ from repro.virt import XenSocketChannel
 
 MB = 1024 * 1024
 
+#: Kernel events one ``transfer()`` may schedule, at any size.
+EVENT_BUDGET = 8
 
-def _run(nbytes: int, paged: bool) -> tuple[float, float]:
-    """Returns (wall seconds, simulated elapsed seconds)."""
+#: Payload sizes the event gate covers, 0 B to 100 MB.
+GATE_SIZES = (0, 1, 4096, 5000, 128 * 1024, MB, 10 * MB, 100 * MB)
+
+
+def _run(nbytes: int) -> tuple[float, float, int]:
+    """Returns (wall seconds, simulated elapsed seconds, kernel events)."""
     sim = Simulator()
     chan = XenSocketChannel(sim)  # 4 KB pages, 32-page ring (paper config)
-    method = chan.transfer_paged if paged else chan.transfer
     t0 = time.perf_counter()
-    elapsed = sim.run(until=sim.process(method(nbytes)))
-    return time.perf_counter() - t0, elapsed
+    elapsed = sim.run(until=sim.process(chan.transfer(nbytes)))
+    wall = time.perf_counter() - t0
+    expected = chan.transfer_time(nbytes)
+    assert abs(elapsed - expected) <= 1e-9 * max(expected, 1e-30), (
+        f"transfer({nbytes}) took {elapsed} simulated s, closed form {expected}"
+    )
+    return wall, elapsed, sim._event_seq
 
 
 def bench_xensocket(nbytes: int = 100 * MB) -> dict:
-    """The paper's largest Table I object through both implementations."""
-    paged_wall, paged_sim = _run(nbytes, paged=True)
-    fast_wall, fast_sim = _run(nbytes, paged=False)
-
-    tol = 1e-9 * max(abs(paged_sim), abs(fast_sim))
-    assert abs(paged_sim - fast_sim) <= tol, (
-        f"simulated transfer times diverged: {paged_sim} vs {fast_sim}"
-    )
-
+    """The paper's largest Table I object, plus the event-count sweep."""
+    wall, simulated, events = _run(nbytes)
+    events_by_size = {str(size): _run(size)[2] for size in GATE_SIZES}
     return {
         "nbytes": nbytes,
-        "pages": nbytes // 4096,
-        "simulated_transfer_s": fast_sim,
-        "paged_wall_s": paged_wall,
-        "coalesced_wall_s": fast_wall,
-        "speedup": paged_wall / fast_wall,
+        "simulated_transfer_s": simulated,
+        "wall_s": wall,
+        "events": events,
+        "events_by_size": events_by_size,
+        "max_events": max(events_by_size.values()),
+        "event_budget": EVENT_BUDGET,
     }

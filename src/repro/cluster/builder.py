@@ -138,11 +138,9 @@ class Cloud4Home:
         self.config = config or ClusterConfig()
         self.home_group = home_group
         if network is None:
-            self.sim = Simulator(batched=self.config.fastpath)
+            self.sim = Simulator()
             self.rng = RandomSource(self.config.seed)
-            self.network = Network(
-                self.sim, self.rng, coalesce_delivery=self.config.fastpath
-            )
+            self.network = Network(self.sim, self.rng)
         else:
             self.network = network
             self.sim = network.sim
@@ -195,12 +193,10 @@ class Cloud4Home:
     def _build_fabric(self) -> None:
         lan = self.config.lan
         wan = self.config.wan
-        fastpath = self.config.fastpath
         lan_link = Link(
             self.sim,
             bandwidth=lan.bandwidth_mbps * 1e6 / 8,
             name=f"{self.home_group}-lan",
-            coalesce_timer=fastpath,
         )
         self.lan_link = lan_link
         self.network.connect_groups(
@@ -231,13 +227,11 @@ class Cloud4Home:
             self.sim,
             bandwidth=wan.up_capacity_mb_s * MB,
             name=f"{self.home_group}-uplink",
-            coalesce_timer=fastpath,
         )
         self.downlink = Link(
             self.sim,
             bandwidth=wan.down_capacity_mb_s * MB,
             name=f"{self.home_group}-downlink",
-            coalesce_timer=fastpath,
         )
         self._up_tcp = up_tcp
         self._down_tcp = down_tcp
@@ -271,12 +265,7 @@ class Cloud4Home:
             ),
         )
         # Cloud-internal traffic (S3 <-> EC2) is fast and flat.
-        cloud_link = Link(
-            self.sim,
-            bandwidth=200 * MB,
-            name="cloud-internal",
-            coalesce_timer=fastpath,
-        )
+        cloud_link = Link(self.sim, bandwidth=200 * MB, name="cloud-internal")
         self.network.connect_groups(
             "cloud", "cloud", Route(cloud_link, base_latency=0.002)
         )
@@ -306,8 +295,6 @@ class Cloud4Home:
             self.network,
             host,
             leaf_size=self.config.leaf_size,
-            route_cache=self.config.fastpath,
-            rpc_push=self.config.fastpath,
             route_cache_max=self.config.route_cache_max,
         )
         storage = None
@@ -333,7 +320,6 @@ class Cloud4Home:
             chimera,
             replication_factor=self.config.replication_factor,
             cache_enabled=self.config.cache_enabled,
-            ring_scan_reference=self.config.ring_scan_reference,
             storage=storage,
         )
         registry = ServiceRegistry(kv)

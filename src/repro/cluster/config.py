@@ -224,12 +224,6 @@ class ClusterConfig:
     #: ("the public cloud interactions are performed only via some
     #: subset of designated nodes", Section III-C).
     cloud_gateway: str | None = None
-    #: Cross-layer simulation fast path: coalesced link boundary timers
-    #: and the overlay route cache.  Simulated results are identical
-    #: either way (the golden tests pin this); disabling it selects the
-    #: legacy reference implementations the perf harness measures
-    #: against.
-    fastpath: bool = True
     #: Attach the :mod:`repro.telemetry` plane (causal spans + metrics
     #: registry) to the deployment's simulator.  Off by default: with
     #: telemetry disabled every instrumented layer skips emission behind
@@ -241,9 +235,9 @@ class ClusterConfig:
     #: all k candidate snapshot lookups concurrently and joins them, so
     #: a decision's simulated latency is roughly the max of the k
     #: lookups instead of their sum.  Concurrent lookups overlap on the
-    #: links, which *changes simulated timing* (unlike ``fastpath``),
-    #: so the flag defaults to off and has its own golden tests; the
-    #: ranking produced is identical in both modes.
+    #: links, which *changes simulated timing*, so the flag defaults to
+    #: off and has its own golden tests; the ranking produced is
+    #: identical in both modes.
     parallel_decision: bool = False
     #: Resilience layer (repro.resilience): retries with deadlines and
     #: circuit breakers on every peer RPC, k-way payload replication at
@@ -297,10 +291,6 @@ class ClusterConfig:
     #: Per-node route-cache entry cap (LRU).  Lower it for 10k-node
     #: runs where per-node memory dominates.
     route_cache_max: int = 4096
-    #: Use the legacy full-membership-sort ring scans in the KV layer
-    #: (replica targets, owner selection) instead of the ring-window
-    #: query.  Identical results either way; kept for A/B measurement.
-    ring_scan_reference: bool = False
     #: Durable storage backend per device (repro.storage): ``"off"``
     #: (no backend object exists — byte-identical to a build without
     #: the subsystem), ``"mem"`` (explicit volatile baseline: a crash

@@ -165,12 +165,6 @@ class DhtKeyValueStore:
         Intermediate-hop caching switch and per-node LRU capacity.
     processing_s:
         Local store processing cost per handled request.
-    ring_scan_reference:
-        When True, replica-target and owner selection use the legacy
-        full-membership sort instead of the ring-window query on
-        :meth:`ChimeraNode.nearest_peers`.  Both paths return identical
-        peers (pinned by equality tests); the reference path is kept
-        for A/B measurement.
     storage:
         Optional :class:`repro.storage.IStore` backend.  When set, the
         primary/replica tables are bound through it (so every mutation
@@ -187,7 +181,6 @@ class DhtKeyValueStore:
         cache_enabled: bool = True,
         cache_capacity: int = 512,
         processing_s: float = 0.004,
-        ring_scan_reference: bool = False,
         storage=None,
     ) -> None:
         if replication_factor < 0:
@@ -199,7 +192,6 @@ class DhtKeyValueStore:
         self.cache_enabled = cache_enabled
         self.cache_capacity = cache_capacity
         self.processing_s = processing_s
-        self.ring_scan_reference = ring_scan_reference
         self.storage = storage
         if storage is None:
             self.primary: dict[str, Record] = {}
@@ -613,9 +605,7 @@ class DhtKeyValueStore:
         if self.replication_factor == 0:
             return []
         key = NodeId.from_hex(key_hex)
-        return self.chimera.nearest_peers(
-            key, self.replication_factor, reference=self.ring_scan_reference
-        )
+        return self.chimera.nearest_peers(key, self.replication_factor)
 
     def _push_replicas(self, record: Record) -> None:
         targets = self._replica_targets(record.key_hex)
@@ -648,9 +638,7 @@ class DhtKeyValueStore:
             pass
 
     def _owner_excluding_self(self, key: NodeId) -> Optional[PeerInfo]:
-        nearest = self.chimera.nearest_peers(
-            key, 1, reference=self.ring_scan_reference
-        )
+        nearest = self.chimera.nearest_peers(key, 1)
         return nearest[0] if nearest else None
 
     def _translate(self, exc: RemoteError) -> KvError:
@@ -896,9 +884,7 @@ class DhtKeyValueStore:
         if self.tombstones is not None:
             for key_hex in sorted(self.tombstones):
                 digests[key_hex] = tombstone_digest(self.tombstones[key_hex])
-        peers = self.chimera.nearest_peers(
-            self.chimera.id, fanout, reference=self.ring_scan_reference
-        )
+        peers = self.chimera.nearest_peers(self.chimera.id, fanout)
         for peer in peers:
             body = {"requester": self.name, "digests": digests}
             if span is not None:
@@ -1014,9 +1000,7 @@ class DhtKeyValueStore:
         for key_hex in sorted(self.replicas):
             if key_hex in digests:
                 continue
-            owner = self.chimera.closest_known(
-                NodeId.from_hex(key_hex), reference=self.ring_scan_reference
-            )
+            owner = self.chimera.closest_known(NodeId.from_hex(key_hex))
             if owner.name == requester:
                 records_out.append(self.replicas[key_hex].wire())
         return {"records": records_out, "want": want, "tombstoned": tombstoned}

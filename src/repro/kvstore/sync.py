@@ -3,9 +3,9 @@
 A recovered node and its replica holders reconcile by exchanging
 *digests* — compact ``{"v": version, "u": updated_at, "h": hash}``
 summaries of each record (tombstones carry ``{"t": True, "u": at}``).
-Winner selection must be deterministic under both the fastpath and the
-reference kernels, so ties are broken by a content hash of the
-canonical JSON serialization, never by arrival order:
+Winner selection must be deterministic regardless of message arrival
+order, so ties are broken by a content hash of the canonical JSON
+serialization, never by arrival order:
 
 * live vs live — higher version wins, then later ``updated_at``, then
   the lexicographically larger content hash;

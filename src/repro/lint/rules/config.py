@@ -1,10 +1,9 @@
 """CFG rules: cluster configuration stays backward-compatible.
 
-Every feature added since PR 1 (fastpath excepted, grandfathered in
-the baseline) ships behind a ``ClusterConfig`` flag that defaults to
-*off*, so the pinned goldens — and any user constructing
-``ClusterConfig()`` bare — see identical behaviour across PRs.  CFG401
-mechanically enforces that convention for new fields.
+Every feature added since PR 1 ships behind a ``ClusterConfig`` flag
+that defaults to *off*, so the pinned goldens — and any user
+constructing ``ClusterConfig()`` bare — see identical behaviour across
+PRs.  CFG401 mechanically enforces that convention for new fields.
 """
 
 from __future__ import annotations

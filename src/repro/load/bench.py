@@ -46,7 +46,6 @@ def scale_point(
     max_inflight: int = DEFAULT_MAX_INFLIGHT,
     drain_s: float = 10.0,
     fast_join: bool = True,
-    ring_scan_reference: bool = False,
     probe_objects: bool = True,
 ) -> dict:
     """One open-loop measurement: ``n_nodes`` overlay at ``rate`` req/s.
@@ -57,12 +56,7 @@ def scale_point(
     """
     wall0 = time.perf_counter()
     c4h = Cloud4Home(
-        scale_overlay(
-            n_nodes,
-            seed=seed,
-            fast_join=fast_join,
-            ring_scan_reference=ring_scan_reference,
-        )
+        scale_overlay(n_nodes, seed=seed, fast_join=fast_join)
     )
     c4h.start(monitors=False, publish=False)
     build_wall_s = time.perf_counter() - wall0
@@ -101,7 +95,6 @@ def scale_point(
         "rate": rate,
         "seed": seed,
         "fast_join": fast_join,
-        "ring_scan_reference": ring_scan_reference,
         "sim": {
             **report.as_dict(),
             "kv_misses": scenario.misses,

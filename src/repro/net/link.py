@@ -22,8 +22,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Optional
 
-from repro.sim import Event, Interrupt, Simulator
-from repro.sim.kernel import Process
+from repro.sim import Event, Simulator
 from repro.net.tcp import RatePhase, TcpProfile, UNCAPPED
 
 __all__ = ["Flow", "Link"]
@@ -132,7 +131,6 @@ class Link:
         sim: Simulator,
         bandwidth: float,
         name: str = "link",
-        coalesce_timer: bool = True,
     ) -> None:
         if bandwidth <= 0:
             raise ValueError(f"bandwidth must be positive, got {bandwidth!r}")
@@ -142,14 +140,8 @@ class Link:
         self._flows: list[Flow] = []
         self._labels = itertools.count()
         self._last_update = sim.now
-        #: Fast path: boundaries fire through a single scheduled callback
-        #: event (one heap entry per boundary).  The legacy path spawns a
-        #: full timer process per boundary (Initialize + Timeout +
-        #: interrupt events) and is kept as the reference implementation
-        #: for equivalence tests and the perf harness baseline.
-        self.coalesce_timer = coalesce_timer
-        self._timer: Optional[Process] = None
-        #: Generation counter invalidating stale coalesced timer events.
+        #: Generation counter invalidating stale boundary timer events:
+        #: each boundary is one scheduled callback event (one heap entry).
         self._timer_gen = 0
         #: Total payload bytes this link has delivered (for utilization stats).
         self.bytes_delivered = 0.0
@@ -245,9 +237,6 @@ class Link:
 
     def _reschedule(self) -> None:
         self._timer_gen += 1
-        if self._timer is not None and self._timer.is_alive:
-            self._timer.interrupt()
-        self._timer = None
         if not self._flows:
             return
         delay = self._next_boundary()
@@ -256,29 +245,18 @@ class Link:
                 f"link {self.name!r}: active flows but no progress possible "
                 "(all rates zero with no future phase change)"
             )
-        if self.coalesce_timer:
-            # One pre-succeeded event on the heap; superseded timers are
-            # ignored via the generation counter instead of interrupted.
-            gen = self._timer_gen
-            timer = Event(self.sim)
-            timer._ok = True
-            timer._value = None
-            timer.callbacks.append(lambda _event: self._on_timer(gen))
-            self.sim._schedule(timer, delay=delay)
-        else:
-            self._timer = self.sim.process(self._timer_proc(delay))
+        # One pre-succeeded event on the heap; superseded timers are
+        # ignored via the generation counter instead of interrupted.
+        gen = self._timer_gen
+        timer = Event(self.sim)
+        timer._ok = True
+        timer._value = None
+        timer.callbacks.append(lambda _event: self._on_timer(gen))
+        self.sim._schedule(timer, delay=delay)
 
     def _on_timer(self, gen: int) -> None:
         if gen != self._timer_gen:
             return  # superseded by a newer boundary computation
-        self._on_boundary()
-
-    def _timer_proc(self, delay: float):
-        try:
-            yield self.sim.timeout(delay)
-        except Interrupt:
-            return
-        self._timer = None
         self._on_boundary()
 
     def _on_boundary(self) -> None:

@@ -94,7 +94,7 @@ class RpcEndpoint:
     #: LAN latencies; callers on slow paths pass their own.
     DEFAULT_TIMEOUT = 30.0
 
-    def __init__(self, network: Network, host: Host, push: bool = True) -> None:
+    def __init__(self, network: Network, host: Host) -> None:
         self.network = network
         self.host = host
         #: The host's name; hosts are never renamed, so snapshot it
@@ -107,12 +107,9 @@ class RpcEndpoint:
         self._genfunc: dict[str, bool] = {}
         self._pending: dict[int, Event] = {}
         self._req_ids = itertools.count(1)
-        #: Fast path: messages are handled synchronously at delivery
-        #: time via the inbox consumer hook.  The legacy pull-mode
-        #: dispatcher process is kept as the reference implementation.
-        self.push = push
+        #: Messages are handled synchronously at delivery time via the
+        #: inbox consumer hook while the endpoint runs.
         self._running = False
-        self._dispatcher = None
         #: Count of requests served, for tests/diagnostics.
         self.requests_served = 0
 
@@ -136,21 +133,15 @@ class RpcEndpoint:
 
     def start(self) -> None:
         """Start dispatching inbound messages (idempotent)."""
-        if self.push:
-            if not self._running:
-                self._running = True
-                self.host.inbox.set_consumer(self._on_message)
-        elif self._dispatcher is None or not self._dispatcher.is_alive:
-            self._dispatcher = self.sim.process(self._dispatch_loop())
+        if not self._running:
+            self._running = True
+            self.host.inbox.set_consumer(self._on_message)
 
     def stop(self) -> None:
         """Stop dispatching (e.g. when the node leaves the overlay)."""
         if self._running:
             self.host.inbox.set_consumer(None)
             self._running = False
-        if self._dispatcher is not None and self._dispatcher.is_alive:
-            self._dispatcher.interrupt("endpoint stopped")
-        self._dispatcher = None
 
     # -- client side -------------------------------------------------------
 
@@ -218,7 +209,7 @@ class RpcEndpoint:
     # -- server side -------------------------------------------------------
 
     def _on_message(self, message) -> None:
-        """Push-mode dispatch: runs synchronously at message delivery.
+        """Dispatch one inbound message, synchronously at delivery.
 
         Responses settle the pending call directly; requests with a
         plain-function handler are served inline — no dispatcher resume
@@ -271,28 +262,6 @@ class RpcEndpoint:
             self.network.send(self.name, src, response, size=64)
         except HostDownError:
             pass  # caller vanished; its timeout handles it
-
-    def _dispatch_loop(self):
-        from repro.sim import Interrupt
-
-        while True:
-            get_event = self.host.receive()
-            try:
-                message = yield get_event
-            except Interrupt:
-                # Withdraw the abandoned get so a later dispatcher
-                # instance sees the next message.
-                self.host.inbox.cancel(get_event)
-                return
-            envelope = message.payload
-            if not isinstance(envelope, _Envelope):
-                continue  # stray traffic from another protocol
-            if envelope.kind == "response":
-                pending = self._pending.pop(envelope.req_id, None)
-                if pending is not None:
-                    pending.succeed(envelope)
-            else:
-                self.sim.process(self._serve(message.src, envelope))
 
     def _serve(self, src: str, envelope: _Envelope):
         request = Request(src, envelope.msg_type, envelope.body, envelope.req_id)

@@ -123,19 +123,12 @@ class Network:
         self,
         sim: Simulator,
         rng: Optional[RandomSource] = None,
-        coalesce_delivery: bool = True,
     ) -> None:
         self.sim = sim
         self.rng = (rng or RandomSource(0)).fork("network")
         self.hosts: dict[str, Host] = {}
         self._host_routes: dict[tuple[str, str], Route] = {}
         self._group_routes: dict[tuple[str, str], Route] = {}
-        #: Fast path: each in-flight control message is a single
-        #: scheduled callback event.  The legacy path spawns a delivery
-        #: process per message (Initialize + Timeout events plus the
-        #: generator machinery) and is kept as the reference
-        #: implementation for the perf harness baseline.
-        self.coalesce_delivery = coalesce_delivery
         #: Delivered control messages, for diagnostics/tests.
         self.messages_delivered = 0
         #: Active network partitions: pairs of host-name sets that
@@ -249,21 +242,14 @@ class Network:
         delay = route.sample_latency(self.rng) + size / _CONTROL_BYTES_PER_SEC
         message = Message(src, dst, payload, size, sent_at=self.sim.now)
         done = self.sim.event()
-        if self.coalesce_delivery:
-            arrival = Event(self.sim)
-            arrival._ok = True
-            arrival._value = None
-            arrival.callbacks.append(
-                lambda _event: self._deliver(message, dst_host, done)
-            )
-            self.sim._schedule(arrival, delay=delay)
-        else:
-
-            def deliver():
-                yield self.sim.timeout(delay)
-                self._deliver(message, dst_host, done)
-
-            self.sim.process(deliver())
+        # Each in-flight message is one scheduled callback event.
+        arrival = Event(self.sim)
+        arrival._ok = True
+        arrival._value = None
+        arrival.callbacks.append(
+            lambda _event: self._deliver(message, dst_host, done)
+        )
+        self.sim._schedule(arrival, delay=delay)
         return done
 
     def _deliver(self, message: Message, dst_host: Host, done: Event) -> None:

@@ -70,7 +70,7 @@ class NodeId:
     def from_name(cls, name: str) -> "NodeId":
         """Hash an arbitrary name (object, service, node) into the space."""
         if cls is NodeId:
-            return _id_from_name(name)
+            return _cached_from_name(name)
         digest = hashlib.sha1(name.encode()).digest()
         return cls(int.from_bytes(digest[:8], "big") >> (64 - ID_BITS))
 
@@ -78,7 +78,7 @@ class NodeId:
     def from_hex(cls, text: str) -> "NodeId":
         """Parse a 10-hex-digit identifier."""
         if cls is NodeId:
-            return _id_from_hex(text)
+            return _cached_from_hex(text)
         if len(text) != ID_DIGITS:
             raise ValueError(f"expected {ID_DIGITS} hex digits, got {text!r}")
         return cls(int(text, 16))
@@ -153,12 +153,6 @@ class NodeId:
         return (NodeId, (self.value,))
 
 
-#: Toggle for the interning caches (the perf harness flips this off to
-#: measure the uncached baseline).  Lookups bypass the caches entirely
-#: while disabled, so timings are honest.
-_INTERNING = True
-
-
 @lru_cache(maxsize=65536)
 def _cached_from_name(name: str) -> NodeId:
     digest = hashlib.sha1(name.encode()).digest()
@@ -170,29 +164,6 @@ def _cached_from_hex(text: str) -> NodeId:
     if len(text) != ID_DIGITS:
         raise ValueError(f"expected {ID_DIGITS} hex digits, got {text!r}")
     return NodeId(int(text, 16))
-
-
-def _id_from_name(name: str) -> NodeId:
-    if _INTERNING:
-        return _cached_from_name(name)
-    digest = hashlib.sha1(name.encode()).digest()
-    return NodeId(int.from_bytes(digest[:8], "big") >> (64 - ID_BITS))
-
-
-def _id_from_hex(text: str) -> NodeId:
-    if _INTERNING:
-        return _cached_from_hex(text)
-    if len(text) != ID_DIGITS:
-        raise ValueError(f"expected {ID_DIGITS} hex digits, got {text!r}")
-    return NodeId(int(text, 16))
-
-
-def set_interning(enabled: bool) -> None:
-    """Enable/disable the ``from_name`` / ``from_hex`` interning caches."""
-    global _INTERNING
-    _INTERNING = bool(enabled)
-    if not enabled:
-        clear_id_caches()
 
 
 def clear_id_caches() -> None:

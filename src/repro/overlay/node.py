@@ -86,19 +86,15 @@ class ChimeraNode:
         route (user-level Chimera work plus the VStore++↔Chimera IPC the
         paper describes).  This is what makes the DHT-lookup column of
         Table I a few milliseconds rather than pure wire time.
-    route_cache:
-        Enable the destination → next-hop cache.  Routing decisions are
-        pure functions of the node's membership view, so results are
-        cached per key and the whole cache is invalidated on any
-        join/leave/stabilizer-driven view change.  Disable to measure
-        the uncached baseline (perf harness) or to debug routing.
     route_cache_max:
-        Entry cap for the route cache.  The cache is a bounded LRU: the
-        least recently used key is evicted when the cap is reached
-        (previously the whole cache was dropped wholesale, which both
-        let memory spike to the cap on every node and caused recompute
-        storms right after the flush).  Caching only affects wall-clock
-        time, never simulated results.
+        Entry cap for the destination → next-hop cache.  Routing
+        decisions are pure functions of the node's membership view, so
+        results are cached per key and the whole cache is invalidated
+        on any join/leave/stabilizer-driven view change.  The cache is
+        a bounded LRU: the least recently used key is evicted when the
+        cap is reached, so hot keys survive and per-node memory stays
+        bounded.  Caching only affects wall-clock time, never simulated
+        results.
     """
 
     #: Default route-cache entry cap (LRU eviction past this size).
@@ -111,13 +107,11 @@ class ChimeraNode:
         endpoint: Optional[RpcEndpoint] = None,
         leaf_size: int = 4,
         hop_processing_s: float = 0.002,
-        route_cache: bool = True,
-        rpc_push: bool = True,
         route_cache_max: Optional[int] = None,
     ) -> None:
         self.network = network
         self.host = host
-        self.endpoint = endpoint or RpcEndpoint(network, host, push=rpc_push)
+        self.endpoint = endpoint or RpcEndpoint(network, host)
         self.id = NodeId.from_name(host.name)
         self.leaf = LeafSet(self.id, per_side=leaf_size)
         self.table = RoutingTable(self.id)
@@ -129,7 +123,6 @@ class ChimeraNode:
         self.on_node_left: list[Callable[[PeerInfo], None]] = []
         #: Diagnostics: total hops taken by route requests we initiated.
         self.routes_resolved = 0
-        self.route_cache_enabled = route_cache
         self.route_cache_max = (
             route_cache_max if route_cache_max is not None else self.ROUTE_CACHE_MAX
         )
@@ -177,59 +170,36 @@ class ChimeraNode:
             self._ids_cache_version = self.view_version
         return self._ids_cache
 
-    def nearest_peers(
-        self, key: NodeId, count: int, reference: bool = False
-    ) -> list[PeerInfo]:
+    def nearest_peers(self, key: NodeId, count: int) -> list[PeerInfo]:
         """The ``count`` known peers closest to ``key``.
 
         Ordered by ``(circular distance, id value)`` — the same total
         order the key-value layer's replica selection has always used.
 
-        The default path exploits the fact that the ``k`` nearest ids
-        form a contiguous arc around ``key`` on the ring: it bisects the
-        sorted-id snapshot and ranks only the ``2*count`` ids flanking
-        the insertion point — O(k log k + log N) instead of the
-        reference full sort's O(N log N).  ``reference=True`` selects
-        the full-sort path; both return identical results (pinned by
-        the A/B equality tests).
+        The ``k`` nearest ids form a contiguous arc around ``key`` on
+        the ring, so this bisects the sorted-id snapshot and ranks only
+        the ``2*count`` ids flanking the insertion point — O(k log k +
+        log N) instead of a full sort's O(N log N).
         """
         if count <= 0 or not self.known:
             return []
-        if reference:
-            ranked = sorted(
-                ((nid.distance(key), nid.value, nid) for nid in self.known.keys())
-            )[:count]
+        ids = self.sorted_ids()
+        n = len(ids)
+        if n <= 2 * count:
+            window = ids
         else:
-            ids = self.sorted_ids()
-            n = len(ids)
-            if n <= 2 * count:
-                window = ids
-            else:
-                i = bisect.bisect_left(ids, key)
-                window = [ids[(i + j) % n] for j in range(-count, count)]
-            ranked = sorted((nid.distance(key), nid.value, nid) for nid in window)[
-                :count
-            ]
+            i = bisect.bisect_left(ids, key)
+            window = [ids[(i + j) % n] for j in range(-count, count)]
+        ranked = sorted((nid.distance(key), nid.value, nid) for nid in window)[:count]
         return [PeerInfo(self._peer_name(nid), nid) for _d, _v, nid in ranked]
 
-    def closest_known(self, key: NodeId, reference: bool = False) -> PeerInfo:
+    def closest_known(self, key: NodeId) -> PeerInfo:
         """The member of our view (including ourselves) closest to ``key``.
 
         Used by the key-value layer to decide which records must move
         when membership changes.  Ties break toward the smaller id, the
         same rule the leaf set uses, so all nodes agree.
         """
-        if reference:
-            best_id = self.id
-            best = (self.id.distance(key), self.id.value)
-            for nid, _name in self.known.items():
-                candidate = (nid.distance(key), nid.value)
-                if candidate < best:
-                    best = candidate
-                    best_id = nid
-            if best_id == self.id:
-                return PeerInfo(self.name, self.id)
-            return PeerInfo(self._peer_name(best_id), best_id)
         nearest = self.nearest_peers(key, 1)
         if nearest:
             peer = nearest[0]
@@ -315,19 +285,17 @@ class ChimeraNode:
         """
         if not self.joined:
             raise NotJoinedError(f"{self.name} has not joined the overlay")
-        if self.route_cache_enabled:
-            cache = self._route_cache
-            hit = cache.get(key, _ROUTE_MISS)
-            if hit is not _ROUTE_MISS:
-                self.route_cache_hits += 1
-                cache.move_to_end(key)
-                return hit
-            result = self._next_hop_uncached(key)
-            if len(cache) >= self.route_cache_max:
-                cache.popitem(last=False)
-            cache[key] = result
-            return result
-        return self._next_hop_uncached(key)
+        cache = self._route_cache
+        hit = cache.get(key, _ROUTE_MISS)
+        if hit is not _ROUTE_MISS:
+            self.route_cache_hits += 1
+            cache.move_to_end(key)
+            return hit
+        result = self._next_hop_uncached(key)
+        if len(cache) >= self.route_cache_max:
+            cache.popitem(last=False)
+        cache[key] = result
+        return result
 
     def _next_hop_uncached(self, key: NodeId) -> Optional[PeerInfo]:
         if key == self.id or not self.known:

@@ -33,18 +33,12 @@ class Stabilizer:
         node: ChimeraNode,
         period_s: float = 10.0,
         ping_timeout_s: float = 2.0,
-        scan_reference: bool = False,
     ) -> None:
         if period_s <= 0:
             raise ValueError("period_s must be positive")
         self.node = node
         self.period_s = period_s
         self.ping_timeout_s = ping_timeout_s
-        #: When True, the round-robin probe target is picked by the
-        #: legacy O(N)-per-round filtered scan of the known view; the
-        #: default picks the identical element by index arithmetic over
-        #: the cached sorted-id snapshot (pinned by equality tests).
-        self.scan_reference = scan_reference
         self.rounds = 0
         self.evictions = 0
         self.discoveries = 0
@@ -198,21 +192,13 @@ class Stabilizer:
     def _round_robin_probe(self, neighbours: list[NodeId]) -> Optional[NodeId]:
         """This round's extra probe target.
 
-        Semantics (both paths): the in-order known view minus the leaf
-        neighbours, indexed at ``rounds % len``.  The reference path
-        materializes that filtered list — O(N) per round.  The default
-        path picks the identical element from the node's cached
-        sorted-id snapshot with index arithmetic: bisect the (at most
-        two) neighbour positions out, then shift the round-robin index
-        past them.
+        Semantics: the in-order known view minus the leaf neighbours,
+        indexed at ``rounds % len``.  Rather than materialize that
+        filtered list (O(N) per round), the element is picked from the
+        node's cached sorted-id snapshot with index arithmetic: bisect
+        the (at most two) neighbour positions out, then shift the
+        round-robin index past them.
         """
-        if self.scan_reference:
-            others = [
-                nid for nid, _ in self.node.known.items() if nid not in neighbours
-            ]
-            if not others:
-                return None
-            return others[self.rounds % len(others)]
         ids = self.node.sorted_ids()
         if not ids:
             return None

@@ -64,7 +64,7 @@ DECISION_KS = [2, 3, 4, 5, 6]
 def table1_fetch(size_mb: int, seed: int):
     """One Table I point; returns the raw :class:`FetchResult`.
 
-    The exact scenario the paper benchmark and the fastpath goldens
+    The exact scenario the paper benchmark and the Table I goldens
     measure: store on the owner, fetch from a third device.
     """
     c4h = Cloud4Home(ClusterConfig(seed=seed))

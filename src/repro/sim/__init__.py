@@ -23,7 +23,6 @@ from repro.sim.kernel import (
 )
 from repro.sim.random import RandomSource
 from repro.sim.resources import Container, Request, Resource, Store
-from repro.sim.trace import TraceEvent, Tracer
 
 __all__ = [
     "Simulator",
@@ -38,8 +37,6 @@ __all__ = [
     "Container",
     "Store",
     "RandomSource",
-    "Tracer",
-    "TraceEvent",
     "Interrupt",
     "SimulationError",
 ]

@@ -15,8 +15,8 @@ VStore++ layers of this reproduction are built.
 Performance notes
 -----------------
 The event classes use ``__slots__`` (events are by far the most
-allocated objects in a run), and :meth:`Simulator.run` drives a batched
-inner loop that pops events straight off the heap without re-entering
+allocated objects in a run), and :meth:`Simulator.run` drives an
+inlined loop that pops events straight off the heap without re-entering
 :meth:`Simulator.step`'s guard logic per event.  ``step()`` is kept for
 tests and debugging; both produce identical simulated behaviour.
 
@@ -408,14 +408,11 @@ class AllOf(_Condition):
 class Simulator:
     """The event loop: owns virtual time and the pending-event heap."""
 
-    def __init__(self, start_time: float = 0.0, batched: bool = True) -> None:
+    def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
         self._queue: list[tuple[float, int, Event]] = []
         self._event_seq = 0
         self._active_process: Optional[Process] = None
-        #: When False, :meth:`run` dispatches through :meth:`step` for
-        #: every event (the legacy loop, kept as the perf baseline).
-        self._batched = bool(batched)
         #: The attached :class:`repro.telemetry.Telemetry` plane, or
         #: None (the default — instrumented layers guard every span
         #: emit behind a single ``is not None`` check).
@@ -605,28 +602,6 @@ class Simulator:
         if event._ok is False and not event._defused:
             raise event._value
 
-    def run_batch(self, max_events: int) -> int:
-        """Process up to ``max_events`` events on a batched inner loop.
-
-        Identical simulated behaviour to calling :meth:`step` that many
-        times, but pops events straight off the heap without re-entering
-        the per-call guard logic.  Returns the number of events actually
-        processed (less than ``max_events`` once the queue drains).
-        """
-        queue = self._queue
-        pop = heapq.heappop
-        processed = 0
-        while queue and processed < max_events:
-            when, _, event = pop(queue)
-            self._now = when
-            callbacks, event.callbacks = event.callbacks, None
-            for callback in callbacks:
-                callback(event)
-            if event._ok is False and not event._defused:
-                raise event._value
-            processed += 1
-        return processed
-
     def run(self, until: "float | Event | None" = None) -> Any:
         """Run the simulation.
 
@@ -666,23 +641,19 @@ class Simulator:
             marker.callbacks.append(_stop_at_horizon)
             self._schedule(marker, delay=horizon - self._now, priority=PRIORITY_URGENT)
 
-        # Batched inner loop: equivalent to `while queue: self.step()`
-        # but without the per-event method-call and guard overhead.
+        # Inlined loop: equivalent to `while queue: self.step()` but
+        # without the per-event method-call and guard overhead.
         queue = self._queue
         pop = heapq.heappop
         try:
-            if self._batched:
-                while queue:
-                    when, _, event = pop(queue)
-                    self._now = when
-                    callbacks, event.callbacks = event.callbacks, None
-                    for callback in callbacks:
-                        callback(event)
-                    if event._ok is False and not event._defused:
-                        raise event._value
-            else:
-                while queue:
-                    self.step()
+            while queue:
+                when, _, event = pop(queue)
+                self._now = when
+                callbacks, event.callbacks = event.callbacks, None
+                for callback in callbacks:
+                    callback(event)
+                if event._ok is False and not event._defused:
+                    raise event._value
         except StopSimulation as stop:
             return stop.value
 

@@ -186,8 +186,8 @@ class Store:
 
         The consumer is called synchronously with each item as it is
         put; items already queued are drained into it immediately.
-        This is the fast path for always-on message dispatchers — it
-        saves the get-event round trip per item that the pull interface
+        This is how always-on message dispatchers consume — it saves
+        the get-event round trip per item that the pull interface
         costs.  Getters created while a consumer is installed still
         take priority for subsequently put items.
         """
@@ -204,19 +204,6 @@ class Store:
         else:
             self._getters.append(event)
         return event
-
-    def cancel(self, event: Event) -> None:
-        """Withdraw a pending ``get`` so no item is consumed by it.
-
-        Needed when the process that was waiting is interrupted (e.g. a
-        message dispatcher shutting down); otherwise the abandoned
-        getter would silently swallow the next item.  Cancelling an
-        event that is not waiting is a no-op.
-        """
-        try:
-            self._getters.remove(event)
-        except ValueError:
-            pass
 
     def peek(self) -> Optional[Any]:
         """The next item without removing it, or None if empty."""

@@ -221,7 +221,7 @@ class Telemetry:
                 fn(span)
             except Exception:
                 # A broken subscriber must never take down the
-                # simulation; evict it (same contract as Tracer).
+                # simulation; evict it.
                 self.unsubscribe(fn)
 
     # -- span emission -----------------------------------------------------

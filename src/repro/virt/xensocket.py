@@ -80,11 +80,9 @@ class XenSocketChannel:
         descriptor ring per channel, as in the prototype).  Returns the
         queued-plus-transfer elapsed time.
 
-        This is the coalesced fast path: the whole transfer is a single
-        closed-form timeout (see :meth:`transfer_time`) rather than one
-        simulated event per 4 KB page.  :meth:`transfer_paged` keeps the
-        page-granular reference implementation; both produce the same
-        simulated completion times.
+        The whole transfer is a single closed-form timeout (see
+        :meth:`transfer_time`) rather than one simulated event per 4 KB
+        page, so its kernel event count does not grow with ``nbytes``.
         """
         started = self.sim.now
         duration = self.transfer_time(nbytes)
@@ -110,45 +108,4 @@ class XenSocketChannel:
         self.transfers += 1
         if span is not None:
             tel.end(span)
-        return self.sim.now - started
-
-    def transfer_paged(self, nbytes: float, pages_per_event: int = 1):
-        """Process: reference page-granular transfer of ``nbytes``.
-
-        Moves the payload one shared-page window at a time, charging
-        each batch of ``pages_per_event`` pages as its own simulated
-        timeout (plus the window-turnaround cost when the ring wraps).
-        The summed delays equal :meth:`transfer_time` up to float
-        rounding; the equivalence test pins that.  Used by the perf
-        harness as the per-page baseline the coalesced :meth:`transfer`
-        is measured against.
-        """
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        if pages_per_event <= 0:
-            raise ValueError("pages_per_event must be positive")
-        started = self.sim.now
-        request = self._ring.request()
-        yield request
-        try:
-            yield self.sim.timeout(self.setup_s)
-            if nbytes > 0:
-                pages = math.ceil(nbytes / self.page_size)
-                per_page = (
-                    self.page_overhead_s + self.page_size / self.memory_bandwidth
-                )
-                sent = 0
-                while sent < pages:
-                    in_window = min(self.page_count, pages - sent)
-                    done = 0
-                    while done < in_window:
-                        batch = min(pages_per_event, in_window - done)
-                        yield self.sim.timeout(batch * per_page)
-                        done += batch
-                    sent += in_window
-                    yield self.sim.timeout(self.window_turnaround_s)
-        finally:
-            request.release()
-        self.bytes_moved += nbytes
-        self.transfers += 1
         return self.sim.now - started

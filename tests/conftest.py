@@ -1,7 +1,7 @@
 """Shared test fixtures and builders."""
 
 from repro.net import Link, Network, Route
-from repro.overlay import ChimeraNode
+from repro.overlay import ChimeraNode, PeerInfo
 from repro.sim import RandomSource, Simulator
 
 
@@ -11,14 +11,11 @@ def build_lan(
     latency=0.001,
     bandwidth=95.5e6 / 8,
     jitter=0.0,
-    coalesce_timer=True,
-    batched=True,
-    coalesce_delivery=True,
 ):
     """A simulator + network with ``n_hosts`` home hosts on one LAN."""
-    sim = Simulator(batched=batched)
-    net = Network(sim, RandomSource(seed), coalesce_delivery=coalesce_delivery)
-    link = Link(sim, bandwidth=bandwidth, name="lan", coalesce_timer=coalesce_timer)
+    sim = Simulator()
+    net = Network(sim, RandomSource(seed))
+    link = Link(sim, bandwidth=bandwidth, name="lan")
     net.connect_groups(
         "home", "home", Route(link, base_latency=latency, jitter=jitter)
     )
@@ -26,24 +23,53 @@ def build_lan(
     return sim, net, hosts
 
 
-def build_overlay(
-    n_nodes, seed=0, leaf_size=4, route_cache=True, rpc_push=True, **lan_kwargs
-):
+def build_overlay(n_nodes, seed=0, leaf_size=4, **lan_kwargs):
     """A fully joined overlay of ``n_nodes`` on a home LAN.
 
     Nodes join sequentially through node00 as the bootstrap, which is
     how a home deployment grows.  Returns (sim, net, nodes).
     """
     sim, net, hosts = build_lan(n_nodes, seed=seed, **lan_kwargs)
-    nodes = [
-        ChimeraNode(
-            net, host, leaf_size=leaf_size, route_cache=route_cache, rpc_push=rpc_push
-        )
-        for host in hosts
-    ]
+    nodes = [ChimeraNode(net, host, leaf_size=leaf_size) for host in hosts]
     nodes[0].start()
     for node in nodes[1:]:
         proc = sim.process(node.join(bootstrap=nodes[0].name))
         sim.run(until=proc)
         sim.run()  # drain join announcements before the next join
     return sim, net, nodes
+
+
+def install_full_sort_ring_scan(monkeypatch):
+    """Swap ChimeraNode's ring-window peer queries for their O(N)
+    definitions: ``nearest_peers`` as a full sort of the known view by
+    ``(circular distance, id value)`` and ``closest_known`` as a linear
+    minimum over the view and the node itself.
+
+    A simulation run under these oracles must match the ring-window
+    run byte for byte.  Returns a dict counting calls to each oracle so
+    a test can check they were really exercised.
+    """
+    calls = {"nearest_peers": 0, "closest_known": 0}
+
+    def nearest_peers(self, key, count):
+        calls["nearest_peers"] += 1
+        if count <= 0 or not self.known:
+            return []
+        ranked = sorted(
+            (nid.distance(key), nid.value, nid) for nid in self.known.keys()
+        )[:count]
+        return [PeerInfo(self._peer_name(nid), nid) for _d, _v, nid in ranked]
+
+    def closest_known(self, key):
+        calls["closest_known"] += 1
+        best = min(
+            [self.id, *self.known.keys()],
+            key=lambda nid: (nid.distance(key), nid.value),
+        )
+        if best == self.id:
+            return PeerInfo(self.name, self.id)
+        return PeerInfo(self._peer_name(best), best)
+
+    monkeypatch.setattr(ChimeraNode, "nearest_peers", nearest_peers)
+    monkeypatch.setattr(ChimeraNode, "closest_known", closest_known)
+    return calls

@@ -3,11 +3,10 @@
 ``tests/golden/fastpath_golden.json`` was captured from the tree
 *before* the fast path landed (slotted kernel, batched run loop,
 coalesced link timers, interned ids, route cache).  These tests re-run
-the same scenarios — in the default fastpath configuration and in the
-legacy reference configuration — and require every simulated metric to
-match the capture within 1e-9 relative tolerance.  Any divergence means
-an optimisation changed simulated behaviour, which is a bug regardless
-of how much faster it runs.
+the same scenarios on the current code path and require every
+simulated metric to match the capture within 1e-9 relative tolerance.
+Any divergence means an optimisation changed simulated behaviour, which
+is a bug regardless of how much faster it runs.
 """
 
 import json
@@ -22,7 +21,6 @@ if str(REPO_ROOT) not in sys.path:  # for bare `pytest` invocations
 
 from repro import Cloud4Home, ClusterConfig
 from repro.overlay import NodeId
-from repro.overlay import ids as overlay_ids
 
 from tests.conftest import build_overlay
 
@@ -40,18 +38,8 @@ def assert_close(actual, expected, label):
     )
 
 
-@pytest.fixture
-def no_interning():
-    """Run the test body with the NodeId interning caches disabled."""
-    overlay_ids.set_interning(False)
-    try:
-        yield
-    finally:
-        overlay_ids.set_interning(True)
-
-
-def measure_table1(size_mb, fastpath):
-    c4h = Cloud4Home(ClusterConfig(seed=300 + size_mb, fastpath=fastpath))
+def measure_table1(size_mb):
+    c4h = Cloud4Home(ClusterConfig(seed=300 + size_mb))
     c4h.start(monitors=False)
     owner = c4h.devices[0]
     reader = c4h.devices[2]
@@ -60,8 +48,8 @@ def measure_table1(size_mb, fastpath):
     return c4h.run(reader.vstore.fetch_object(name))
 
 
-def check_table1(size_mb, fastpath):
-    fetch = measure_table1(size_mb, fastpath)
+def check_table1(size_mb):
+    fetch = measure_table1(size_mb)
     ref = GOLDEN["table1"][str(size_mb)]
     assert_close(fetch.total_s, ref["total_s"], f"table1[{size_mb}].total_s")
     assert_close(
@@ -79,12 +67,7 @@ def check_table1(size_mb, fastpath):
 
 @pytest.mark.parametrize("size_mb", [1, 2, 5, 10, 20, 50, 100])
 def test_table1_matches_golden_fastpath(size_mb):
-    check_table1(size_mb, fastpath=True)
-
-
-@pytest.mark.parametrize("size_mb", [1, 10, 100])
-def test_table1_matches_golden_legacy(size_mb, no_interning):
-    check_table1(size_mb, fastpath=False)
+    check_table1(size_mb)
 
 
 def test_fig5_matches_golden_fastpath():
@@ -109,18 +92,8 @@ def test_fig5_matches_golden_fastpath():
         )
 
 
-def run_lookup_storm(
-    route_cache, coalesce_timer, batched=True, coalesce_delivery=True, rpc_push=True
-):
-    sim, net, nodes = build_overlay(
-        48,
-        seed=7,
-        route_cache=route_cache,
-        coalesce_timer=coalesce_timer,
-        batched=batched,
-        coalesce_delivery=coalesce_delivery,
-        rpc_push=rpc_push,
-    )
+def run_lookup_storm():
+    sim, net, nodes = build_overlay(48, seed=7)
     trace = []
     for i in range(200):
         key = NodeId.from_name(f"storm-{i}")
@@ -144,16 +117,4 @@ def check_storm_trace(trace):
 
 
 def test_overlay_storm_matches_golden_fastpath():
-    check_storm_trace(run_lookup_storm(route_cache=True, coalesce_timer=True))
-
-
-def test_overlay_storm_matches_golden_legacy(no_interning):
-    check_storm_trace(
-        run_lookup_storm(
-            route_cache=False,
-            coalesce_timer=False,
-            batched=False,
-            coalesce_delivery=False,
-            rpc_push=False,
-        )
-    )
+    check_storm_trace(run_lookup_storm())

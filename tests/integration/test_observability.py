@@ -1,10 +1,9 @@
-"""Observability under failure: metrics + tracing during chaos."""
+"""Observability under failure: metrics during chaos."""
 
 import pytest
 
 from repro.cluster import ChaosSchedule, Cloud4Home, ClusterConfig, MetricsCollector
 from repro.net import NetworkError
-from repro.sim import Tracer
 from repro.vstore import VStoreError
 
 
@@ -60,36 +59,6 @@ def test_metrics_capture_degradation_and_errors():
     assert metrics.error_rate("fetch") > 0.0
     report = metrics.report()
     assert "error rate" in report
-
-
-def test_tracer_spans_full_operations():
-    c4h = Cloud4Home(ClusterConfig(seed=771))
-    c4h.start(monitors=False)
-    tracer = Tracer(c4h.sim)
-    device = c4h.devices[0]
-
-    def traced_store():
-        result = yield from tracer.span("store", device.name, obj="t.bin")(
-            device.client.store_file("t.bin", 2.0)
-        )
-        return result
-
-    c4h.run(traced_store())
-
-    def traced_fail():
-        try:
-            yield from tracer.span("fetch", device.name, obj="nope")(
-                device.client.fetch_object("nope")
-            )
-        except VStoreError:
-            pass
-
-    c4h.run(traced_fail())
-    kinds = [e.kind for e in tracer.events]
-    assert kinds == ["store.start", "store.end", "fetch.start", "fetch.error"]
-    # Spans carry real simulated durations.
-    start, end = tracer.events[0], tracer.events[1]
-    assert end.at > start.at
 
 
 def test_chaos_events_align_with_metrics_timeline():

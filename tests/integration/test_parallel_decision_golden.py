@@ -2,9 +2,9 @@
 
 ``tests/golden/parallel_decision_golden.json`` pins the simulated
 decision latency of ``DecisionEngine.decide`` in both fetch modes for
-every candidate count on the default testbed.  Unlike the fastpath
-(which must never move simulated time), ``parallel_decision=True`` is
-*supposed* to change timing — concurrent snapshot lookups overlap on
+every candidate count on the default testbed.  Unlike a wall-clock
+optimisation (which must never move simulated time),
+``parallel_decision=True`` is *supposed* to change timing — concurrent snapshot lookups overlap on
 the links, so the decision pays roughly max-of-k instead of sum-of-k.
 These tests pin exactly how much, and that nothing else moves:
 

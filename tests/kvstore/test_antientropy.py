@@ -1,8 +1,10 @@
 """Anti-entropy edge cases: a recovered node must converge with its
 peers no matter which side of the divergence it is on.
 
-Each scenario runs under both kernels (``fastpath`` on and off) — the
-sync protocol must converge identically either way.
+Each scenario runs twice: with the overlay's ring-window peer queries
+(``fastpath``) and with their full-sort definitions swapped in
+(``reference``) — peer selection for replicas and sync rounds must
+converge identically either way.
 """
 
 import pytest
@@ -10,6 +12,15 @@ import pytest
 from repro.cluster import ChaosSchedule, Cloud4Home, ClusterConfig
 from repro.kvstore import KeyNotFoundError
 from repro.overlay import PeerInfo
+from tests.conftest import install_full_sort_ring_scan
+
+
+@pytest.fixture(params=["fastpath", "reference"])
+def ring_scan(request, monkeypatch):
+    """None on the ring-window path; the oracle call counts otherwise."""
+    if request.param == "reference":
+        return install_full_sort_ring_scan(monkeypatch)
+    return None
 
 
 def fresh_cluster(seed, **kwargs):
@@ -33,13 +44,13 @@ def copy_version(device, key_hex):
     return record.version if record is not None else None
 
 
-@pytest.mark.parametrize("fastpath", [True, False], ids=["fastpath", "reference"])
+@pytest.mark.usefixtures("ring_scan")
 class TestAntiEntropyEdgeCases:
-    def test_recovered_node_pushes_its_newer_version(self, fastpath):
+    def test_recovered_node_pushes_its_newer_version(self):
         """The recovered node holds the *newest* write: it was isolated
         when it accepted v2, so its replicas never heard.  Rejoin must
         push v2 out, not let the stale majority win."""
-        c4h = fresh_cluster(800, fastpath=fastpath)
+        c4h = fresh_cluster(800)
         chaos = ChaosSchedule(c4h)
         c4h.run(c4h.devices[0].kv.put("ae-newer", "v1"))
         key_hex, owner = primary_holder(c4h, "ae-newer")
@@ -68,11 +79,11 @@ class TestAntiEntropyEdgeCases:
         reader = next(d for d in c4h.devices if d.name != owner.name)
         assert c4h.run(reader.kv.get("ae-newer")) == "v2"
 
-    def test_recovered_node_drops_record_deleted_in_its_absence(self, fastpath):
+    def test_recovered_node_drops_record_deleted_in_its_absence(self):
         """The recovered node replays a record the cluster deleted while
         it was down: the peers' tombstone must win, not resurrect the
         record through the replayed copy."""
-        c4h = fresh_cluster(801, fastpath=fastpath)
+        c4h = fresh_cluster(801)
         chaos = ChaosSchedule(c4h)
         c4h.run(c4h.devices[0].kv.put("ae-tomb", "doomed"))
         c4h.sim.run(until=c4h.sim.now + 1.0)  # let replica pushes land
@@ -94,11 +105,11 @@ class TestAntiEntropyEdgeCases:
         with pytest.raises(KeyNotFoundError):
             c4h.run(holder.kv.get("ae-tomb"))
 
-    def test_rejoin_during_partition_converges_after_heal(self, fastpath):
+    def test_rejoin_during_partition_converges_after_heal(self):
         """A node revived while a partition cuts it off from the key's
         owner syncs what it can reach, stays stale on the rest, and
         converges once the partition heals."""
-        c4h = fresh_cluster(802, fastpath=fastpath)
+        c4h = fresh_cluster(802)
         chaos = ChaosSchedule(c4h)
         c4h.run(c4h.devices[0].kv.put("ae-part", 1))
         c4h.sim.run(until=c4h.sim.now + 1.0)  # let replica pushes land
@@ -139,12 +150,12 @@ class TestAntiEntropyEdgeCases:
         assert copy_version(holder, key_hex) == 2
         assert c4h.run(holder.kv.get("ae-part")) == 2
 
-    def test_sync_is_deterministic(self, fastpath):
+    def test_sync_is_deterministic(self, ring_scan):
         """The same scenario twice produces byte-identical summaries and
         end state — anti-entropy introduces no hidden nondeterminism."""
 
         def run_once():
-            c4h = fresh_cluster(803, fastpath=fastpath)
+            c4h = fresh_cluster(803)
             chaos = ChaosSchedule(c4h)
             for i in range(6):
                 c4h.run(c4h.devices[0].kv.put(f"det-{i}", i))
@@ -162,3 +173,6 @@ class TestAntiEntropyEdgeCases:
             return summary, state, c4h.sim.now
 
         assert run_once() == run_once()
+        if ring_scan is not None:
+            assert ring_scan["nearest_peers"] > 0
+            assert ring_scan["closest_known"] > 0

@@ -1,15 +1,16 @@
-"""Scale-bench jobs: seeded determinism and fast-path identity.
+"""Scale-bench jobs: seeded determinism, fast-path identity and shape.
 
 These are the golden contracts behind ``BENCH_scale.json``: the
 simulated block of a scale point is a pure function of its seed, and
-the ring-scan fast path changes wall time only — the simulated results
-are byte-equal against the reference scan.
+the overlay's ring-window peer queries change wall time only — the
+simulated results are byte-equal against their full-sort definitions.
 """
 
 import json
 
 from repro.load import scale_point
 from repro.load.bench import join_wall
+from tests.conftest import install_full_sort_ring_scan
 
 POINT = dict(n_nodes=24, rate=300.0, duration_s=1.0, seed=5, n_keys=64)
 
@@ -32,11 +33,12 @@ class TestScalePointDeterminism:
 
 
 class TestFastPathSimulationIdentity:
-    def test_ring_scan_fast_equals_reference(self):
-        """The nearest-peers fast path is invisible to the simulation."""
-        assert sim_block(ring_scan_reference=False) == sim_block(
-            ring_scan_reference=True
-        )
+    def test_ring_scan_fast_equals_reference(self, monkeypatch):
+        """The ring-window peer queries are invisible to the simulation."""
+        fast = sim_block()
+        calls = install_full_sort_ring_scan(monkeypatch)
+        assert sim_block() == fast
+        assert calls["nearest_peers"] > 0
 
 
 class TestScalePointShape:

@@ -2,7 +2,7 @@
 
 Covers the two kernel bug fixes that rode along with the optimisation
 work (``Event.trigger`` from an untriggered source, double delivery on
-the non-event-yield error path) plus edge cases the batched run loop
+the non-event-yield error path) plus edge cases the inlined run loop
 must preserve: interrupts landing exactly at a process's wait target,
 conditions built from already-failed events, and ``run(until=...)``
 with an already-processed event.
@@ -185,8 +185,11 @@ class TestRunUntilProcessedEvent:
             sim.run(until=event)
 
 
-class TestRunBatch:
-    def test_run_batch_matches_step_loop(self):
+class TestRunMatchesStep:
+    def test_run_matches_step_loop(self):
+        """``run()``'s inlined loop and repeated ``step()`` calls process
+        the same events in the same order."""
+
         def build():
             sim = Simulator()
             order = []
@@ -195,7 +198,7 @@ class TestRunBatch:
                 yield sim.timeout(delay)
                 order.append((name, sim.now))
 
-            for name, delay in [("a", 2.0), ("b", 1.0), ("c", 3.0)]:
+            for name, delay in [("a", 2.0), ("b", 1.0), ("c", 3.0), ("d", 1.0)]:
                 sim.process(proc(sim, name, delay))
             return sim, order
 
@@ -206,20 +209,8 @@ class TestRunBatch:
             except SimulationError:
                 break
 
-        batched, batch_order = build()
-        total = 0
-        while True:
-            n = batched.run_batch(2)
-            total += n
-            if n < 2:
-                break
-        assert batch_order == step_order
-        assert batched.now == stepped.now
-
-    def test_run_batch_respects_the_limit(self):
-        sim = Simulator()
-        for _ in range(5):
-            sim.timeout(1.0)
-        assert sim.run_batch(3) == 3
-        assert sim.run_batch(100) == 2
-        assert sim.run_batch(1) == 0
+        ran, run_order = build()
+        ran.run()
+        assert run_order == step_order
+        assert ran.now == stepped.now
+        assert ran._event_seq == stepped._event_seq

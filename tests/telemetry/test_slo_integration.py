@@ -3,10 +3,9 @@
 Two properties the acceptance gate leans on:
 
 * **Determinism** — windowed rollup rotation is keyed by simulated
-  time only, so a run under ``fastpath=True`` and the reference event
-  loop produce bit-identical windowed summaries and alert sequences;
-  and repeated runs of the seeded chaos scenario produce identical
-  timelines.
+  time only, so repeated runs of one seeded workload produce
+  bit-identical windowed summaries and alert sequences, and repeated
+  runs of the seeded chaos scenario produce identical timelines.
 * **The seeded 8-node chaos scenario** — killing 2 nodes fires the
   availability alert within one window (plus one evaluator period) and
   the alert resolves after the Repairer restores replication, with a
@@ -27,11 +26,9 @@ from repro.cluster.slo_demo import (
 from repro.telemetry import validate_recorder_dump
 
 
-def _windowed_run(fastpath: bool) -> str:
+def _windowed_run() -> str:
     """A small slo-enabled workload's full windowed state, as JSON."""
-    config = ClusterConfig(
-        seed=11, slo=True, windowed_metrics=True, fastpath=fastpath
-    )
+    config = ClusterConfig(seed=11, slo=True, windowed_metrics=True)
     c4h = Cloud4Home(config)
     c4h.start(monitors=False)
     writer, reader = c4h.devices[0], c4h.devices[1]
@@ -61,11 +58,11 @@ def _windowed_run(fastpath: bool) -> str:
 
 
 class TestWindowedDeterminism:
-    def test_fastpath_rotation_matches_reference_kernel(self):
-        # Same seed, same workload: the fastpath event loop and the
-        # reference kernel must rotate every ring identically —
-        # windowed summaries, alerts, and health scores bit-for-bit.
-        assert _windowed_run(fastpath=True) == _windowed_run(fastpath=False)
+    def test_rotation_is_identical_across_runs(self):
+        # Same seed, same workload: two runs must rotate every ring
+        # identically — windowed summaries, alerts, and health scores
+        # bit-for-bit.
+        assert _windowed_run() == _windowed_run()
 
 
 @pytest.fixture(scope="module")

@@ -13,7 +13,9 @@ import pytest
 from repro import Cloud4Home, ClusterConfig
 from repro.cluster.config import DeviceConfig
 from repro.telemetry import span_dump
+from repro.vstore import VStoreError
 from repro.vstore.node import object_key
+from tests.conftest import install_full_sort_ring_scan
 
 
 def build_cluster(n: int = 20) -> Cloud4Home:
@@ -157,26 +159,61 @@ class TestFetchSpanTree:
 
 
 class TestDeterminism:
-    def _spans_for(self, fastpath: bool):
+    def _spans_for(self):
         devices = [
             DeviceConfig(name=f"d{i}", mandatory_mb=64.0, voluntary_mb=64.0)
             for i in range(4)
         ]
-        c4h = Cloud4Home(
-            ClusterConfig(
-                seed=9, devices=devices, telemetry=True, fastpath=fastpath
-            )
-        )
+        c4h = Cloud4Home(ClusterConfig(seed=9, devices=devices, telemetry=True))
         c4h.start(monitors=False)
         c4h.run(c4h.devices[0].client.store_file("det.bin", 3.0))
         c4h.run(c4h.devices[2].client.fetch_object("det.bin"))
         return span_dump(c4h.telemetry)
 
-    def test_identical_spans_under_fast_path(self):
-        assert self._spans_for(fastpath=True) == self._spans_for(fastpath=False)
+    def test_identical_spans_under_fast_path(self, monkeypatch):
+        """The ring-window peer queries leave every span unchanged."""
+        fast = self._spans_for()
+        calls = install_full_sort_ring_scan(monkeypatch)
+        assert self._spans_for() == fast
+        assert calls["nearest_peers"] > 0
 
     def test_repeat_runs_identical(self):
-        assert self._spans_for(fastpath=True) == self._spans_for(fastpath=True)
+        assert self._spans_for() == self._spans_for()
+
+
+class TestOperationStatus:
+    def test_store_ends_ok_and_missing_fetch_ends_in_error(self):
+        """End to end through the client API: a store's root span ends
+        ``ok`` over real simulated time, and fetching an object nobody
+        stored ends its root span with an ``error:`` status."""
+        c4h = Cloud4Home(ClusterConfig(seed=771, telemetry=True))
+        c4h.start(monitors=False)
+        device = c4h.devices[0]
+        c4h.run(device.client.store_file("t.bin", 2.0))
+
+        def fetch_missing():
+            try:
+                yield from device.client.fetch_object("nope")
+            except VStoreError:
+                return "missing"
+
+        assert c4h.run(fetch_missing()) == "missing"
+        roots = [
+            s
+            for s in c4h.telemetry.spans
+            if s.parent_id is None and s.layer == "client"
+        ]
+        assert [s.name for s in roots] == [
+            "client.create",
+            "client.store",
+            "client.fetch",
+        ]
+        create, store, fetch = roots
+        assert create.status == store.status == "ok"
+        assert store.end > store.start
+        assert fetch.finished
+        assert fetch.status.startswith("error:")
+        assert fetch.attrs["object"] == "nope"
 
 
 class TestDisabledByteIdentity:
