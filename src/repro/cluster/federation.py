@@ -194,7 +194,7 @@ class Federation:
             raise AccessDeniedError(object_name, f"home{home_index}-federation")
         # Bring the bytes to the gateway, then push them to the cloud.
         if meta.location != gateway.name and not meta.is_remote:
-            yield from vstore._ensure_local(meta)
+            yield from vstore._pull_payload(meta, None)
         if not meta.is_remote:
             url = yield from vstore.cloud.store_remote(
                 f"fed/{object_name}", meta.size_bytes

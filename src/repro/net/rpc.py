@@ -78,6 +78,18 @@ class _Envelope:
     error: Optional[str] = None
 
 
+def _fail_call(result: Event, exc: Exception) -> None:
+    """Fail a call's result event, dropping it if nobody waits any more.
+
+    A crash interrupts background processes mid-call, which detaches
+    them from the result; its later failure has no consumer and must
+    not abort the run.  Every other unconsumed failure still does.
+    """
+    result.fail(exc)
+    if not result.callbacks:
+        result._defused = True
+
+
 class RpcEndpoint:
     """Typed request/response messaging for one host.
 
@@ -185,7 +197,7 @@ class RpcEndpoint:
             self._pending.pop(req_id, None)
             response: _Envelope = event._value
             if response.error is not None:
-                result.fail(RemoteError(dst, msg_type, response.error))
+                _fail_call(result, RemoteError(dst, msg_type, response.error))
             else:
                 result.succeed(response.body)
 
@@ -195,7 +207,7 @@ class RpcEndpoint:
                 return
             settled = True
             self._pending.pop(req_id, None)
-            result.fail(RpcTimeoutError(dst, msg_type, deadline))
+            _fail_call(result, RpcTimeoutError(dst, msg_type, deadline))
 
         reply.callbacks.append(on_reply)
         timer.callbacks.append(on_deadline)

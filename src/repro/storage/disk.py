@@ -72,9 +72,10 @@ class SimDiskStore(WalStore):
         """Capture what this flush covers: (log mark, dirty bytes).
 
         Entries appended while the flush is in flight stay pending and
-        are picked up by the next one.
+        are picked up by the next one.  The mark counts folded entries
+        too, so a compaction during the flush cannot make it stale.
         """
-        return len(self.log), self.pending_bytes
+        return self.folded + len(self.log), self.pending_bytes
 
     def flush_cost_s(self, nbytes: float) -> float:
         """Simulated seconds to write ``nbytes`` and fsync."""
@@ -83,7 +84,7 @@ class SimDiskStore(WalStore):
 
     def commit_flush(self, mark: int, nbytes: float) -> None:
         """Mark the captured prefix durable (flush completed)."""
-        self.synced = max(self.synced, mark)
+        self.synced = max(self.synced, mark - self.folded)
         self.pending_bytes = max(0.0, self.pending_bytes - nbytes)
         self.fsyncs += 1
         self._count("storage.disk.fsyncs")
@@ -148,7 +149,7 @@ class StorageFlusher:
             while True:
                 yield self.sim.timeout(self.period_s)
                 mark, nbytes = self.store.begin_flush()
-                if mark <= self.store.synced and nbytes <= 0:
+                if mark <= self.store.folded + self.store.synced and nbytes <= 0:
                     continue
                 cost = self.store.flush_cost_s(nbytes)
                 if cost > 0:

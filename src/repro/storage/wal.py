@@ -111,6 +111,9 @@ class WalStore(IStore):
         self.snapshot: dict[str, dict[str, Any]] = {}
         #: Log entries guaranteed durable (== tip for the idealized WAL).
         self.synced = 0
+        #: Entries ever folded out of the log by compaction, so
+        #: ``folded + i`` names log entry ``i`` across compactions.
+        self.folded = 0
         self.appends = 0
         self.compactions = 0
         #: Serialized bytes of the snapshot: each live key's journaled
@@ -163,6 +166,7 @@ class WalStore(IStore):
                 tbl.pop(entry.key, None)
         del self.log[:n]
         self.synced = 0
+        self.folded += n
         self.compactions += 1
         self._count("storage.wal.compactions")
         return n

@@ -45,7 +45,11 @@ from repro.vstore.errors import (
     VStoreError,
 )
 from repro.vstore.objects import LOCATION_REMOTE, ObjectMeta
-from repro.vstore.placement import PlacementEstimate, estimate_completion
+from repro.vstore.placement import (
+    PlacementEstimate,
+    estimate_completion,
+    fold_estimates,
+)
 from repro.vstore.policies import Placement, PlacementTarget, StorePolicy
 from repro.vstore.striping import (
     StripeCodec,
@@ -59,7 +63,6 @@ __all__ = ["VStoreNode", "StoreResult", "FetchResult", "ProcessResult"]
 MSG_STORE_VOLUNTARY = "vstore.store-voluntary"
 MSG_FETCH = "vstore.fetch"
 MSG_PROCESS_REMOTE = "vstore.process-remote"
-MSG_PROCESS_PIPELINE = "vstore.process-pipeline"
 MSG_DELETE = "vstore.delete"
 #: Liveness/holdership probe (resilience layer; reply says whether the
 #: payload is physically here).
@@ -612,7 +615,7 @@ class VStoreNode:
         chunks are reachable the full-object cloud copy (if any)
         backstops; otherwise the typed :class:`ChunksLostError` names
         the shortfall.  Returns ``(served_from, inter_node_s,
-        remote_cloud_s)`` like :meth:`_fetch_with_failover`.
+        remote_cloud_s)`` like :meth:`_pull_payload`.
         """
         codec = StripeCodec(meta.stripe_k, meta.stripe_m)
         t_start = self.sim.now
@@ -706,10 +709,9 @@ class VStoreNode:
                 )
             inter_node_s = self.sim.now - t0 - remote_s
         else:
-            fetch = yield from self.fetch_object(name, to_guest=False, ctx=span)
-            inter_node_s = fetch.inter_node_s
-            remote_s = fetch.remote_cloud_s
-            served_from = fetch.served_from
+            served_from, inter_node_s, remote_s = yield from self._pull_payload(
+                meta, span
+            )
 
         inter_domain_s = 0.0
         if to_guest and self.xensocket is not None:
@@ -764,47 +766,9 @@ class VStoreNode:
         meta, dht_s = yield from self._lookup_meta(name, ctx=span)
         self._check_access(meta)
 
-        inter_node_s = 0.0
-        remote_s = 0.0
-        if meta.is_striped:
-            served_from, inter_node_s, remote_s = yield from self._fetch_striped(
-                meta, span
-            )
-        elif meta.is_remote:
-            t0 = self.sim.now
-            if self.cloud is None:
-                raise VStoreError(
-                    f"object {name!r} is in the remote cloud but this node "
-                    "has no public-cloud interface"
-                )
-            yield from self.cloud.fetch_remote(name, ctx=span)
-            remote_s = self.sim.now - t0
-            served_from = "remote-cloud"
-        elif meta.location == self.name and self.holds(name):
-            # Local disk read.  The holds() guard matters after a
-            # crash: metadata can outlive the payload (a revived node
-            # without a durable backend rejoins with empty bins), and a
-            # phantom local serve must fail over, not fabricate bytes.
-            yield self.sim.timeout(meta.size_mb / self.disk_mb_s)
-            served_from = "local"
-        elif self.caller is None and not meta.replicas and meta.location != self.name:
-            # Single-homed, resilience off: the original one-shot path.
-            t0 = self.sim.now
-            body = {"name": name, "to": self.name}
-            if span is not None:
-                body["span"] = span.ctx_wire()
-            yield self.endpoint.call(
-                meta.location,
-                MSG_FETCH,
-                body,
-                timeout=600.0,
-            )
-            inter_node_s = self.sim.now - t0
-            served_from = meta.location
-        else:
-            served_from, inter_node_s, remote_s = yield from (
-                self._fetch_with_failover(meta, span)
-            )
+        served_from, inter_node_s, remote_s = yield from self._pull_payload(
+            meta, span
+        )
 
         inter_domain_s = 0.0
         if to_guest and self.xensocket is not None:
@@ -824,31 +788,48 @@ class VStoreNode:
             served_from=served_from,
         )
 
-    def _fetch_with_failover(self, meta: ObjectMeta, span):
-        """Process: pull the payload from the first source that answers.
+    def _pull_payload(self, meta: ObjectMeta, span):
+        """Process: bring an object's payload to this node, any layout.
 
-        Tries the primary holder, then each payload replica, then the
+        The one data path under fetch, range reads, process (local and
+        remote execution) and federation publish.  Stripes gather their
+        chunks; remote objects download from the cloud.  A full copy is
+        served from this node's own copy when it really holds one, else
+        from the primary holder, then each payload replica, then the
         remote-cloud copy when one exists.  Returns ``(served_from,
         inter_node_s, remote_cloud_s)``; failed attempts stay inside
         ``inter_node_s`` so the Table I breakdown still sums to total.
         """
+        if meta.is_striped:
+            return (yield from self._fetch_striped(meta, span))
         t_start = self.sim.now
+        if meta.is_remote:
+            if self.cloud is None:
+                raise VStoreError(
+                    f"object {meta.name!r} is in the remote cloud but this "
+                    "node has no public-cloud interface"
+                )
+            yield from self.cloud.fetch_remote(meta.name, ctx=span)
+            return "remote-cloud", 0.0, self.sim.now - t_start
         sources = [meta.location]
         sources.extend(r for r in meta.replicas if r not in sources)
-        if self.name in sources and self.holds(meta.name):
-            # Serve our own copy before asking anyone else — a replica
-            # holder should never pull the payload over the network.
+        if self.name in sources:
             sources.remove(self.name)
-            sources.insert(0, self.name)
+            # The holds() guard matters after a crash: metadata can
+            # outlive the payload (a revived node without a durable
+            # backend rejoins with empty bins), and a phantom local
+            # serve must fail over, not fabricate bytes.
+            if self.holds(meta.name):
+                yield self.sim.timeout(meta.size_mb / self.disk_mb_s)
+                if meta.location == self.name:
+                    return "local", 0.0, 0.0
+                self._count("vstore.fetch.served_replica")
+                return self.name, self.sim.now - t_start, 0.0
+        # With resilience off and a single home, nothing from the
+        # resilience layer runs (ClusterConfig's contract).
+        failover = self.caller is not None or bool(meta.replicas)
         last_exc = None
         for src in sources:
-            if src == self.name:
-                if not self.holds(meta.name):
-                    continue
-                yield self.sim.timeout(meta.size_mb / self.disk_mb_s)
-                if src != meta.location:
-                    self._count("vstore.fetch.served_replica")
-                return src, self.sim.now - t_start, 0.0
             body = {"name": meta.name, "to": self.name}
             if span is not None:
                 body["span"] = span.ctx_wire()
@@ -856,14 +837,15 @@ class VStoreNode:
                 yield from self._call(src, MSG_FETCH, body, timeout=600.0)
             except (HostDownError, RpcTimeoutError, RemoteError) as exc:
                 last_exc = exc
-                self._count("vstore.fetch.failover")
-                # An unreachable source is evidence the metadata we
-                # routed on may be a stale cached copy whose owner (the
-                # node that would push us updates) is gone.  Drop it so
-                # the next lookup re-routes to the live owner instead
-                # of failing over forever.
-                if self.kv.invalidate_cached(object_key(meta.name)):
-                    self._count("vstore.fetch.meta_invalidated")
+                if failover:
+                    self._count("vstore.fetch.failover")
+                    # An unreachable source is evidence the metadata we
+                    # routed on may be a stale cached copy whose owner
+                    # (the node that would push us updates) is gone.
+                    # Drop it so the next lookup re-routes to the live
+                    # owner instead of failing over forever.
+                    if self.kv.invalidate_cached(object_key(meta.name)):
+                        self._count("vstore.fetch.meta_invalidated")
                 continue
             if src != meta.location:
                 self._count("vstore.fetch.served_replica")
@@ -956,95 +938,12 @@ class VStoreNode:
     ):
         """Process: run a service on a stored object (Section III-B).
 
-        Placement follows the paper's fetch-and-process decision:
-
-        1. if the requesting node hosts the service and has the
-           resources, the object is fetched and processed here;
-        2. otherwise, if the object's owner hosts the service, it runs
-           there;
-        3. otherwise the service's registry entry supplies the
-           candidate set (including EC2 when configured) and the
-           completion-time estimate picks the target.
-
-        Returns a :class:`ProcessResult`; all timing includes the
-        decision process itself, as the paper's results do.
+        A one-step :meth:`process_pipeline`.
         """
-        tel, span = self._span(
-            "vstore.process", ctx, object=name, service=qualified_service
-        )
-        started = self.sim.now
-        yield self.sim.timeout(self.op_overhead_s)
-        meta, dht_s = yield from self._lookup_meta(name, ctx=span)
-        self._check_access(meta)
-        decision_t0 = self.sim.now
-        target, estimates, _snapshots = yield from self._choose_processing_target(
-            meta, qualified_service, policy, ctx=span
-        )
-        decision_s = self.sim.now - decision_t0
-
-        move_t0 = self.sim.now
-        if target == "@ec2":
-            result = yield from self._process_on_ec2(
-                meta, qualified_service, return_output
+        return (
+            yield from self.process_pipeline(
+                name, [qualified_service], policy, return_output, ctx
             )
-            move_s = result.pop("move_s")
-            executed_on = self.ec2.name
-            output_mb = result["output_mb"]
-            execute_s = result["execute_s"]
-        elif target == self.name:
-            yield from self._ensure_local(meta, ctx=span)
-            move_s = self.sim.now - move_t0
-            exec_t0 = self.sim.now
-            service = self.registry.local[qualified_service]
-            domain = self.guest_domain or self.dom0_domain
-            if domain is None:
-                raise VStoreError(f"{self.name} has no domain to execute in")
-            svc_result = yield from service.execute(domain, meta.size_mb, ctx=span)
-            execute_s = self.sim.now - exec_t0
-            executed_on = self.name
-            output_mb = svc_result.output_mb
-        else:
-            body = {
-                "name": name,
-                "service": qualified_service,
-                "owner": meta.location,
-                "size_mb": meta.size_mb,
-                "reply_to": self.name if return_output else None,
-            }
-            if meta.replicas:
-                body["replicas"] = list(meta.replicas)
-            if meta.is_striped:
-                body["stripe"] = {
-                    "k": meta.stripe_k,
-                    "m": meta.stripe_m,
-                    "chunk_nodes": list(meta.chunk_nodes),
-                    "url": meta.url,
-                }
-            if span is not None:
-                body["span"] = span.ctx_wire()
-            reply = yield from self._call(
-                target,
-                MSG_PROCESS_REMOTE,
-                body,
-                timeout=3600.0,
-            )
-            move_s = reply["move_s"]
-            execute_s = reply["execute_s"]
-            output_mb = reply["output_mb"]
-            executed_on = target
-
-        if span is not None:
-            tel.end(span, executed_on=executed_on)
-        return ProcessResult(
-            object_name=name,
-            service=qualified_service,
-            executed_on=executed_on,
-            output_mb=output_mb,
-            total_s=self.sim.now - started,
-            decision_s=decision_s + dht_s,
-            move_s=move_s,
-            execute_s=execute_s,
-            estimates=estimates,
         )
 
     def process_pipeline(
@@ -1055,75 +954,61 @@ class VStoreNode:
         return_output: bool = True,
         ctx=None,
     ):
-        """Process: run a multi-step pipeline over one stored object.
+        """Process: run one or more services over one stored object.
 
-        The surveillance use case invokes "a process operation ... on a
-        set of stored images, to first perform face detection, and next
-        face recognition processing on each image" (Section III-B).
-        The argument object moves to the chosen target *once*; the
-        steps execute back to back there.  The target minimizes the
-        summed completion-time estimate across all steps.
+        Placement follows the paper's fetch-and-process decision: every
+        node advertising the services (plus EC2 when configured) gets a
+        completion-time estimate per step, and the best target wins
+        (see :meth:`_choose_processing_target`).  The surveillance use
+        case invokes "a process operation ... on a set of stored images,
+        to first perform face detection, and next face recognition
+        processing on each image" (Section III-B): the argument object
+        moves to the chosen target *once* and the steps execute back to
+        back there, so a node's estimates fold into one
+        (:func:`fold_estimates`).
+
+        Returns a :class:`ProcessResult`; all timing includes the
+        decision process itself, as the paper's results do.
         """
         if not qualified_services:
             raise ValueError("pipeline needs at least one service")
         tel, span = self._span(
-            "vstore.process_pipeline",
-            ctx,
-            object=name,
-            services="+".join(qualified_services),
+            "vstore.process", ctx, object=name, services="+".join(qualified_services)
         )
         started = self.sim.now
         yield self.sim.timeout(self.op_overhead_s)
         meta, dht_s = yield from self._lookup_meta(name, ctx=span)
         self._check_access(meta)
         decision_t0 = self.sim.now
-        per_service = []
-        all_snapshots: dict[str, ResourceSnapshot] = {}
+        first_choice = None
+        steps = []
+        snapshots: dict[str, ResourceSnapshot] = {}
         for qs in qualified_services:
-            target, estimates, snapshots = yield from self._choose_processing_target(
-                meta, qs, policy, ctx=span
+            choice, step_estimates, step_snapshots = (
+                yield from self._choose_processing_target(meta, qs, policy, ctx=span)
             )
-            per_service.append((qs, target, estimates))
-            all_snapshots.update(snapshots)
-        # One target for the whole pipeline: the policy-preferred node
-        # minimizing the summed estimates (falling back to the first
-        # step's choice when estimates are unavailable).
-        # The argument moves to the pipeline target once, so movement
-        # and locate costs count once per candidate; execution and
-        # setup accumulate across the steps.
-        base: dict[str, float] = {}
-        work: dict[str, float] = {}
-        counts: dict[str, int] = {}
-        for _qs, target, estimates in per_service:
-            for est in estimates:
-                base[est.node] = max(
-                    base.get(est.node, 0.0), est.move_s + est.locate_s
-                )
-                work[est.node] = (
-                    work.get(est.node, 0.0) + est.execute_s + est.setup_s
-                )
-                counts[est.node] = counts.get(est.node, 0) + 1
-        totals = {n: base[n] + work[n] for n in base}
-        # Only nodes able to run every step qualify.
-        eligible = [n for n, c in counts.items() if c == len(qualified_services)]
-        if eligible:
+            first_choice = first_choice or choice
+            steps.append(step_estimates)
+            snapshots.update(step_snapshots)
+        estimates = fold_estimates(steps)
+        if estimates:
             target = min(
-                eligible,
-                key=lambda n: self._policy_rank(
-                    policy, all_snapshots[n], totals[n]
-                ),
-            )
+                estimates,
+                key=lambda e: self._policy_rank(policy, snapshots[e.node], e.total_s),
+            ).node
         else:
-            target = per_service[0][1]
+            # No node can run every step: follow the first step's choice.
+            target = first_choice
         decision_s = self.sim.now - decision_t0
 
+        move_t0 = self.sim.now
         if target == "@ec2":
-            move_t0 = self.sim.now
-            source = meta.location if not meta.is_remote else self.name
             if meta.is_remote:
+                # The instance pulls from S3 — both sit in the cloud, so
+                # the movement is cloud-internal and fast.
                 yield self.sim.timeout(meta.size_mb / 200.0)
             else:
-                yield from self.ec2.upload_input(source, meta.size_bytes)
+                yield from self.ec2.upload_input(meta.location, meta.size_bytes)
             move_s = self.sim.now - move_t0
             exec_t0 = self.sim.now
             output_mb = meta.size_mb
@@ -1137,42 +1022,22 @@ class VStoreNode:
                 )
             executed_on = self.ec2.name
         elif target == self.name:
-            move_t0 = self.sim.now
-            yield from self._ensure_local(meta, ctx=span)
+            yield from self._pull_payload(meta, span)
             move_s = self.sim.now - move_t0
-            exec_t0 = self.sim.now
-            domain = self.guest_domain or self.dom0_domain
-            output_mb = meta.size_mb
-            for qs in qualified_services:
-                service = self.registry.local[qs]
-                result = yield from service.execute(domain, meta.size_mb, ctx=span)
-                output_mb = result.output_mb
-            execute_s = self.sim.now - exec_t0
+            output_mb, execute_s = yield from self._execute_steps(
+                qualified_services, meta.size_mb, span
+            )
             executed_on = self.name
         else:
             body = {
-                "name": name,
-                "services": qualified_services,
-                "owner": meta.location,
-                "size_mb": meta.size_mb,
+                "meta": meta.wire(),
+                "services": list(qualified_services),
                 "reply_to": self.name if return_output else None,
             }
-            if meta.replicas:
-                body["replicas"] = list(meta.replicas)
-            if meta.is_striped:
-                body["stripe"] = {
-                    "k": meta.stripe_k,
-                    "m": meta.stripe_m,
-                    "chunk_nodes": list(meta.chunk_nodes),
-                    "url": meta.url,
-                }
             if span is not None:
                 body["span"] = span.ctx_wire()
             reply = yield from self._call(
-                target,
-                MSG_PROCESS_PIPELINE,
-                body,
-                timeout=3600.0,
+                target, MSG_PROCESS_REMOTE, body, timeout=3600.0
             )
             move_s = reply["move_s"]
             execute_s = reply["execute_s"]
@@ -1190,7 +1055,25 @@ class VStoreNode:
             decision_s=decision_s + dht_s,
             move_s=move_s,
             execute_s=execute_s,
+            estimates=estimates,
         )
+
+    def _execute_steps(self, qualified_services: list[str], size_mb: float, span):
+        """Process: run the services back to back in this node's guest.
+
+        Returns ``(output_mb, execute_s)``: the last step's output and
+        the time the steps took.
+        """
+        domain = self.guest_domain or self.dom0_domain
+        if domain is None:
+            raise VStoreError(f"{self.name} has no domain to execute in")
+        t0 = self.sim.now
+        output_mb = size_mb
+        for qs in qualified_services:
+            service = self.registry.local[qs]
+            result = yield from service.execute(domain, size_mb, ctx=span)
+            output_mb = result.output_mb
+        return output_mb, self.sim.now - t0
 
     def fetch_process(self, name: str, qualified_service: str, ctx=None):
         """Process: fetch an object with processing attached.
@@ -1234,7 +1117,7 @@ class VStoreNode:
         policy: DecisionPolicy,
         ctx=None,
     ):
-        """Pick where to run a service, returning (target, estimates).
+        """Pick where to run one service: (target, estimates, snapshots).
 
         "The destination of the service execution is chosen ... by
         selecting the most suitable of all possible locations that
@@ -1404,104 +1287,6 @@ class VStoreNode:
             return min(snapshot.bandwidth_mbps, 4.5)
         return 1.5
 
-    def _ensure_local(self, meta: ObjectMeta, ctx=None):
-        """Bring the argument object to this node if it is elsewhere."""
-        if meta.is_striped:
-            yield from self._fetch_striped(meta, ctx)
-            return
-        if meta.location == self.name:
-            yield self.sim.timeout(meta.size_mb / self.disk_mb_s)
-            return
-        if meta.is_remote:
-            if self.cloud is None:
-                raise VStoreError(f"cannot reach remote object {meta.name!r}")
-            yield from self.cloud.fetch_remote(meta.name, ctx=ctx)
-            return
-        if self.caller is not None or meta.replicas:
-            yield from self._fetch_with_failover(meta, ctx)
-            return
-        body = {"name": meta.name, "to": self.name}
-        if self.sim.telemetry is not None and ctx is not None:
-            body["span"] = wire_ctx(ctx)
-        yield self.endpoint.call(
-            meta.location,
-            MSG_FETCH,
-            body,
-            timeout=600.0,
-        )
-
-    def _process_on_ec2(self, meta: ObjectMeta, qualified_service, return_output):
-        move_t0 = self.sim.now
-        source = meta.location if not meta.is_remote else self.name
-        if meta.is_remote:
-            # The instance pulls from S3 — both sit in the cloud, so the
-            # movement is cloud-internal and fast.
-            yield self.sim.timeout(meta.size_mb / 200.0)
-        else:
-            yield from self.ec2.upload_input(source, meta.size_bytes)
-        move_s = self.sim.now - move_t0
-        exec_t0 = self.sim.now
-        result = yield from self.ec2.run_service(qualified_service, meta.size_mb)
-        execute_s = self.sim.now - exec_t0
-        if return_output:
-            yield from self.ec2.download_output(
-                self.name, result.output_mb * 1024 * 1024
-            )
-        return {
-            "output_mb": result.output_mb,
-            "execute_s": execute_s,
-            "move_s": move_s,
-        }
-
-    def _pull_argument(self, body, span):
-        """Process: bring a process argument here from its holders.
-
-        Tries the recorded owner first, then any payload replicas the
-        requester passed along (resilience on); owners in the remote
-        cloud download directly.
-        """
-        stripe = body.get("stripe")
-        if stripe is not None:
-            # The argument is erasure-coded: reassemble it here from
-            # the chunk map the requester passed along.
-            meta = ObjectMeta(
-                name=body["name"],
-                size_mb=body["size_mb"],
-                location=body["owner"],
-                url=stripe.get("url"),
-                stripe_k=stripe["k"],
-                stripe_m=stripe["m"],
-                chunk_nodes=list(stripe["chunk_nodes"]),
-            )
-            yield from self._fetch_striped(meta, span)
-            return
-        owner = body["owner"]
-        if owner == LOCATION_REMOTE:
-            if self.cloud is None:
-                raise VStoreError("no cloud interface for remote argument")
-            yield from self.cloud.fetch_remote(body["name"], ctx=span)
-            return
-        sources = [owner]
-        sources.extend(r for r in body.get("replicas", []) if r not in sources)
-        last_exc = None
-        for src in sources:
-            if src == self.name:
-                continue
-            fetch_body = {"name": body["name"], "to": self.name}
-            if span is not None:
-                fetch_body["span"] = span.ctx_wire()
-            try:
-                yield from self._call(src, MSG_FETCH, fetch_body, timeout=600.0)
-            except (HostDownError, RpcTimeoutError, RemoteError) as exc:
-                last_exc = exc
-                continue
-            return
-        if last_exc is None:
-            raise VStoreError(
-                f"no reachable source for argument {body['name']!r}"
-            )
-        raise last_exc
-
     # -- resilience: payload replication --------------------------------------
 
     def replicate_local(self, name: str, size_mb: float, targets: list[str], ctx=None):
@@ -1537,7 +1322,6 @@ class VStoreNode:
         ep.register(MSG_STORE_VOLUNTARY, self._handle_store_voluntary)
         ep.register(MSG_FETCH, self._handle_fetch)
         ep.register(MSG_PROCESS_REMOTE, self._handle_process_remote)
-        ep.register(MSG_PROCESS_PIPELINE, self._handle_process_pipeline)
         ep.register(MSG_DELETE, self._handle_delete)
         ep.register(MSG_PING, self._handle_ping)
         ep.register(MSG_REPLICATE, self._handle_replicate)
@@ -1584,67 +1368,24 @@ class VStoreNode:
 
     def _handle_process_remote(self, request: Request):
         body = request.body
+        services = body["services"]
         tel, span = self._span(
-            "vstore.serve_process", body.get("span"), service=body["service"]
+            "vstore.serve_process", body.get("span"), services="+".join(services)
         )
-        service = self.registry.local.get(body["service"])
-        if service is None:
-            exc = ServiceUnavailableError(body["service"])
-            if span is not None:
-                tel.fail(span, exc)
-            raise exc
-        move_t0 = self.sim.now
-        if not self.holds(body["name"]):
-            yield from self._pull_argument(body, span)
-        move_s = self.sim.now - move_t0
-        exec_t0 = self.sim.now
-        domain = self.guest_domain or self.dom0_domain
-        if domain is None:
-            raise VStoreError(f"{self.name} has no domain to execute in")
-        result = yield from service.execute(domain, body["size_mb"], ctx=span)
-        execute_s = self.sim.now - exec_t0
-        reply_to = body.get("reply_to")
-        if reply_to and reply_to != self.name and result.output_mb > 0:
-            yield from self.transfer.send(
-                self.name, reply_to, result.output_mb * 1024 * 1024, ctx=span
-            )
-        if span is not None:
-            tel.end(span)
-        return {
-            "output_mb": result.output_mb,
-            "execute_s": execute_s,
-            "move_s": move_s,
-        }
-
-    def _handle_process_pipeline(self, request: Request):
-        body = request.body
-        tel, span = self._span(
-            "vstore.serve_pipeline",
-            body.get("span"),
-            services="+".join(body["services"]),
-        )
-        services = []
-        for qs in body["services"]:
-            service = self.registry.local.get(qs)
-            if service is None:
+        for qs in services:
+            if qs not in self.registry.local:
                 exc = ServiceUnavailableError(qs)
                 if span is not None:
                     tel.fail(span, exc)
                 raise exc
-            services.append(service)
+        meta = ObjectMeta.from_wire(body["meta"])
         move_t0 = self.sim.now
-        if not self.holds(body["name"]):
-            yield from self._pull_argument(body, span)
+        if not self.holds(meta.name):
+            yield from self._pull_payload(meta, span)
         move_s = self.sim.now - move_t0
-        exec_t0 = self.sim.now
-        domain = self.guest_domain or self.dom0_domain
-        if domain is None:
-            raise VStoreError(f"{self.name} has no domain to execute in")
-        output_mb = body["size_mb"]
-        for service in services:
-            result = yield from service.execute(domain, body["size_mb"], ctx=span)
-            output_mb = result.output_mb
-        execute_s = self.sim.now - exec_t0
+        output_mb, execute_s = yield from self._execute_steps(
+            services, meta.size_mb, span
+        )
         reply_to = body.get("reply_to")
         if reply_to and reply_to != self.name and output_mb > 0:
             yield from self.transfer.send(
@@ -1652,11 +1393,7 @@ class VStoreNode:
             )
         if span is not None:
             tel.end(span)
-        return {
-            "output_mb": output_mb,
-            "execute_s": execute_s,
-            "move_s": move_s,
-        }
+        return {"output_mb": output_mb, "execute_s": execute_s, "move_s": move_s}
 
     def _handle_delete(self, request: Request) -> dict:
         self._remove_local(request.body["name"])

@@ -16,12 +16,12 @@ plus the memory-thrash factor its free memory implies).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.monitoring import ResourceSnapshot
 from repro.services import Service
 
-__all__ = ["PlacementEstimate", "estimate_completion"]
+__all__ = ["PlacementEstimate", "estimate_completion", "fold_estimates"]
 
 #: The paper's "constant target-location time" assumption, seconds.
 DEFAULT_LOCATE_S = 0.05
@@ -41,6 +41,32 @@ class PlacementEstimate:
     @property
     def total_s(self) -> float:
         return self.locate_s + self.move_s + self.execute_s + self.setup_s
+
+
+def fold_estimates(steps: list[list[PlacementEstimate]]) -> list[PlacementEstimate]:
+    """One estimate per node for a multi-step run, in first-seen order.
+
+    The argument moves to the target once, so a node's ``locate_s`` and
+    ``move_s`` come from its step with the largest of the two summed;
+    execution and set-up accumulate across the steps.  Only nodes with
+    an estimate for every step qualify.  A single step folds to copies
+    of its own estimates.
+    """
+    folded: dict[str, PlacementEstimate] = {}
+    counts: dict[str, int] = {}
+    for estimates in steps:
+        for est in estimates:
+            acc = folded.get(est.node)
+            if acc is None:
+                folded[est.node] = replace(est)
+                counts[est.node] = 1
+                continue
+            if est.locate_s + est.move_s > acc.locate_s + acc.move_s:
+                acc.locate_s, acc.move_s = est.locate_s, est.move_s
+            acc.execute_s += est.execute_s
+            acc.setup_s += est.setup_s
+            counts[est.node] += 1
+    return [est for node, est in folded.items() if counts[node] == len(steps)]
 
 
 def estimate_completion(

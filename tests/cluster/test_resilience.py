@@ -5,6 +5,8 @@ Covers the store-time payload replication, fetch failover chain
 headline availability-under-crashes scenario from the robustness PR.
 """
 
+import pytest
+
 from repro.cluster import (
     ChaosSchedule,
     Cloud4Home,
@@ -72,6 +74,22 @@ class TestReplicatedStore:
         assert meta.replicas == []
         assert meta.url is not None
         assert c4h.metrics.counter("vstore.replicate.short", node="node1").value >= 1
+
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="delete_object removes only meta.location's copy: payload "
+        "replicas (and a cloud spill copy) stay behind",
+    )
+    def test_delete_removes_every_payload_copy(self):
+        c4h = Cloud4Home(resilient_config(801))
+        c4h.start()
+        writer = c4h.devices[0]
+        c4h.run(writer.client.store_file("obj.bin", 2.0))
+        assert len(get_meta(c4h, writer, "obj.bin").replicas) == 2
+        c4h.run(writer.client.delete_object("obj.bin"))
+        holders = [d.name for d in c4h.devices if d.vstore.holds("obj.bin")]
+        assert holders == []
 
 
 class TestFetchFailover:

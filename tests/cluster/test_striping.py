@@ -155,13 +155,23 @@ class TestStripedFetch:
 
         c4h.run(attempt())
 
-    def test_fetch_range_on_unstriped_object_falls_back(self):
+    def test_fetch_range_on_unstriped_object_falls_back(self, monkeypatch):
         c4h = Cloud4Home(striped_config(915))
         c4h.start()
-        writer = c4h.devices[0]
+        writer, reader = c4h.devices[0], c4h.devices[2]
         c4h.run(writer.client.store_file("note.txt", 0.5))
-        result = c4h.run(c4h.devices[2].client.fetch_range("note.txt", 0.0, 0.25))
+        keys = []
+        kv_get = reader.vstore.kv.get
+
+        def counting_get(key, *args, **kwargs):
+            keys.append(key)
+            return kv_get(key, *args, **kwargs)
+
+        monkeypatch.setattr(reader.vstore.kv, "get", counting_get)
+        result = c4h.run(reader.client.fetch_range("note.txt", 0.0, 0.25))
         assert result.served_from not in ("stripe-range", "stripe")
+        # One metadata lookup: the whole-object pull reuses it.
+        assert keys.count(object_key("note.txt")) == 1
 
 
 class TestStripedDeleteAndProcess:

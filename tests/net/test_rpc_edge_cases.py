@@ -11,7 +11,7 @@ from repro.net import (
     RpcEndpoint,
     RpcTimeoutError,
 )
-from repro.sim import AllOf, RandomSource, Simulator
+from repro.sim import AllOf, Interrupt, RandomSource, Simulator
 
 
 def build_trio(latency=0.001):
@@ -76,6 +76,76 @@ class TestChurn:
         eps["b"].register("bad", bad)
         with pytest.raises(RemoteError, match="mid-handler"):
             sim.run(until=eps["a"].call("b", "bad"))
+
+
+class TestOrphanedCalls:
+    """A crash interrupts background processes mid-call (repairer,
+    monitors); the abandoned call's later failure must not abort the
+    run, while a caller that still waits must still see it."""
+
+    @staticmethod
+    def crash_mid_call(sim, event, at=1.0):
+        def caller():
+            try:
+                yield event
+            except Interrupt:
+                return "interrupted"
+
+        proc = sim.process(caller())
+
+        def crash():
+            yield sim.timeout(at)
+            proc.interrupt("node crashed")
+
+        sim.process(crash())
+        return proc
+
+    def test_interrupted_callers_timeout_does_not_abort_the_run(self):
+        sim, net, eps = build_trio()
+        eps["b"].stop()  # requests go unanswered: the call times out
+        proc = self.crash_mid_call(sim, eps["a"].call("b", "ping", timeout=2.0))
+        sim.run()
+        assert proc.value == "interrupted"
+        assert sim.now == pytest.approx(2.0)  # the orphaned deadline fired
+
+    def test_interrupted_callers_remote_error_does_not_abort_the_run(self):
+        sim, net, eps = build_trio()
+
+        def bad(req):
+            yield eps["b"].sim.timeout(2.0)
+            raise RuntimeError("late failure")
+
+        eps["b"].register("bad", bad)
+        proc = self.crash_mid_call(sim, eps["a"].call("b", "bad"))
+        sim.run()
+        assert proc.value == "interrupted"
+        assert eps["b"].requests_served == 1
+
+    def test_waiting_caller_still_gets_the_timeout(self):
+        sim, net, eps = build_trio()
+        eps["b"].stop()
+        seen = []
+
+        def caller():
+            try:
+                yield eps["a"].call("b", "ping", timeout=2.0)
+            except RpcTimeoutError as exc:
+                seen.append(exc)
+
+        sim.process(caller())
+        sim.run()
+        assert [exc.msg_type for exc in seen] == ["ping"]
+
+    def test_unhandled_timeout_in_a_waiting_caller_still_surfaces(self):
+        sim, net, eps = build_trio()
+        eps["b"].stop()
+
+        def caller():
+            yield eps["a"].call("b", "ping", timeout=2.0)
+
+        sim.process(caller())
+        with pytest.raises(RpcTimeoutError):
+            sim.run()
 
 
 class TestConcurrency:

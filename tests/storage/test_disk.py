@@ -132,3 +132,26 @@ class TestStorageFlusher:
         sim = Simulator()
         with pytest.raises(ValueError):
             StorageFlusher(sim, SimDiskStore(), period_s=0)
+
+
+def test_compaction_during_a_flush_keeps_its_mark():
+    # The flush's mark must survive a compaction that runs while the
+    # flush is being charged (the log prefix it folds shifts every
+    # index); otherwise appends made during the flush count as durable.
+    store = SimDiskStore(snapshot_every=8)
+    tbl = store.table("t")
+    for i in range(5):
+        tbl[f"a{i}"] = i
+    store.commit_flush(*store.begin_flush())
+    tbl["b"] = 0
+    mark, nbytes = store.begin_flush()
+    tbl["c0"] = 0
+    tbl["c1"] = 1  # the log reaches snapshot_every: compaction folds a*
+    assert store.compactions == 1
+    store.commit_flush(mark, nbytes)
+    assert store.synced == 1  # just "b"
+    assert store.synced <= len(store.log)
+    report = store.crash()
+    assert report["lost_ops"] == 2  # the appends made during the flush
+    store.replay()
+    assert sorted(tbl) == ["a0", "a1", "a2", "a3", "a4", "b"]

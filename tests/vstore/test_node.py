@@ -226,6 +226,20 @@ class TestProcess:
         frec = c4h.run(d.client.process("frame.jpg", "face-recognize#v1"))
         assert fdet.total_s > 0 and frec.total_s > 0
 
+    def test_process_never_runs_on_a_payload_that_is_gone(self):
+        # Metadata outlives the payload when a node loses its bins
+        # without a durable backend: process must not "serve" the
+        # missing bytes locally, exactly like fetch.
+        c4h = fresh_cluster()
+        c4h.deploy_service(lambda: FaceDetection(), nodes=["netbook0"])
+        d = c4h.device("netbook0")
+        c4h.run(d.client.store_file("cam.jpg", 0.25))
+        d.vstore.lose_memory()
+        with pytest.raises(ObjectNotFoundError):
+            c4h.run(d.vstore.fetch_object("cam.jpg"))
+        with pytest.raises(ObjectNotFoundError):
+            c4h.run(d.vstore.process("cam.jpg", "face-detect#v1"))
+
     def test_process_on_ec2_when_best(self):
         # Make every home node tiny so EC2's big instance wins for a
         # compute-heavy service on a large object.
@@ -245,3 +259,89 @@ class TestProcess:
         c4h.run(d.client.store_file("huge.avi", 60.0))
         result = c4h.run(d.client.process("huge.avi", "media-convert#v1"))
         assert result.executed_on == "ec2-xl-0"
+
+
+def _media_scenario():
+    c4h = fresh_cluster()
+    c4h.deploy_service(lambda: MediaConversion(), nodes=["desktop", "netbook1"])
+    owner = c4h.device("netbook1")
+    c4h.run(owner.client.store_file("movie.avi", 30.0))
+    return c4h, owner, "movie.avi", "media-convert#v1"
+
+
+def _fig7_scenario(target):
+    from benchmarks.test_fig7_service_placement import build_cluster, deploy_target
+
+    def build():
+        c4h = build_cluster(1104)
+        deploy_target(c4h, target)
+        s1 = c4h.device("S1")
+        c4h.run(s1.client.store_file("frame-1.0.jpg", 1.0))
+        return c4h, s1, "frame-1.0.jpg", "face-detect#v1"
+
+    return build
+
+
+#: ``process`` results pinned before it became a one-step pipeline:
+#: (target, total_s, move_s, execute_s, estimates as
+#: (node, locate_s, move_s, execute_s, setup_s)).
+PINNED_PROCESS = {
+    "media-conversion": (
+        _media_scenario,
+        "desktop",
+        19.34850171046031,
+        4.129819301835511,
+        13.877717391304344,
+        [
+            ("desktop", 0.05, 2.6351648167539268, 13.097826086956522, 0.125),
+            ("netbook1", 0.0, 0.0, 72.59036144578313, 0.125),
+            ("@ec2", 0.05, 55.92405333333333, 10.387931034482758, 0.125),
+        ],
+    ),
+    "fig7-S1-local": (
+        _fig7_scenario("S1"),
+        "S1",
+        0.6839914350423157,
+        0.01249999999999929,
+        0.6461538461538474,
+        [("S1", 0.0, 0.0, 0.6153846153846154, 0.0)],
+    ),
+    "fig7-S2-remote": (
+        _fig7_scenario("S2"),
+        "S2",
+        0.40358469297670396,
+        0.14053002919917645,
+        0.21666666666666856,
+        [("S2", 0.05, 0.0878388272251309, 0.2777777777777778, 0.0)],
+    ),
+    "fig7-S3-ec2": (
+        _fig7_scenario("S3"),
+        "ec2-xl-0",
+        3.0498284507376567,
+        2.119516567180444,
+        0.17241379310345195,
+        [("@ec2", 0.05, 1.864135111111111, 0.6896551724137931, 0.1)],
+    ),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(PINNED_PROCESS))
+@pytest.mark.parametrize("entry", ["process", "process_pipeline"])
+def test_process_is_a_one_step_pipeline(scenario, entry):
+    build, target, total_s, move_s, execute_s, estimates = PINNED_PROCESS[scenario]
+    c4h, device, name, service = build()
+    if entry == "process":
+        result = c4h.run(device.vstore.process(name, service))
+    else:
+        result = c4h.run(device.vstore.process_pipeline(name, [service]))
+    assert result.executed_on == target
+    assert result.service == service
+    assert (result.total_s, result.move_s, result.execute_s) == (
+        total_s,
+        move_s,
+        execute_s,
+    )
+    assert [
+        (e.node, e.locate_s, e.move_s, e.execute_s, e.setup_s)
+        for e in result.estimates
+    ] == estimates

@@ -15,6 +15,7 @@ from repro.vstore import (
     tag_rule,
     type_rule,
 )
+from repro.vstore.placement import PlacementEstimate, fold_estimates
 
 metas = st.builds(
     ObjectMeta,
@@ -143,3 +144,23 @@ class TestEstimateProperties:
         t_idle = estimate_completion(self.service(), size_mb, idle, "n").total_s
         t_busy = estimate_completion(self.service(), size_mb, busy, "n").total_s
         assert t_busy >= t_idle
+
+
+def test_fold_estimates_counts_movement_once_and_sums_work():
+    detect = [
+        PlacementEstimate("a", 0.05, 1.0, 2.0, 0.5),
+        PlacementEstimate("b", 0.0, 0.0, 4.0, 0.0),
+        PlacementEstimate("only-detect", 0.05, 0.1, 0.1, 0.0),
+    ]
+    recognize = [
+        PlacementEstimate("b", 0.0, 0.0, 6.0, 1.0),
+        PlacementEstimate("a", 0.05, 3.0, 1.0, 0.25),
+    ]
+    folded = fold_estimates([detect, recognize])
+    # First-seen order; a node missing from any step does not qualify.
+    assert folded == [
+        PlacementEstimate("a", 0.05, 3.0, 3.0, 0.75),
+        PlacementEstimate("b", 0.0, 0.0, 10.0, 1.0),
+    ]
+    assert fold_estimates([detect]) == detect
+    assert detect[0] == PlacementEstimate("a", 0.05, 1.0, 2.0, 0.5)  # inputs untouched
