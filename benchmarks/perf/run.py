@@ -10,11 +10,14 @@ Usage (from the repo root)::
 
 ``--smoke`` shrinks every workload so the whole suite finishes in a few
 seconds (used by CI, which makes no timing assertions).  Every mode
-enforces the exact XenSocket event-count gate: ``transfer()`` may
-schedule at most 8 kernel events at any size from 0 B to 100 MB.
+enforces the exact event-count gates: XenSocket ``transfer()`` may
+schedule at most 8 kernel events at any size from 0 B to 100 MB, and
+an RPC echo round trip takes exactly 3 events (4 on an idle endpoint,
+5 with a generator handler), a forwarded ``kv.get`` hop 6, and a
+delivered ``Network.send`` message schedules nothing further.
 The ``fastpath`` suite records absolute figures — kernel events/s,
-and wall time plus kernel events for the XenSocket transfer and the
-overlay lookup storm.  ``--check`` additionally enforces the acceptance
+wall time plus kernel events for the XenSocket transfer and the
+overlay lookup storm, and sequential RPC round trips per second.  ``--check`` additionally enforces the acceptance
 thresholds: ≥1.3× on the full Table I sweep against the seed tree
 (failing, not passing, when the seed tree is unavailable), ≥2× for the
 parallel harness on the Table I sweep with repeats, a strictly
@@ -70,6 +73,8 @@ from benchmarks.perf.parallel_bench import (
     bench_parallel_table1,
 )
 from benchmarks.perf.resilience_bench import bench_resilience
+from benchmarks.perf.rpc_bench import EVENT_COUNTS as RPC_EVENT_COUNTS
+from benchmarks.perf.rpc_bench import bench_rpc
 from benchmarks.perf.scale_bench import bench_scale
 from benchmarks.perf.slo_bench import bench_slo
 from benchmarks.perf.striping_bench import bench_striping
@@ -126,6 +131,7 @@ def _suites(smoke: bool, workers: int) -> list:
                 "kernel": bench_kernel(n_procs=200, n_waits=10),
                 "xensocket_100mb": bench_xensocket(nbytes=5 * MB),
                 "overlay_lookup_storm": bench_overlay(n_nodes=12, n_lookups=100),
+                "rpc_round_trip": bench_rpc(n_calls=2000),
                 "table1_sweep": bench_table1(sizes=[1, 10], repeats=1),
             }),
             ("parallel", lambda: {
@@ -165,6 +171,7 @@ def _suites(smoke: bool, workers: int) -> list:
             "kernel": bench_kernel(),
             "xensocket_100mb": bench_xensocket(),
             "overlay_lookup_storm": bench_overlay(),
+            "rpc_round_trip": bench_rpc(),
             "table1_sweep": bench_table1(),
         }),
         ("parallel", lambda: {
@@ -186,6 +193,7 @@ GATES = {
     "fastpath": {
         "thresholds": THRESHOLDS,
         "xensocket_event_budget": XENSOCKET_EVENT_BUDGET,
+        "rpc_event_counts": RPC_EVENT_COUNTS,
     },
     "parallel": {"thresholds": PARALLEL_THRESHOLDS},
     "telemetry": {"max_disabled_overhead": TELEMETRY_MAX_DISABLED_OVERHEAD},
@@ -348,6 +356,7 @@ def main(argv=None) -> int:
     kernel = results["kernel"]
     xs = results["xensocket_100mb"]
     storm = results["overlay_lookup_storm"]
+    rpc = results["rpc_round_trip"]
     table1 = results["table1_sweep"]
     print(f"fastpath microbenchmarks ({mode} mode)")
     print(
@@ -362,6 +371,10 @@ def main(argv=None) -> int:
     print(
         f"  overlay_lookup_storm     {storm['wall_s']:.3f} s wall,"
         f" {storm['events']} events"
+    )
+    print(
+        f"  rpc_round_trip           {rpc['round_trips_per_s']:,.0f} round trips/s;"
+        f" events {rpc['events']}"
     )
     if table1["speedup"] is None:
         print(
@@ -445,12 +458,16 @@ def main(argv=None) -> int:
 
     print("written: " + " ".join(str(p) for p in written))
 
-    # Event counts are exact, so this gate holds in every mode.
+    # Event counts are exact, so these gates hold in every mode.
     failures = []
     if xs["max_events"] > XENSOCKET_EVENT_BUDGET:
         failures.append(
             f"xensocket: transfer() scheduled {xs['max_events']} kernel events"
             f" > {XENSOCKET_EVENT_BUDGET} ({xs['events_by_size']})"
+        )
+    if rpc["events"] != RPC_EVENT_COUNTS:
+        failures.append(
+            f"rpc: kernel events {rpc['events']} != {RPC_EVENT_COUNTS}"
         )
     if args.check:
         for name, minimum in THRESHOLDS.items():
@@ -546,7 +563,7 @@ def main(argv=None) -> int:
     if failures:
         print("threshold failures:\n  " + "\n  ".join(failures))
         return 1
-    print("all thresholds met" if args.check else "event-count gate met")
+    print("all thresholds met" if args.check else "event-count gates met")
     return 0
 
 

@@ -247,15 +247,10 @@ class Link:
             )
         # One pre-succeeded event on the heap; superseded timers are
         # ignored via the generation counter instead of interrupted.
-        gen = self._timer_gen
-        timer = Event(self.sim)
-        timer._ok = True
-        timer._value = None
-        timer.callbacks.append(lambda _event: self._on_timer(gen))
-        self.sim._schedule(timer, delay=delay)
+        self.sim._call_at(self.sim._now + delay, self._on_timer, self._timer_gen)
 
-    def _on_timer(self, gen: int) -> None:
-        if gen != self._timer_gen:
+    def _on_timer(self, timer: Event) -> None:
+        if timer._value != self._timer_gen:
             return  # superseded by a newer boundary computation
         self._on_boundary()
 

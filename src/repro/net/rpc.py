@@ -11,10 +11,26 @@ error propagation.
 Handlers may be plain functions (fast, synchronous with respect to
 simulated time) or generator functions (full simulation processes that
 can themselves wait on transfers, other RPCs, etc.).
+
+Event budget
+------------
+A round trip with a plain-function handler costs three kernel events:
+the request's arrival, the response's arrival, and the caller's result.
+The arrival handler serves the request inline and the response settles
+the caller's result directly.  A generator handler adds two: the one
+process that serves the request starts and finishes.
+
+Deadlines are lazy.  Each endpoint keeps a ``(deadline_at, req_id)``
+heap and one kernel timer armed for its earliest deadline; the timer
+fails every expired call still pending, skips settled ones and re-arms
+for the next live deadline.  A call that settles in time leaves nothing
+on the kernel heap, and a timeout fires at exactly ``call time +
+timeout``.
 """
 
 from __future__ import annotations
 
+import heapq
 import inspect
 import itertools
 from dataclasses import dataclass
@@ -114,10 +130,13 @@ class RpcEndpoint:
         self.name = host.name
         self.sim: Simulator = network.sim
         self._handlers: dict[str, Callable[[Request], Any]] = {}
-        #: msg_type -> True when the handler is a generator function
-        #: (precomputed so dispatch can pick the synchronous fast path).
-        self._genfunc: dict[str, bool] = {}
-        self._pending: dict[int, Event] = {}
+        #: req_id -> (result, dst, msg_type, timeout) per call in flight.
+        self._pending: dict[int, tuple[Event, str, str, float]] = {}
+        #: (deadline_at, req_id) of calls in flight, settled ones
+        #: dropped lazily; one kernel timer waits for the earliest.
+        self._deadlines: list[tuple[float, int]] = []
+        self._sweep_timer: Optional[Event] = None
+        self._sweep_at = float("inf")
         self._req_ids = itertools.count(1)
         #: Messages are handled synchronously at delivery time via the
         #: inbox consumer hook while the endpoint runs.
@@ -128,20 +147,12 @@ class RpcEndpoint:
     def register(self, msg_type: str, handler: Callable[[Request], Any]) -> None:
         """Register ``handler`` for ``msg_type`` requests.
 
-        A generator-function handler runs as a simulation process; its
-        return value becomes the response body.  Re-registering a type
-        replaces the previous handler.
+        A handler that returns a generator (a generator function, say)
+        runs as a simulation process; its return value becomes the
+        response body.  Re-registering a type replaces the previous
+        handler.
         """
         self._handlers[msg_type] = handler
-        # inspect.isgeneratorfunction without the inspect overhead —
-        # endpoints register a dozen handlers per device, at cluster
-        # construction time.  CO_GENERATOR == 0x20.
-        func = getattr(handler, "__func__", handler)
-        code = getattr(func, "__code__", None)
-        if code is not None:
-            self._genfunc[msg_type] = bool(code.co_flags & 0x20)
-        else:
-            self._genfunc[msg_type] = inspect.isgeneratorfunction(handler)
 
     def start(self) -> None:
         """Start dispatching inbound messages (idempotent)."""
@@ -170,8 +181,9 @@ class RpcEndpoint:
         Fails with :class:`HostDownError` (destination offline at send
         time), :class:`RpcTimeoutError`, or :class:`RemoteError`.
         """
-        deadline = self.DEFAULT_TIMEOUT if timeout is None else timeout
-        result = self.sim.event()
+        if timeout is None:
+            timeout = self.DEFAULT_TIMEOUT
+        result = Event(self.sim)
         req_id = next(self._req_ids)
         envelope = _Envelope("request", msg_type, body, req_id)
         try:
@@ -179,38 +191,11 @@ class RpcEndpoint:
         except HostDownError as exc:
             result.fail(exc)
             return result
-
-        reply = self.sim.event()
-        self._pending[req_id] = reply
-        timer = self.sim.timeout(deadline)
-
-        # First of {reply, deadline} settles the call.  Plain callbacks
-        # instead of a waiter process + AnyOf: an RPC in flight costs a
-        # single extra timer event, nothing else.
-        settled = False
-
-        def on_reply(event: Event) -> None:
-            nonlocal settled
-            if settled:
-                return
-            settled = True
-            self._pending.pop(req_id, None)
-            response: _Envelope = event._value
-            if response.error is not None:
-                _fail_call(result, RemoteError(dst, msg_type, response.error))
-            else:
-                result.succeed(response.body)
-
-        def on_deadline(event: Event) -> None:
-            nonlocal settled
-            if settled:
-                return
-            settled = True
-            self._pending.pop(req_id, None)
-            _fail_call(result, RpcTimeoutError(dst, msg_type, deadline))
-
-        reply.callbacks.append(on_reply)
-        timer.callbacks.append(on_deadline)
+        self._pending[req_id] = (result, dst, msg_type, timeout)
+        deadline_at = self.sim._now + timeout
+        heapq.heappush(self._deadlines, (deadline_at, req_id))
+        if deadline_at < self._sweep_at:
+            self._arm_sweep(deadline_at)
         return result
 
     def notify(self, dst: str, msg_type: str, body: Any = None, size: int = 64) -> None:
@@ -218,28 +203,59 @@ class RpcEndpoint:
         envelope = _Envelope("notify", msg_type, body)
         self.network.send(self.name, dst, envelope, size=size)
 
+    def _arm_sweep(self, when: float) -> None:
+        """Arm the deadline timer for ``when``; a later one goes inert."""
+        if self._sweep_timer is not None:
+            self._sweep_timer.callbacks.clear()
+        self._sweep_at = when
+        self._sweep_timer = self.sim._call_at(when, self._sweep)
+
+    def _sweep(self, _timer: Event) -> None:
+        """Time out every expired call still pending, then re-arm."""
+        self._sweep_timer = None
+        self._sweep_at = float("inf")
+        now = self.sim._now
+        deadlines = self._deadlines
+        pending = self._pending
+        while deadlines and (deadlines[0][0] <= now or deadlines[0][1] not in pending):
+            call = pending.pop(heapq.heappop(deadlines)[1], None)
+            if call is not None:
+                result, dst, msg_type, timeout = call
+                _fail_call(result, RpcTimeoutError(dst, msg_type, timeout))
+        if deadlines:
+            self._arm_sweep(deadlines[0][0])
+
     # -- server side -------------------------------------------------------
 
     def _on_message(self, message) -> None:
         """Dispatch one inbound message, synchronously at delivery.
 
-        Responses settle the pending call directly; requests with a
-        plain-function handler are served inline — no dispatcher resume
-        and no per-request process, which is the bulk of the control-
-        plane event traffic.  Generator handlers (and sync handlers
-        that return a generator) still get a process.
+        A response settles its pending call's result directly.  A
+        request whose handler returns a plain value is answered inline;
+        one whose handler returns a generator is served by one process.
         """
         envelope = message.payload
         if not isinstance(envelope, _Envelope):
             return  # stray traffic from another protocol
         if envelope.kind == "response":
-            pending = self._pending.pop(envelope.req_id, None)
-            if pending is not None:
-                pending.succeed(envelope)
+            pending = self._pending
+            call = pending.pop(envelope.req_id, None)
+            if call is None:
+                return  # late: the call already timed out
+            result, dst, msg_type, _timeout = call
+            if envelope.error is None:
+                result.succeed(envelope.body)
+            else:
+                _fail_call(result, RemoteError(dst, msg_type, envelope.error))
+            deadlines = self._deadlines
+            while deadlines and deadlines[0][1] not in pending:
+                heapq.heappop(deadlines)
             return
         handler = self._handlers.get(envelope.msg_type)
-        if handler is None or self._genfunc.get(envelope.msg_type, False):
-            self.sim.process(self._serve(message.src, envelope))
+        if handler is None:
+            self._respond(
+                message.src, envelope, None, f"no handler for {envelope.msg_type!r}"
+            )
             return
         request = Request(message.src, envelope.msg_type, envelope.body, envelope.req_id)
         error: Optional[str] = None
@@ -249,16 +265,16 @@ class RpcEndpoint:
         except Exception as exc:  # noqa: BLE001 - forwarded to caller
             error = f"{type(exc).__name__}: {exc}"
         if error is None and inspect.isgenerator(value):
-            self.sim.process(self._finish_async(message.src, envelope, value))
+            self.sim.process(self._serve(message.src, envelope, value))
             return
         self._respond(message.src, envelope, value, error)
 
-    def _finish_async(self, src: str, envelope: _Envelope, gen):
-        """Await a generator returned by a nominally-sync handler."""
+    def _serve(self, src: str, envelope: _Envelope, gen):
+        """Run a generator handler to completion and answer with its result."""
         error: Optional[str] = None
         value: Any = None
         try:
-            value = yield self.sim.process(gen)
+            value = yield from gen
         except Exception as exc:  # noqa: BLE001 - forwarded to caller
             error = f"{type(exc).__name__}: {exc}"
         self._respond(src, envelope, value, error)
@@ -274,21 +290,3 @@ class RpcEndpoint:
             self.network.send(self.name, src, response, size=64)
         except HostDownError:
             pass  # caller vanished; its timeout handles it
-
-    def _serve(self, src: str, envelope: _Envelope):
-        request = Request(src, envelope.msg_type, envelope.body, envelope.req_id)
-        handler = self._handlers.get(envelope.msg_type)
-        error: Optional[str] = None
-        value: Any = None
-        if handler is None:
-            error = f"no handler for {envelope.msg_type!r}"
-        else:
-            try:
-                outcome = handler(request)
-                if inspect.isgenerator(outcome):
-                    value = yield self.sim.process(outcome)
-                else:
-                    value = outcome
-            except Exception as exc:  # noqa: BLE001 - forwarded to caller
-                error = f"{type(exc).__name__}: {exc}"
-        self._respond(src, envelope, value, error)

@@ -212,14 +212,16 @@ class Network:
 
     # -- control plane ---------------------------------------------------
 
-    def send(self, src: str, dst: str, payload: Any, size: int = 64) -> Event:
-        """Deliver a control message into ``dst``'s inbox.
+    def send(self, src: str, dst: str, payload: Any, size: int = 64) -> None:
+        """Deliver a control message into ``dst``'s inbox; returns nothing.
 
-        Returns an event that triggers with the delivered
-        :class:`Message`.  Raises :class:`HostDownError` immediately if
-        either endpoint is offline — modelling the fast "connection
-        refused" a LAN gives, which is what lets the overlay detect
-        departed neighbours.
+        The message arrives after the route's latency as one kernel
+        event.  Raises :class:`HostDownError` immediately if either
+        endpoint is offline — modelling the fast "connection refused" a
+        LAN gives, which is what lets the overlay detect departed
+        neighbours.  A message lost in flight, or reaching a host that
+        went down meanwhile, is dropped silently: a waiting RPC caller
+        sees its deadline pass.
         """
         src_host = self._require_host(src)
         dst_host = self._require_host(dst)
@@ -233,39 +235,22 @@ class Network:
             # overlay) react instead of hanging.
             raise HostDownError(dst)
         if self.loss_rate > 0 and self._loss_rng.random() < self.loss_rate:
-            # Silent in-flight loss: the returned event never fires, so
-            # a waiting RPC caller surfaces this as a timeout — unlike
-            # a partition, the sender cannot tell loss from slowness.
+            # Silent in-flight loss: the sender cannot tell loss from
+            # slowness, unlike a partition.
             self.messages_lost += 1
-            return self.sim.event()
+            return
         route = self.route(src, dst)
         delay = route.sample_latency(self.rng) + size / _CONTROL_BYTES_PER_SEC
         message = Message(src, dst, payload, size, sent_at=self.sim.now)
-        done = self.sim.event()
-        # Each in-flight message is one scheduled callback event.
-        arrival = Event(self.sim)
-        arrival._ok = True
-        arrival._value = None
-        arrival.callbacks.append(
-            lambda _event: self._deliver(message, dst_host, done)
-        )
-        self.sim._schedule(arrival, delay=delay)
-        return done
+        self.sim._call_at(self.sim._now + delay, self._deliver, message)
 
-    def _deliver(self, message: Message, dst_host: Host, done: Event) -> None:
-        message.delivered_at = self.sim.now
+    def _deliver(self, arrival: Event) -> None:
+        message: Message = arrival._value
+        dst_host = self.hosts[message.dst]
         if dst_host.online:
+            message.delivered_at = self.sim.now
             dst_host.inbox.put(message)
             self.messages_delivered += 1
-            done.succeed(message)
-        else:
-            # The destination died while the message was in flight.
-            # Waiters (if any) see the failure; fire-and-forget
-            # senders legitimately never look, so the failure is
-            # pre-defused — a lost message to a dead host is normal
-            # network behaviour, not a programming error.
-            done.fail(HostDownError(message.dst))
-            done._defused = True
 
     # -- data plane --------------------------------------------------------
 

@@ -586,6 +586,25 @@ class Simulator:
             self._queue, (self._now + delay, (priority << ORDER_SHIFT) | seq, event)
         )
 
+    def _call_at(
+        self, when: float, callback: Callable[[Event], None], value: Any = None
+    ) -> Event:
+        """Run ``callback`` at absolute time ``when`` as one heap event.
+
+        The event is pre-succeeded with ``value``.  Taking an absolute
+        time keeps a deadline computed earlier exact, where a delay
+        re-derived from a later ``now`` could round differently.
+        """
+        event = Event(self)
+        event._ok = True
+        event._value = value
+        event.callbacks.append(callback)
+        event._scheduled = True
+        seq = self._event_seq
+        self._event_seq = seq + 1
+        heapq.heappush(self._queue, (when, (PRIORITY_NORMAL << ORDER_SHIFT) | seq, event))
+        return event
+
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         return self._queue[0][0] if self._queue else float("inf")

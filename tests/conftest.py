@@ -39,6 +39,15 @@ def build_overlay(n_nodes, seed=0, leaf_size=4, **lan_kwargs):
     return sim, net, nodes
 
 
+def kv_placement(c4h):
+    """Each device's primary and replica key sets: where peer selection
+    put every KV record.  End-to-end oracle checks compare this, so a
+    wrong peer window shows up even when latencies happen to agree."""
+    return {
+        d.name: (sorted(d.kv.primary), sorted(d.kv.replicas)) for d in c4h.devices
+    }
+
+
 def install_full_sort_ring_scan(monkeypatch):
     """Swap ChimeraNode's ring-window peer queries for their O(N)
     definitions: ``nearest_peers`` as a full sort of the known view by

@@ -2,20 +2,36 @@
 
 Counts of scheduled events (``Simulator._event_seq``) are deterministic,
 so these gates hold on any runner regardless of its speed.  They are
-what keeps per-page XenSocket events, per-boundary timer processes and
-per-message delivery processes from coming back.
+what keeps per-page XenSocket events, per-boundary timer processes,
+per-message delivery processes and per-call RPC timers from coming
+back.
 """
 
 import pytest
 
-from repro.net import Link, TcpProfile
+from repro.kvstore import DhtKeyValueStore
+from repro.net import Link, RpcEndpoint, TcpProfile
+from repro.overlay import NodeId
 from repro.sim import Simulator
 from repro.virt import XenSocketChannel
 
-from tests.conftest import build_lan
+from tests.conftest import build_lan, build_overlay
 
 #: Kernel events one ``XenSocketChannel.transfer`` may schedule.
 XENSOCKET_EVENT_BUDGET = 8
+
+#: A sync-handler echo: request arrival, response arrival, the result.
+SYNC_ROUND_TRIP_EVENTS = 3
+#: The same on an idle endpoint, which also arms its deadline sweep.
+FIRST_CALL_EVENTS = 4
+#: A generator-handler echo adds its one serving process's start and end.
+GENERATOR_ROUND_TRIP_EVENTS = 5
+#: A ``kv.get`` forwarded once: the origin's process start, processing
+#: delay and end (3, as for a get served by the owner itself) plus the
+#: hop, which is a generator round trip with the owner's processing
+#: delay inside it (6).
+KV_GET_ONE_HOP_EVENTS = 9
+KV_GET_HOP_EVENTS = 6
 
 MB = 1024 * 1024
 
@@ -90,6 +106,85 @@ class TestControlMessageEvents:
             assert sim._event_seq - before == 1
         before = sim._event_seq
         sim.run()
-        # Delivering a message only succeeds its ``done`` event.
-        assert sim._event_seq - before == n
+        # Delivering a message schedules nothing further.
+        assert sim._event_seq - before == 0
         assert net.messages_delivered == n
+
+
+def echo_pair(generator):
+    """A client endpoint and an ``echo`` server on a two-host LAN."""
+    sim, net, hosts = build_lan(2)
+    client, server = (RpcEndpoint(net, host) for host in hosts)
+    if generator:
+
+        def echo(request):
+            return request.body
+            yield  # a generator handler that never waits
+
+    else:
+
+        def echo(request):
+            return request.body
+
+    server.register("echo", echo)
+    client.start()
+    server.start()
+    return sim, client, server.name
+
+
+def round_trip_events(sim, client, dst):
+    before = sim._event_seq
+    result = client.call(dst, "echo", "x")
+    assert sim.run(until=result) == "x"
+    return sim._event_seq - before
+
+
+class TestRpcRoundTripEvents:
+    def test_sync_echo(self):
+        sim, client, dst = echo_pair(generator=False)
+        assert round_trip_events(sim, client, dst) == FIRST_CALL_EVENTS
+        for _ in range(5):
+            assert round_trip_events(sim, client, dst) == SYNC_ROUND_TRIP_EVENTS
+
+    def test_endpoint_idle_again_after_its_sweep(self):
+        sim, client, dst = echo_pair(generator=False)
+        round_trip_events(sim, client, dst)
+        sim.run()  # the sweep fires at the deadline and finds nothing
+        assert round_trip_events(sim, client, dst) == FIRST_CALL_EVENTS
+
+    def test_generator_echo(self):
+        sim, client, dst = echo_pair(generator=True)
+        round_trip_events(sim, client, dst)
+        for _ in range(5):
+            assert round_trip_events(sim, client, dst) == GENERATOR_ROUND_TRIP_EVENTS
+
+    def test_settled_calls_leave_one_sweep_timer(self):
+        sim, client, dst = echo_pair(generator=False)
+        for _ in range(20):
+            round_trip_events(sim, client, dst)
+        assert len(sim._queue) == 1
+
+
+def test_forwarded_kv_get_hop():
+    sim, _net, nodes = build_overlay(4)
+    stores = [DhtKeyValueStore(node, cache_enabled=False) for node in nodes]
+    sim.run(until=sim.process(stores[0].put("k", "v")))
+    key = NodeId.from_name("k")
+    owner = next(s for s in stores if key.hex in s.primary)
+    origin = next(
+        s
+        for s in stores
+        if s is not owner and s.chimera.next_hop(key).name == owner.name
+    )
+
+    def get_events(store):
+        before = sim._event_seq
+        assert sim.run(until=sim.process(store.get("k"))) == "v"
+        return sim._event_seq - before
+
+    get_events(origin)  # arms the origin's deadline sweep
+    forwards = origin.stats.forwards
+    one_hop = get_events(origin)
+    assert origin.stats.forwards == forwards + 1
+    assert one_hop == KV_GET_ONE_HOP_EVENTS
+    assert one_hop - get_events(owner) == KV_GET_HOP_EVENTS

@@ -12,7 +12,7 @@ import pytest
 from repro.cluster import ChaosSchedule, Cloud4Home, ClusterConfig
 from repro.kvstore import KeyNotFoundError
 from repro.overlay import PeerInfo
-from tests.conftest import install_full_sort_ring_scan
+from tests.conftest import install_full_sort_ring_scan, kv_placement
 
 
 @pytest.fixture(params=["fastpath", "reference"])
@@ -150,9 +150,11 @@ class TestAntiEntropyEdgeCases:
         assert copy_version(holder, key_hex) == 2
         assert c4h.run(holder.kv.get("ae-part")) == 2
 
-    def test_sync_is_deterministic(self, ring_scan):
+    def test_sync_is_deterministic(self, ring_scan, monkeypatch):
         """The same scenario twice produces byte-identical summaries and
-        end state — anti-entropy introduces no hidden nondeterminism."""
+        end state — anti-entropy introduces no hidden nondeterminism —
+        and the full-sort peer queries reach the ring-window end state,
+        replica placement included."""
 
         def run_once():
             c4h = fresh_cluster(803)
@@ -170,9 +172,12 @@ class TestAntiEntropyEdgeCases:
                 )
                 for d in c4h.devices
             }
-            return summary, state, c4h.sim.now
+            return summary, state, kv_placement(c4h), c4h.sim.now
 
-        assert run_once() == run_once()
+        first = run_once()
+        assert run_once() == first
         if ring_scan is not None:
             assert ring_scan["nearest_peers"] > 0
             assert ring_scan["closest_known"] > 0
+            monkeypatch.undo()  # back to the ring-window queries
+            assert run_once() == first

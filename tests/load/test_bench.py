@@ -8,9 +8,11 @@ simulated results are byte-equal against their full-sort definitions.
 
 import json
 
+import repro.load.bench
+from repro.cluster import Cloud4Home
 from repro.load import scale_point
 from repro.load.bench import join_wall
-from tests.conftest import install_full_sort_ring_scan
+from tests.conftest import install_full_sort_ring_scan, kv_placement
 
 POINT = dict(n_nodes=24, rate=300.0, duration_s=1.0, seed=5, n_keys=64)
 
@@ -33,11 +35,23 @@ class TestScalePointDeterminism:
 
 
 class TestFastPathSimulationIdentity:
+    @staticmethod
+    def placed_sim_block(monkeypatch):
+        """The simulated block plus every device's KV placement."""
+        built = []
+
+        def recording(config):
+            built.append(Cloud4Home(config))
+            return built[-1]
+
+        monkeypatch.setattr(repro.load.bench, "Cloud4Home", recording)
+        return sim_block(), kv_placement(built[-1])
+
     def test_ring_scan_fast_equals_reference(self, monkeypatch):
         """The ring-window peer queries are invisible to the simulation."""
-        fast = sim_block()
+        fast = self.placed_sim_block(monkeypatch)
         calls = install_full_sort_ring_scan(monkeypatch)
-        assert sim_block() == fast
+        assert self.placed_sim_block(monkeypatch) == fast
         assert calls["nearest_peers"] > 0
 
 

@@ -1,6 +1,9 @@
 """Edge-case tests for the RPC layer under churn and concurrency."""
 
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.net import (
     HostDownError,
@@ -11,7 +14,7 @@ from repro.net import (
     RpcEndpoint,
     RpcTimeoutError,
 )
-from repro.sim import AllOf, Interrupt, RandomSource, Simulator
+from repro.sim import AllOf, Event, Interrupt, RandomSource, Simulator
 
 
 def build_trio(latency=0.001):
@@ -220,3 +223,165 @@ class TestPayloads:
         sim.run(until=eps["a"].call("b", "echo", size=10_000_000))
         large = sim.now - t0
         assert large > small
+
+
+#: Sub-millisecond deadlines next to long ones, so a shorter deadline
+#: can arrive while a longer one holds the endpoint's sweep timer.
+TIMEOUTS = (0.0004, 0.00093, 30.0, 120.0)
+#: One-way latency of a 64-byte message on ``build_trio(latency=1e-4)``.
+ONE_WAY_S = 1e-4 + 64 / 10e6
+
+call_specs = st.lists(
+    st.tuples(
+        st.integers(0, 8),  # the slot the call is made in
+        st.sampled_from(TIMEOUTS),
+        # when the handler answers, relative to the deadline
+        st.sampled_from(("before", "at", "after", "never")),
+        st.booleans(),  # the caller is interrupted mid-call
+    ),
+    min_size=1,
+    max_size=14,
+)
+
+
+def sweep_timers(sim, endpoint):
+    """Kernel heap entries that would run ``endpoint``'s deadline sweep."""
+    return sum(
+        1
+        for _when, _order, event in sim._queue
+        if event.callbacks and endpoint._sweep in event.callbacks
+    )
+
+
+class TestDeadlineSemantics:
+    """Lazy per-endpoint deadlines behave like one exact timer per call."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        specs=call_specs,
+        loss_rate=st.sampled_from((0.0, 0.0, 0.3)),
+        crash_slot=st.one_of(st.none(), st.integers(0, 8)),
+        slot_s=st.sampled_from((0.00013, 0.0007, 1.3)),
+    )
+    def test_every_call_settles_once_at_its_exact_deadline(
+        self, specs, loss_rate, crash_slot, slot_s
+    ):
+        sim, net, eps = build_trio(latency=1e-4)
+        client = eps["a"]
+        net.loss_rate = loss_rate
+        never = Event(sim)
+
+        def work(req):
+            hold, blocks = req.body
+            if blocks:
+                yield never
+            yield sim.timeout(hold)
+            return req.req_id
+
+        eps["b"].register("work", work)
+        calls = []
+
+        def caller(call):
+            hold = {
+                "before": 0.0,
+                "at": max(call.timeout - 2 * ONE_WAY_S, 0.0),
+                "after": call.timeout + 0.001,
+                "never": 0.0,
+            }[call.answer]
+            call.at = sim.now
+            call.result = client.call(
+                "b", "work", (hold, call.answer == "never"), timeout=call.timeout
+            )
+            try:
+                value = yield call.result
+            except Interrupt:
+                call.interrupted = True
+                return
+            except (RpcTimeoutError, HostDownError) as exc:
+                call.outcomes.append((type(exc), sim.now))
+            else:
+                call.outcomes.append((value, sim.now))
+
+        def place_calls():
+            for slot in range(9):
+                if crash_slot == slot:
+                    net.take_offline("b")
+                for call_slot, timeout, answer, interrupt in specs:
+                    if call_slot != slot:
+                        continue
+                    call = SimpleNamespace(
+                        timeout=timeout,
+                        answer=answer,
+                        at=None,
+                        result=None,
+                        outcomes=[],
+                        interrupted=False,
+                    )
+                    calls.append(call)
+                    proc = sim.process(caller(call))
+                    if interrupt:
+                        sim.process(interrupter(proc, timeout / 2))
+                yield sim.timeout(slot_s)
+
+        def interrupter(proc, after):
+            yield sim.timeout(after)
+            if proc.is_alive:
+                proc.interrupt("caller crashed")
+
+        sim.process(place_calls())
+        # Step until every call has settled; an unconsumed failure
+        # would raise out of step() here.
+        while len(calls) < len(specs) or any(
+            call.result is None or call.result.callbacks is not None
+            for call in calls
+        ):
+            sim.step()
+        assert sweep_timers(sim, client) <= 1
+        assert not client._pending
+        sim.run()  # late replies, stale timers: none may abort the run
+
+        for call in calls:
+            assert call.result.triggered
+            if call.interrupted:
+                assert call.outcomes == []
+                continue
+            assert len(call.outcomes) == 1
+            value, at = call.outcomes[0]
+            deadline = call.at + call.timeout
+            if value is RpcTimeoutError:
+                assert at == deadline  # exact float, not approx
+            elif value is HostDownError:
+                assert at == call.at
+            else:
+                assert at <= deadline
+        assert sweep_timers(sim, client) == 0
+
+    def test_late_reply_is_ignored(self):
+        sim, net, eps = build_trio()
+
+        def slow(req):
+            yield sim.timeout(5.0)
+            return "late"
+
+        eps["b"].register("slow", slow)
+        call = eps["a"].call("b", "slow", timeout=1.0)
+        with pytest.raises(RpcTimeoutError):
+            sim.run(until=call)
+        assert sim.now == 1.0
+        sim.run()
+        assert eps["b"].requests_served == 1
+        assert not call.ok and isinstance(call.value, RpcTimeoutError)
+
+    def test_shorter_deadline_after_a_longer_one_is_armed(self):
+        sim, net, eps = build_trio()
+        eps["b"].stop()
+        long_call = eps["a"].call("b", "ping", timeout=120.0)
+        sim.run(until=0.5)
+        short_call = eps["a"].call("b", "ping", timeout=0.25)
+        assert sweep_timers(sim, eps["a"]) == 1
+        with pytest.raises(RpcTimeoutError):
+            sim.run(until=short_call)
+        assert sim.now == 0.5 + 0.25
+        with pytest.raises(RpcTimeoutError):
+            sim.run(until=long_call)
+        assert sim.now == 120.0

@@ -8,6 +8,8 @@ from repro.net import (
     Network,
     NoRouteError,
     Route,
+    RpcEndpoint,
+    RpcTimeoutError,
     TcpProfile,
 )
 from repro.sim import RandomSource, Simulator
@@ -91,19 +93,31 @@ class TestControlMessages:
 
     def test_host_going_down_mid_flight_fails_delivery(self):
         sim, net = build_two_hosts(latency=1.0)
-        event = net.send("a", "b", "hello")
+        assert net.send("a", "b", "hello") is None
+        net.take_offline("b")
+        sim.run()
+        # The message is dropped at arrival: nothing reaches the inbox.
+        assert len(net.hosts["b"].inbox) == 0
+        assert net.messages_delivered == 0
+        # A caller learns of it only through its deadline.
+        caller = RpcEndpoint(net, net.hosts["a"])
+        net.bring_online("b")
+        call = caller.call("b", "ping", timeout=5.0)
+        called_at = sim.now
         net.take_offline("b")
         failures = []
 
         def watch(sim, event):
             try:
                 yield event
-            except HostDownError:
+            except RpcTimeoutError:
                 failures.append(sim.now)
 
-        sim.process(watch(sim, event))
+        sim.process(watch(sim, call))
         sim.run()
-        assert failures  # failed at delivery time
+        assert failures == [called_at + 5.0]
+        assert len(net.hosts["b"].inbox) == 0
+        assert net.messages_delivered == 0
 
     def test_bring_online_restores_delivery(self):
         sim, net = build_two_hosts()

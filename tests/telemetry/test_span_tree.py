@@ -15,7 +15,7 @@ from repro.cluster.config import DeviceConfig
 from repro.telemetry import span_dump
 from repro.vstore import VStoreError
 from repro.vstore.node import object_key
-from tests.conftest import install_full_sort_ring_scan
+from tests.conftest import install_full_sort_ring_scan, kv_placement
 
 
 def build_cluster(n: int = 20) -> Cloud4Home:
@@ -168,7 +168,7 @@ class TestDeterminism:
         c4h.start(monitors=False)
         c4h.run(c4h.devices[0].client.store_file("det.bin", 3.0))
         c4h.run(c4h.devices[2].client.fetch_object("det.bin"))
-        return span_dump(c4h.telemetry)
+        return span_dump(c4h.telemetry), kv_placement(c4h)
 
     def test_identical_spans_under_fast_path(self, monkeypatch):
         """The ring-window peer queries leave every span unchanged."""
