@@ -33,6 +33,16 @@ _EPS_BYTES = 1e-6
 _EPS_TIME = 1e-12
 
 
+def _lands_now(now: float, delay: float) -> bool:
+    """Would a boundary ``delay`` seconds out fall on ``now`` itself?
+
+    Past t = 2048 s a delay below half the float spacing of ``now``
+    rounds away (``now + delay == now``).  Such a boundary must count
+    as reached, or its timer re-fires at the same instant forever.
+    """
+    return now + delay == now
+
+
 class Flow:
     """One bulk transfer in progress on a :class:`Link`.
 
@@ -145,6 +155,11 @@ class Link:
         self._timer_gen = 0
         #: Total payload bytes this link has delivered (for utilization stats).
         self.bytes_delivered = 0.0
+        #: Time of the last boundary, and how many boundaries in a row
+        #: have since fired there without finishing a flow or entering
+        #: a phase (the livelock guard in :meth:`_on_boundary`).
+        self._boundary_at: Optional[float] = None
+        self._stalls = 0
 
     @property
     def active_flows(self) -> int:
@@ -257,17 +272,34 @@ class Link:
     def _on_boundary(self) -> None:
         self._advance()
         now = self.sim.now
-        finished = [f for f in self._flows if f.remaining <= _EPS_BYTES]
+        finished = [
+            f
+            for f in self._flows
+            if f.remaining <= _EPS_BYTES
+            or (f.rate > 0 and _lands_now(now, f.remaining / f.rate))
+        ]
         for flow in finished:
             self._flows.remove(flow)
             flow.remaining = 0.0
             flow.finished_at = now
+        entered = False
         for flow in self._flows:
-            while (
-                flow._phase_end is not None
-                and flow._phase_end - now <= _EPS_TIME
+            while flow._phase_end is not None and (
+                flow._phase_end - now <= _EPS_TIME
+                or _lands_now(now, flow._phase_end - now)
             ):
                 flow._enter_next_phase()
+                entered = True
+        if finished or entered or now != self._boundary_at:
+            self._stalls = 0
+        else:
+            self._stalls += 1
+            if self._stalls == 2:
+                raise RuntimeError(
+                    f"link {self.name!r}: boundaries at t={now!r} advance no "
+                    f"time, finish no flow and enter no phase: {self._flows!r}"
+                )
+        self._boundary_at = now
         self._recompute_rates()
         self._reschedule()
         # Trigger completions after rates are consistent again.

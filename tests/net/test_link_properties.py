@@ -142,3 +142,101 @@ class TestTcpProperties:
         t_base = base.ideal_transfer_time(nbytes, 1e6)
         t_shaped = shaped.ideal_transfer_time(nbytes, 1e6)
         assert t_shaped >= t_base * (1 - 1e-9)
+
+
+def run_at_large_clock(start, bandwidth, sizes, rerates, profile=None):
+    """Open ``sizes`` (each after a small offset) and re-rate the link at
+    ``rerates`` ((delay, bandwidth) pairs), all from sim t = ``start``.
+
+    Returns ``(flows, boundaries)``.  The kernel is stepped by hand so a
+    livelocked link, whose timer re-fires without moving the clock,
+    fails the step budget instead of hanging the test.
+    """
+    sim = Simulator(start_time=start)
+    link = Link(sim, bandwidth=bandwidth)
+    boundaries = []
+    on_boundary = link._on_boundary
+
+    def counting_boundary():
+        boundaries.append(sim.now)
+        on_boundary()
+
+    link._on_boundary = counting_boundary
+    flows = []
+
+    def opener(delay, nbytes):
+        yield sim.timeout(delay)
+        flow = link.open_flow(nbytes, profile=profile)
+        flows.append(flow)
+        yield flow.done
+
+    def rerater(delay, rate):
+        yield sim.timeout(delay)
+        link.set_bandwidth(rate)
+
+    procs = [sim.process(opener(d, n)) for d, n in sizes]
+    procs += [sim.process(rerater(d, r)) for d, r in rerates]
+    phases = len(list(profile.phases())) if profile is not None else 1
+    budget = 4 * (len(sizes) * (phases + 1) + len(rerates)) + 8
+    steps = 0
+    while not all(p.triggered for p in procs):
+        sim.step()
+        steps += 1
+        assert steps <= 10 * budget, f"link stuck at t={sim.now!r}: {flows!r}"
+    assert len(boundaries) <= budget
+    return flows, boundaries
+
+
+#: A remainder just above the byte epsilon, drained faster than half the
+#: float spacing of a large clock: the shape of the float-time livelock.
+tiny_or_bulk = st.one_of(
+    st.floats(min_value=1.5e-6, max_value=1e-3),
+    st.floats(min_value=1e3, max_value=5e7),
+)
+
+
+class TestLargeClock:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(min_value=11, max_value=30),
+        st.floats(min_value=1e5, max_value=1e10),
+        st.lists(
+            st.tuples(st.floats(min_value=0.0, max_value=1e-3), tiny_or_bulk),
+            min_size=1,
+            max_size=6,
+        ),
+        st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=5.0),
+                st.floats(min_value=1e5, max_value=1e10),
+            ),
+            max_size=3,
+        ),
+        st.booleans(),
+    )
+    def test_every_flow_completes_in_bounded_boundaries(
+        self, exponent, bandwidth, sizes, rerates, with_tcp
+    ):
+        profile = TcpProfile(rtt=0.01, init_window=8192, max_window=65536) if with_tcp else None
+        flows, _ = run_at_large_clock(2.0**exponent, bandwidth, sizes, rerates, profile)
+        assert len(flows) == len(sizes)
+        assert all(f.remaining == 0.0 and f.finished_at is not None for f in flows)
+
+    @pytest.mark.parametrize("exponent", [11, 20, 30])
+    def test_sub_spacing_remainder_finishes(self, exponent):
+        # 1.5e-6 B at 1e9 B/s drains in 1.5e-15 s: below half the float
+        # spacing of every clock from 2**11 s on.
+        flows, boundaries = run_at_large_clock(2.0**exponent, 1e9, [(0.0, 1.5e-6)], [])
+        assert flows[0].finished_at == 2.0**exponent
+        assert len(boundaries) == 1
+
+    def test_stalled_boundaries_raise(self):
+        sim = Simulator(start_time=2.0**20)
+        link = Link(sim, bandwidth=1e6, name="stuck")
+        link.open_flow(1e6)
+        # A boundary that finishes nothing, enters no phase and fires
+        # twice more at the same instant is a livelock, not progress.
+        link._on_boundary()
+        link._on_boundary()
+        with pytest.raises(RuntimeError, match="'stuck'"):
+            link._on_boundary()
