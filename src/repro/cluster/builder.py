@@ -152,7 +152,14 @@ class Cloud4Home:
             # already-attached plane instead of replacing it, so one
             # span/metric store covers the whole federation.
             windowed = self._window_policy() if want_windowed else None
-            Telemetry(self.sim, windowed=windowed).attach()
+            # With SLOs on, spans are kept only as far back as the
+            # flight recorders can dump them.
+            max_spans = (
+                self.config.slo_tuning.recorder_capacity * len(self.config.devices)
+                if self.config.slo
+                else None
+            )
+            Telemetry(self.sim, max_spans=max_spans, windowed=windowed).attach()
         elif want_windowed and self.sim.telemetry.windowed is None:
             # Joining a federation whose plane predates this home's
             # windowed request: upgrade the shared plane in place.

@@ -12,7 +12,10 @@ the finished-span stream and copying spans into rings as they happen.
 Dumps are rare (a firing alert, an assert-clean failure, scenario
 end); the hot path is every span, so the pass-over-retained-spans cost
 lands on the right side.  When ``Telemetry.max_spans`` bounds
-retention, recorder coverage is bounded by the same horizon.  Alerts
+retention, recorder coverage is bounded by the same horizon: a cluster
+with SLOs on retains ``recorder_capacity`` spans per device, so a
+node's tail can be shorter than its ring when other nodes were busier,
+and ``recorded`` counts only the spans still retained.  Alerts
 and metric deltas *are* pushed into per-node rings eagerly — they are
 rare and would otherwise be lost.
 

@@ -30,6 +30,7 @@ Design constraints (see docs/OBSERVABILITY.md):
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -147,8 +148,10 @@ class Telemetry:
         The simulator whose clock timestamps spans.
     max_spans:
         Optional bound on retained spans; the oldest are dropped (and
-        counted in ``dropped``) once exceeded.  Unbounded by default —
-        report runs are short; long soak runs should bound this.
+        counted in ``dropped``) once exceeded, in O(1) per span.
+        Unbounded by default — report runs are short; long soak runs
+        should bound this (a cluster with SLOs on bounds it to its
+        flight recorders' horizon).
     record_span_metrics:
         When True (default), every finished span feeds a latency
         histogram named after the span under node ``span.node`` in
@@ -178,7 +181,7 @@ class Telemetry:
         self.max_spans = max_spans
         self.record_span_metrics = record_span_metrics
         self.windowed = windowed
-        self.spans: list[Span] = []
+        self._spans: deque[Span] = deque(maxlen=max_spans)
         self.dropped = 0
         self.metrics = MetricsRegistry()
         self._ids = itertools.count(1)
@@ -299,11 +302,15 @@ class Telemetry:
             return parent.trace_id, parent.span_id
         return parent["t"], parent["s"]  # wire dict from an RPC body
 
+    @property
+    def spans(self) -> list[Span]:
+        """The retained spans, oldest first (a list copy)."""
+        return list(self._spans)
+
     def _retain(self, span: Span) -> None:
-        if self.max_spans is not None and len(self.spans) >= self.max_spans:
-            del self.spans[0]
-            self.dropped += 1
-        self.spans.append(span)
+        if len(self._spans) == self.max_spans:
+            self.dropped += 1  # the bounded deque evicts the oldest
+        self._spans.append(span)
 
     def end(self, span: Span, status: str = "ok", **attrs: Any) -> Span:
         """Close a span at the current simulated time."""
@@ -357,21 +364,21 @@ class Telemetry:
     def traces(self) -> dict[int, list[Span]]:
         """Spans grouped by trace id, in emission order."""
         out: dict[int, list[Span]] = {}
-        for span in self.spans:
+        for span in self._spans:
             out.setdefault(span.trace_id, []).append(span)
         return out
 
     def roots(self) -> list[Span]:
         """Top-level spans (one per traced operation)."""
-        return [s for s in self.spans if s.parent_id is None]
+        return [s for s in self._spans if s.parent_id is None]
 
     def children_of(self, span: Span) -> list[Span]:
         return [
             s
-            for s in self.spans
+            for s in self._spans
             if s.trace_id == span.trace_id and s.parent_id == span.span_id
         ]
 
     def clear(self) -> None:
-        self.spans.clear()
+        self._spans.clear()
         self.dropped = 0

@@ -98,6 +98,22 @@ class TestBeginEnd:
         assert len(tel.spans) == 2
         assert tel.dropped == 3
         assert [s.name for s in tel.spans] == ["op3", "op4"]
+        # The public view stays a list, whatever retains the spans.
+        assert isinstance(tel.spans, list)
+
+    def test_slo_cluster_bounds_retention_to_recorder_horizon(self):
+        from repro.cluster import Cloud4Home, ClusterConfig, SloConfig
+
+        config = ClusterConfig(
+            seed=11, slo=True, slo_tuning=SloConfig(recorder_capacity=4)
+        )
+        c4h = Cloud4Home(config)
+        c4h.start(monitors=False)
+        c4h.run(c4h.devices[0].client.store_file("bounded.jpg", 1.0))
+        tel = c4h.telemetry
+        assert tel.max_spans == 4 * len(config.devices)
+        assert len(tel.spans) == tel.max_spans
+        assert tel.dropped > 0
 
 
 class TestWrap:
