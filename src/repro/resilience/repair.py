@@ -8,18 +8,18 @@ metadata it *owns* (records in its KV primary map named ``object:*`` —
 ownership makes the sweep naturally partitioned, each object is
 repaired by exactly one live node) and for every object:
 
-1. **probes** the recorded holders (primary + replicas) with a cheap
-   ``vstore.ping``, treating breaker-open peers as down without
-   touching the network;
+1. **probes** the object's holders (a full-copy primary and its
+   replicas, or a stripe's chunk holders) with a cheap ``vstore.ping``,
+   treating breaker-open peers as down without touching the network;
+   cloud holders count as live;
 2. **promotes** a live replica to primary when the primary is dead
-   (or falls back to the object's cloud copy when no home copy
-   survives);
-3. **re-replicates** from a live holder to freshly chosen peers until
-   the object is back to ``1 + data_replicas`` home copies (the holder
-   reads the payload from disk once and pushes each copy), spilling to
-   nothing — never to the cloud — because the cloud copy, when present,
-   already provides the durability backstop;
-4. **republishes** the updated metadata.
+   (or falls back to the object's cloud copy when fewer than k
+   holders survive);
+3. **restores** the missing holders from any k live ones, in one
+   scatter: a live full copy streams each missing copy itself, and a
+   stripe's missing chunks are re-encoded here from k pulled chunks;
+   shares no home node takes spill to the cloud, as for a store;
+4. **republishes** the metadata when it changed.
 
 Every action lands in the ``repairs`` log (and on
 ``resilience.repair.*`` counters when metrics are attached), which the
@@ -33,19 +33,16 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.kvstore.errors import KvError
-from repro.monitoring import DecisionPolicy
 from repro.net import HostDownError, NetworkError, RemoteError, RpcTimeoutError
 from repro.resilience.retry import ResilientCaller
 from repro.sim import Interrupt
 from repro.vstore.errors import VStoreError
-from repro.vstore.node import MSG_PING, MSG_REPLICATE, object_key
+from repro.vstore.node import MSG_PING, object_key
 from repro.vstore.objects import LOCATION_REMOTE, ObjectMeta
-from repro.vstore.striping import StripingPolicy, chunk_name, plan_chunk_placement
 
 __all__ = ["Repairer", "RepairAction"]
 
 PING_TIMEOUT_S = 10.0
-REPLICATE_TIMEOUT_S = 600.0
 
 
 @dataclass
@@ -193,205 +190,127 @@ class Repairer:
         return changed
 
     def _repair(self, meta: ObjectMeta, span):
-        if meta.is_striped:
-            return (yield from self._repair_striped(meta, span))
-        holders = []
-        if not meta.is_remote and meta.location:
-            holders.append(meta.location)
-        holders.extend(n for n in meta.replicas if n not in holders)
-        live = []
-        for holder in holders:
-            alive = yield from self._holds_object(holder, meta.name, span)
-            if alive:
-                live.append(holder)
+        """Process: restore the object's n holders from any k live ones.
 
-        changed = False
-        if self.track_lost and meta.lost_replicas:
-            returned: list[str] = []
-            for holder in list(meta.lost_replicas):
-                if holder in live:
-                    meta.lost_replicas.remove(holder)
-                    changed = True
-                    continue
-                alive = yield from self._holds_object(holder, meta.name, span)
-                if alive:
-                    returned.append(holder)
-            if returned:
-                # The cheap recovery path: the holder replayed its WAL
-                # and still has the payload — reattach, zero bytes moved.
-                for holder in returned:
-                    meta.lost_replicas.remove(holder)
-                    live.append(holder)
-                self._log(
-                    "reattach",
-                    meta.name,
-                    f"{len(returned)} recovered holder(s) rejoined with data",
-                    returned,
-                )
-                changed = True
-        if not meta.is_remote and meta.location not in live:
-            # The primary is gone: promote a surviving replica, or fall
-            # back to the cloud copy when one exists.
-            if live:
-                old = meta.location
-                meta.location = live[0]
-                meta.bin_name = self._bin_of(live[0], meta.name)
-                self._note_lost(meta, [old])
-                self._log(
-                    "promote", meta.name, f"{old} -> {live[0]}", [live[0]]
-                )
-                changed = True
-            elif meta.url:
-                old = meta.location
-                self._note_lost(meta, [old, *meta.replicas])
-                meta.location = LOCATION_REMOTE
-                meta.bin_name = ""
-                meta.replicas = []
-                self._log("promote-cloud", meta.name, f"{old} -> cloud", [])
-                yield from self._republish(meta, span)
-                return True
-            else:
-                self._log("lost", meta.name, "no live copy anywhere", [])
-                return False
-        if meta.replicas != [n for n in live if n != meta.location]:
-            dead = [
-                n for n in meta.replicas if n not in live and n != meta.location
-            ]
-            self._note_lost(meta, dead)
-            meta.replicas = [n for n in live if n != meta.location]
-            changed = True
-
-        missing = self.data_replicas - len(meta.replicas)
-        if missing > 0 and not meta.is_remote:
-            added = yield from self._replicate(meta, missing, span)
-            if added:
-                meta.replicas.extend(added)
-                self._log(
-                    "replicate",
-                    meta.name,
-                    f"restored {len(added)}/{missing} missing copies",
-                    added,
-                )
-                changed = True
-
-        if changed:
-            yield from self._republish(meta, span)
-        return changed
-
-    def _repair_striped(self, meta: ObjectMeta, span):
-        """Process: rebuild a stripe's missing chunks from any k survivors.
-
-        The erasure code makes repair cheap: instead of re-copying the
-        whole payload, this node pulls any ``k`` live chunks (k/n of
-        the object's bytes), re-encodes the lost ones, and pushes each
-        rebuilt chunk to a fresh decision-engine-chosen holder.  Chunks
-        in the remote cloud count as live — the cloud is the
-        durability backstop, not a failure domain we probe.  When fewer
-        than ``k`` chunks survive, the full-object cloud copy (if any)
-        takes over as the object's location; otherwise the stripe is
-        logged lost and left for a later sweep in case holders return.
+        Holders are probed; cloud holders count as live.  Full copies
+        are interchangeable: the first live one becomes the primary and
+        streams every missing copy itself.  A stripe's chunks are not:
+        this node pulls any k live ones, re-encodes the lost ones, and
+        streams those.  Either way the missing shares go out in one
+        scatter (:meth:`VStoreNode.replicate_local`).  With fewer than k
+        live holders the ``url`` cloud copy, if any, becomes the object;
+        otherwise the object is logged lost and left for a later sweep
+        in case holders return.  Returns whether the metadata changed.
         """
-        live: list[int] = []
-        for index, holder in enumerate(meta.chunk_nodes):
-            if holder == LOCATION_REMOTE:
-                live.append(index)
-                continue
-            alive = yield from self._holds_object(
-                holder, chunk_name(meta.name, index), span
-            )
-            if alive:
-                live.append(index)
+        before = meta.wire()
+        holders = meta.holders
+        live: list[Optional[str]] = []
+        for slot, holder in enumerate(holders):
+            alive = holder == LOCATION_REMOTE
+            if not alive:
+                alive = yield from self._holds_object(
+                    holder, meta.slot_name(slot), span
+                )
+            live.append(holder if alive else None)
+        if meta.k == 1 and self.track_lost and meta.lost_replicas:
+            yield from self._reattach(meta, live, span)
+        alive = [node for node in live if node is not None]
+        dead = [node for node in holders if node not in alive]
+        if meta.k == 1:
+            self._note_lost(meta, dead)
 
-        n = meta.stripe_k + meta.stripe_m
-        if len(live) == n:
-            return False  # full stripe width; nothing to do
-        if len(live) < meta.stripe_k:
-            if meta.url:
-                meta.location = LOCATION_REMOTE
-                meta.bin_name = ""
-                meta.stripe_k = 0
-                meta.stripe_m = 0
-                meta.chunk_nodes = []
+        if len(alive) < meta.k:
+            if not meta.url:
                 self._log(
-                    "promote-cloud",
+                    "lost",
                     meta.name,
-                    f"only {len(live)}/{n} chunks live -> cloud copy",
+                    f"only {len(alive)}/{len(holders)} holders live, need {meta.k}",
                     [],
                 )
-                yield from self._republish(meta, span)
-                return True
+                return False
+            meta.location, meta.bin_name, meta.replicas = LOCATION_REMOTE, "", []
+            meta.stripe_k, meta.stripe_m, meta.chunk_nodes = 0, 0, []
             self._log(
-                "lost",
+                "promote-cloud",
                 meta.name,
-                f"only {len(live)}/{n} chunks live, need {meta.stripe_k}",
+                f"only {len(alive)}/{len(holders)} holders live -> cloud copy",
                 [],
             )
-            return False
+            yield from self._republish(meta, span)
+            return True
 
-        missing = [i for i in range(n) if i not in live]
-        chunk_mb = meta.size_mb / meta.stripe_k
-        # Pull the k fastest live chunks here and re-encode the lost
-        # ones.  The stragglers' pulls keep draining in the background;
-        # only k chunks' worth of bytes cross the network.
-        pulls = [self.vstore._pull_chunk(meta, i, span) for i in live]
-        outcomes = yield self.sim.gather(
-            pulls, count=meta.stripe_k, return_exceptions=True
-        )
-        pulled = sum(1 for outcome in outcomes if isinstance(outcome, int))
-        if pulled < meta.stripe_k:
-            # A holder died between probe and pull; next sweep retries.
-            return False
-        policy = self.vstore.striping
-        mb_s = policy.codec_mb_s if policy is not None else StripingPolicy().codec_mb_s
-        yield self.sim.timeout(meta.size_mb / mb_s)
-
-        exclude = {meta.chunk_nodes[i] for i in live}
-        exclude.discard(LOCATION_REMOTE)
-        try:
-            candidates = yield from self.vstore.decision.decide(
-                DecisionPolicy.BALANCED,
-                require=lambda s: s.voluntary_free_mb >= chunk_mb,
-                ctx=span,
+        if meta.k == 1:
+            if alive[0] != meta.location:
+                self._log(
+                    "promote", meta.name, f"{meta.location} -> {alive[0]}", [alive[0]]
+                )
+                meta.bin_name = self._bin_of(alive[0], meta.name)
+            slots = alive + [None] * (1 + self.data_replicas - len(alive))
+            src = alive[0]
+        else:
+            slots = live
+            src = self.name
+        empty = [slot for slot, node in enumerate(slots) if node is None]
+        if empty and meta.k > 1:
+            # Pull the k fastest live chunks here and re-encode the lost
+            # ones.  The stragglers' pulls keep draining in the
+            # background; only k chunks' worth of bytes cross the network.
+            pulls = [
+                self.vstore._pull_chunk(meta, slot, span)
+                for slot, node in enumerate(live)
+                if node is not None
+            ]
+            outcomes = yield self.sim.gather(
+                pulls, count=meta.k, return_exceptions=True
             )
-        except (HostDownError, RpcTimeoutError, RemoteError):
-            candidates = []
-        plan = plan_chunk_placement(
-            [c.node for c in candidates], len(missing), exclude=sorted(exclude)
-        )
-        rebuilt: list[str] = []
-        for index, target in zip(missing, plan):
-            if target is None:
-                # Every live home node already holds a chunk of this
-                # stripe; the cloud is the one distinct holder left.
-                if self.vstore.cloud is None:
-                    continue  # retry next sweep (a node may revive)
-                yield from self.vstore.cloud.store_remote(
-                    chunk_name(meta.name, index),
-                    chunk_mb * 1024 * 1024,
-                    ctx=span,
+            if sum(isinstance(outcome, int) for outcome in outcomes) < meta.k:
+                return False  # a holder died between probe and pull
+            yield from self.vstore.decode(meta)
+        if empty:
+            slots = yield from self.vstore.replicate_local(
+                meta, slots, src, avoid=dead, ctx=span
+            )
+            restored = [slots[slot] for slot in empty if slots[slot] is not None]
+            if restored:
+                self._log(
+                    "replicate" if meta.k == 1 else "rebuild",
+                    meta.name,
+                    f"restored {len(restored)}/{len(empty)} missing shares",
+                    restored,
                 )
-                meta.chunk_nodes[index] = LOCATION_REMOTE
-                rebuilt.append(LOCATION_REMOTE)
-                continue
-            try:
-                yield from self.vstore._push_chunk(
-                    meta.name, index, chunk_mb, target, span
-                )
-            except (HostDownError, RpcTimeoutError, RemoteError, VStoreError):
-                continue
-            meta.chunk_nodes[index] = target
-            rebuilt.append(target)
-        if not rebuilt:
+                if meta.k > 1:
+                    self._count("stripe.repair.rebuilt")
+        if meta.k == 1:
+            meta.location = slots[0]
+            meta.replicas = [node for node in slots[1:] if node is not None]
+        else:
+            # A chunk nothing could take keeps its old holder for a
+            # later sweep to retry.
+            meta.chunk_nodes = [new or old for new, old in zip(slots, holders)]
+        if meta.wire() == before:
             return False
-        self._log(
-            "rebuild",
-            meta.name,
-            f"re-encoded {len(rebuilt)}/{len(missing)} missing chunks",
-            rebuilt,
-        )
-        self._count("stripe.repair.rebuilt")
         yield from self._republish(meta, span)
         return True
+
+    def _reattach(self, meta: ObjectMeta, live: list, span):
+        """Process: add pruned holders that came back with the payload to
+        ``live``.  The cheap recovery path: the holder replayed its WAL,
+        so reattaching it moves zero bytes."""
+        returned: list[str] = []
+        for holder in list(meta.lost_replicas):
+            if holder in live:
+                meta.lost_replicas.remove(holder)
+            elif (yield from self._holds_object(holder, meta.name, span)):
+                meta.lost_replicas.remove(holder)
+                returned.append(holder)
+        if returned:
+            live.extend(returned)
+            self._log(
+                "reattach",
+                meta.name,
+                f"{len(returned)} recovered holder(s) rejoined with data",
+                returned,
+            )
 
     def _note_lost(self, meta: ObjectMeta, nodes) -> None:
         """Remember dead holders (durable deployments only) so a later
@@ -403,37 +322,6 @@ class Repairer:
                 meta.lost_replicas.append(node)
         # Bounded memory: only the most recent departures matter.
         del meta.lost_replicas[:-8]
-
-    def _replicate(self, meta: ObjectMeta, missing: int, span):
-        """Process: pick targets and command a live holder to push copies."""
-        exclude = {meta.location, *meta.replicas}
-        candidates = yield from self.vstore.decision.decide(
-            DecisionPolicy.BALANCED,
-            require=lambda s: s.voluntary_free_mb >= meta.size_mb,
-            ctx=span,
-        )
-        targets = [c.node for c in candidates if c.node not in exclude]
-        targets = targets[:missing]
-        if not targets:
-            return []
-        body = {"name": meta.name, "size_mb": meta.size_mb, "targets": targets}
-        if span is not None:
-            body["span"] = span.ctx_wire()
-        try:
-            if meta.location == self.name:
-                reply = yield from self.vstore.replicate_local(
-                    meta.name, meta.size_mb, targets, ctx=span
-                )
-            else:
-                reply = yield from self._call(
-                    meta.location,
-                    MSG_REPLICATE,
-                    body,
-                    timeout=REPLICATE_TIMEOUT_S,
-                )
-        except (HostDownError, RpcTimeoutError, RemoteError):
-            return []
-        return list(reply.get("stored", []))
 
     def _holds_object(self, holder: str, name: str, span):
         """Process: does ``holder`` answer and physically hold ``name``?"""
@@ -458,15 +346,6 @@ class Repairer:
         if breakers is not None:
             breakers.record_success(holder, self.sim.now)
         return bool(reply.get("holds"))
-
-    def _call(self, dst, msg_type, body, timeout):
-        if self.caller is not None:
-            return (
-                yield from self.caller.call(dst, msg_type, body, timeout=timeout)
-            )
-        return (
-            yield self.vstore.endpoint.call(dst, msg_type, body, timeout=timeout)
-        )
 
     def _republish(self, meta: ObjectMeta, span):
         yield from self.vstore.kv.put(object_key(meta.name), meta.wire(), ctx=span)

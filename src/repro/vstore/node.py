@@ -28,10 +28,15 @@ from typing import Callable, Optional
 from repro.cloud import Ec2Instance, PublicCloudInterface
 from repro.kvstore import DhtKeyValueStore, KeyNotFoundError
 from repro.monitoring import DecisionEngine, DecisionPolicy, ResourceSnapshot
-from repro.net import HostDownError, RemoteError, Request, RpcTimeoutError
+from repro.net import (
+    HostDownError,
+    NetworkError,
+    RemoteError,
+    Request,
+    RpcTimeoutError,
+)
 from repro.overlay import ChimeraNode
 from repro.services import Service, ServiceRegistry
-from repro.telemetry.spans import wire_ctx
 from repro.virt import Domain, TransferEngine, XenSocketChannel
 from repro.vstore.bins import StorageBin
 from repro.vstore.errors import (
@@ -67,8 +72,6 @@ MSG_DELETE = "vstore.delete"
 #: Liveness/holdership probe (resilience layer; reply says whether the
 #: payload is physically here).
 MSG_PING = "vstore.ping"
-#: Command a holder to push payload copies to the listed targets.
-MSG_REPLICATE = "vstore.replicate"
 
 
 def object_key(name: str) -> str:
@@ -232,9 +235,9 @@ class VStoreNode:
             return None, None
         return tel, tel.begin(name, layer="vstore", node=self.name, parent=ctx, **attrs)
 
-    def _count(self, metric: str) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(metric, node=self.name).inc()
+    def _count(self, metric: str, amount: int = 1) -> None:
+        if self.metrics is not None and amount:
+            self.metrics.counter(metric, node=self.name).inc(amount)
 
     def _call(self, dst: str, msg_type: str, body, timeout: float, size: int = 64):
         """Process: one peer RPC, through the resilient caller when set.
@@ -337,11 +340,38 @@ class VStoreNode:
         tel, span = self._span("vstore.place", ctx, object=meta.name)
         t0 = self.sim.now
         if self.striping is not None and self.striping.applies_to(meta.size_mb):
-            placement = yield from self._stripe_and_place(meta, ctx=span)
+            codec = self.striping.codec
+            # Encoding: compute the m parity chunks over the k data slices.
+            yield self.sim.timeout(self.striping.codec_time_s(meta.size_mb))
+            meta.stripe_k, meta.stripe_m = codec.k, codec.m
+            # The coordinator anchors the metadata; the payload lives
+            # only in the chunks.
+            meta.location, meta.bin_name = self.name, ""
+            placement = Placement(PlacementTarget.HOME_VOLUNTARY, self.name)
+            slots = [None] * codec.n
         else:
             placement = yield from self._place(meta, ctx=span)
-            if self.data_replicas > 0:
-                yield from self._replicate_payload(meta, ctx=span)
+            # A cloud-resident object needs no more: the cloud already
+            # is the redundancy.
+            slots = [meta.location] + [None] * (
+                0 if meta.is_remote else self.data_replicas
+            )
+        if None in slots:
+            slots = yield from self.replicate_local(meta, slots, self.name, ctx=span)
+            if meta.is_striped:
+                if None in slots:
+                    raise PlacementError(
+                        f"object {meta.name!r}: chunks without a home holder "
+                        "and no public-cloud interface configured"
+                    )
+                spilled = slots.count(LOCATION_REMOTE)
+                self._count("stripe.store.placed", len(slots) - spilled)
+                self._count("stripe.store.spilled", spilled)
+                meta.chunk_nodes = slots
+            else:
+                meta.replicas = [node for node in slots[1:] if node is not None]
+                if len(meta.replicas) < self.data_replicas:
+                    self._count("vstore.replicate.short")
         placement_s = self.sim.now - t0
         if span is not None:
             tel.end(span, target=placement.target.name)
@@ -350,65 +380,13 @@ class VStoreNode:
         metadata_s = self.sim.now - t1
         return placement, placement_s, metadata_s
 
-    def _replicate_payload(self, meta: ObjectMeta, ctx=None):
-        """Process: place ``data_replicas`` extra payload copies.
-
-        Copies land in peers' voluntary bins, chosen by the decision
-        engine; when fewer than the requested count fit in the home
-        cloud, one cloud spill copy backstops durability instead.
-        """
-        if meta.is_remote:
-            return  # the cloud already is the redundancy
-        tel, span = self._span(
-            "vstore.replicate", ctx, object=meta.name, want=self.data_replicas
-        )
-        exclude = {meta.location}
-        try:
-            candidates = yield from self.decision.decide(
-                DecisionPolicy.BALANCED,
-                require=lambda s: s.voluntary_free_mb >= meta.size_mb,
-                ctx=span,
-            )
-        except (HostDownError, RpcTimeoutError, RemoteError):
-            candidates = []
-        for candidate in candidates:
-            if len(meta.replicas) >= self.data_replicas:
-                break
-            node = candidate.node
-            if node in exclude or node in meta.replicas:
-                continue
-            if node == self.name:
-                if meta.name not in self.voluntary and self.voluntary.fits(
-                    meta.size_mb
-                ):
-                    self.voluntary.store(meta.name, meta.size_mb)
-                    meta.replicas.append(node)
-                continue
-            # The storing node still has the bytes in its control
-            # domain, so it streams every copy itself.
-            body = {"name": meta.name, "size_mb": meta.size_mb, "src": self.name}
-            if span is not None:
-                body["span"] = span.ctx_wire()
-            try:
-                yield from self._call(
-                    node, MSG_STORE_VOLUNTARY, body, timeout=120.0
-                )
-            except (HostDownError, RpcTimeoutError, RemoteError):
-                continue
-            meta.replicas.append(node)
-        if len(meta.replicas) < self.data_replicas:
-            self._count("vstore.replicate.short")
-            if self.cloud is not None and meta.url is None:
-                # Cloud spill: one durable copy stands in for the home
-                # replicas we could not place.
-                meta.url = yield from self.cloud.store_remote(
-                    meta.name, meta.size_bytes, ctx=span
-                )
-        if span is not None:
-            tel.end(span, placed=len(meta.replicas), spilled=meta.url is not None)
-
     def _place(self, meta: ObjectMeta, ctx=None):
-        """Execute the policy decision, with the paper's fallbacks."""
+        """Place the first full copy by the store policy.
+
+        The paper's fallbacks: a full mandatory bin or an unreachable
+        named node falls back to voluntary space in the home, and a
+        full home to the remote cloud.
+        """
         placement = self.store_policy.decide(meta)
         target = placement.target
         if target is PlacementTarget.LOCAL_MANDATORY:
@@ -417,13 +395,10 @@ class VStoreNode:
                 meta.location = self.name
                 meta.bin_name = "mandatory"
                 return placement
-            # Mandatory bin full: spill to voluntary space elsewhere,
-            # then to the remote cloud.
             target = PlacementTarget.HOME_VOLUNTARY
 
         if target is PlacementTarget.NAMED_NODE:
-            stored = yield from self._store_on_peer(meta, placement.node, ctx=ctx)
-            if stored:
+            if (yield from self._place_on(meta, placement.node, ctx)):
                 return placement
             target = PlacementTarget.HOME_VOLUNTARY
 
@@ -434,136 +409,139 @@ class VStoreNode:
                 ctx=ctx,
             )
             for candidate in candidates:
-                if candidate.node == self.name:
-                    if self.voluntary.fits(meta.size_mb):
-                        self.voluntary.store(meta.name, meta.size_mb)
-                        meta.location = self.name
-                        meta.bin_name = "voluntary"
-                        return Placement(PlacementTarget.HOME_VOLUNTARY, self.name)
-                    continue
-                stored = yield from self._store_on_peer(meta, candidate.node, ctx=ctx)
-                if stored:
+                if (yield from self._place_on(meta, candidate.node, ctx)):
                     return Placement(PlacementTarget.HOME_VOLUNTARY, candidate.node)
             target = PlacementTarget.REMOTE_CLOUD
 
-        if target is PlacementTarget.REMOTE_CLOUD:
-            if self.cloud is None:
-                raise PlacementError(
-                    f"object {meta.name!r}: no home capacity and no "
-                    "public-cloud interface configured"
-                )
-            url = yield from self.cloud.store_remote(
-                meta.name, meta.size_bytes, ctx=ctx
+        if self.cloud is None:
+            raise PlacementError(
+                f"object {meta.name!r}: no home capacity and no "
+                "public-cloud interface configured"
             )
-            meta.location = LOCATION_REMOTE
-            meta.bin_name = ""
-            meta.url = url
-            return Placement(PlacementTarget.REMOTE_CLOUD)
+        url = yield from self.cloud.store_remote(meta.name, meta.size_bytes, ctx=ctx)
+        meta.location = LOCATION_REMOTE
+        meta.bin_name = ""
+        meta.url = url
+        return Placement(PlacementTarget.REMOTE_CLOUD)
 
-        raise PlacementError(f"unhandled placement target {target!r}")
-
-    def _store_on_peer(self, meta: ObjectMeta, peer: str, ctx=None):
-        tel, span = self._span("vstore.store_peer", ctx, peer=peer, object=meta.name)
-        body = {"name": meta.name, "size_mb": meta.size_mb, "src": self.name}
-        if span is not None:
-            body["span"] = span.ctx_wire()
+    def _place_on(self, meta: ObjectMeta, node: str, ctx=None):
+        """Process: the first full copy into ``node``'s voluntary bin;
+        False when the node cannot take it."""
         try:
-            yield self.endpoint.call(peer, MSG_STORE_VOLUNTARY, body, timeout=120.0)
-        except (HostDownError, RpcTimeoutError, RemoteError) as exc:
-            if span is not None:
-                tel.fail(span, exc)
+            yield from self._push(meta.name, meta.size_mb, node, self.name, ctx)
+        except (NetworkError, VStoreError):
             return False
-        if span is not None:
-            tel.end(span)
-        meta.location = peer
+        meta.location = node
         meta.bin_name = "voluntary"
         return True
 
-    # -- erasure-coded striping -------------------------------------------------
+    # -- the k-of-n layout: fill, push, scatter ----------------------------------
 
-    def _stripe_and_place(self, meta: ObjectMeta, ctx=None):
-        """Process: encode a stripe and scatter its chunks in parallel.
+    def replicate_local(
+        self, meta: ObjectMeta, slots: list, src: str, avoid=(), ctx=None
+    ):
+        """Process: give every empty (``None``) holder slot a holder.
 
-        The object is split into ``k`` data + ``m`` parity chunks;
-        holders come from the decision engine's ranking, one chunk per
-        distinct node (anything the home cloud cannot hold spills to
-        the remote cloud).  All pushes run concurrently — the store
-        cost is dominated by the slowest chunk, not the sum.  The
-        coordinator (this node) is recorded as ``meta.location`` purely
-        as the metadata anchor; the payload lives only in the chunks.
+        The one write path behind store-time redundancy and repair, for
+        every layout.  Fresh holders come from the decision engine's
+        ranking, one per distinct node that holds no other slot and is
+        not in ``avoid`` (holders just found dead).  Every share, a full
+        copy or a chunk, streams from ``src`` at once: the storing node,
+        a live full copy, or a repairer that re-encoded the stripe.
+        What the home cannot take goes to the cloud: each unplaced chunk
+        as itself, and for full copies one ``url`` copy that stands in
+        for every missing replica.  Returns the slots, still ``None``
+        where nothing took the share.
         """
-        policy = self.striping
-        codec = policy.codec
         tel, span = self._span(
-            "vstore.stripe", ctx, object=meta.name, k=codec.k, m=codec.m
+            "vstore.replicate", ctx, object=meta.name, want=slots.count(None)
         )
-        # Encoding: compute the m parity chunks over the k data slices.
-        yield self.sim.timeout(policy.codec_time_s(meta.size_mb))
-        chunk_mb = codec.chunk_size_mb(meta.size_mb)
+        slots = list(slots)
+        share_mb = meta.size_mb / meta.k
         try:
             candidates = yield from self.decision.decide(
                 DecisionPolicy.BALANCED,
-                require=lambda s: s.voluntary_free_mb >= chunk_mb,
+                require=lambda s: s.voluntary_free_mb >= share_mb,
                 ctx=span,
             )
         except (HostDownError, RpcTimeoutError, RemoteError):
             candidates = []
-        plan = plan_chunk_placement([c.node for c in candidates], codec.n)
-        pushes = [
-            self._push_chunk(meta.name, index, chunk_mb, target, span)
-            for index, target in enumerate(plan)
-            if target is not None
-        ]
-        outcomes = yield self.sim.gather(pushes, return_exceptions=True)
-        pushed: list = []
-        pos = 0
-        for target in plan:
-            pushed.append(outcomes[pos] if target is not None else None)
-            pos += target is not None
-        holders: list[str] = []
-        spilled = 0
-        for index, target in enumerate(plan):
-            if target is not None and not isinstance(pushed[index], BaseException):
-                holders.append(target)
-                self._count("stripe.store.placed")
-                continue
-            # No distinct home holder (or the push failed): the chunk
-            # spills to the remote cloud, which is failure-independent
-            # of every home node.
-            if self.cloud is None:
-                raise PlacementError(
-                    f"object {meta.name!r}: chunk {index} has no home "
-                    "holder and no public-cloud interface is configured"
+        empty = [slot for slot, node in enumerate(slots) if node is None]
+        plan = plan_chunk_placement(
+            [c.node for c in candidates],
+            len(empty),
+            exclude=[*avoid, *(node for node in slots if node is not None)],
+        )
+        pushes = [(slot, node) for slot, node in zip(empty, plan) if node is not None]
+        outcomes = yield from self._scatter(
+            [
+                self._push(meta.slot_name(slot), share_mb, node, src, span)
+                for slot, node in pushes
+            ]
+        )
+        for (slot, node), outcome in zip(pushes, outcomes):
+            if not isinstance(outcome, BaseException):
+                slots[slot] = node
+        unplaced = [slot for slot in empty if slots[slot] is None]
+        if unplaced and self.cloud is not None:
+            if meta.is_striped:
+                for slot in unplaced:
+                    yield from self.cloud.store_remote(
+                        meta.slot_name(slot), share_mb * 1024 * 1024, ctx=span
+                    )
+                    slots[slot] = LOCATION_REMOTE
+            elif meta.url is None:
+                meta.url = yield from self.cloud.store_remote(
+                    meta.name, meta.size_bytes, ctx=span
                 )
-            yield from self.cloud.store_remote(
-                chunk_name(meta.name, index), chunk_mb * 1024 * 1024, ctx=span
-            )
-            holders.append(LOCATION_REMOTE)
-            spilled += 1
-            self._count("stripe.store.spilled")
-        meta.stripe_k = codec.k
-        meta.stripe_m = codec.m
-        meta.chunk_nodes = holders
-        meta.location = self.name
-        meta.bin_name = ""
         if span is not None:
-            tel.end(span, spilled=spilled)
-        return Placement(PlacementTarget.HOME_VOLUNTARY, self.name)
+            tel.end(span, placed=len(empty) - slots.count(None))
+        return slots
 
-    def _push_chunk(self, name: str, index: int, chunk_mb: float, target, span):
-        """Process: stream one chunk to its holder's voluntary bin."""
-        cname = chunk_name(name, index)
+    def _push(self, stored: str, size_mb: float, target: str, src: str, ctx=None):
+        """Process: a copy of ``stored`` into ``target``'s voluntary bin,
+        streamed from ``src``.  Raises when the target is unreachable or
+        full."""
         if target == self.name:
-            yield self.sim.timeout(chunk_mb / self.disk_mb_s)
-            if not self.voluntary.fits(chunk_mb):
-                raise BinFullError("voluntary", chunk_mb, self.voluntary.free_mb)
-            self.voluntary.store(cname, chunk_mb)
-            return target
-        body = {"name": cname, "size_mb": chunk_mb, "src": self.name}
+            return (yield from self._receive(stored, size_mb, src, ctx))
+        tel, span = self._span("vstore.store_peer", ctx, peer=target, object=stored)
+        body = {"name": stored, "size_mb": size_mb, "src": src}
         if span is not None:
             body["span"] = span.ctx_wire()
-        yield from self._call(target, MSG_STORE_VOLUNTARY, body, timeout=120.0)
-        return target
+        try:
+            yield from self._call(target, MSG_STORE_VOLUNTARY, body, timeout=120.0)
+        except (NetworkError, VStoreError) as exc:
+            if span is not None:
+                tel.fail(span, exc)
+            raise
+        if span is not None:
+            tel.end(span)
+
+    def _receive(self, name: str, size_mb: float, src: str, ctx=None):
+        """Process: take a copy streamed from ``src`` into the voluntary bin."""
+        if not self.voluntary.fits(size_mb):
+            raise BinFullError("voluntary", size_mb, self.voluntary.free_mb)
+        if src != self.name:
+            yield from self.transfer.send(src, self.name, size_mb * 1024 * 1024, ctx=ctx)
+        self.voluntary.store(name, size_mb)
+
+    def _scatter(self, branches: list):
+        """Process: run ``branches`` at once; their outcomes in order.
+
+        A failed branch contributes its exception.  A lone branch runs
+        inline, so an object with one holder costs exactly the events
+        of one plain call.
+        """
+        if not branches:
+            return []
+        if len(branches) > 1:
+            return (yield self.sim.gather(branches, return_exceptions=True))
+        try:
+            return [(yield from branches[0])]
+        except (NetworkError, VStoreError) as exc:
+            return [exc]
+
+    # -- erasure-coded striping: reads -------------------------------------------
 
     def _pull_chunk(self, meta: ObjectMeta, index: int, span):
         """Process: bring chunk ``index`` of a stripe to this node.
@@ -631,12 +609,7 @@ class VStoreNode:
                 # Parity chunks were among the first k (they won the
                 # race, or stood in for failed data holders): the
                 # missing data slices must be reconstructed.
-                mb_s = (
-                    self.striping.codec_mb_s
-                    if self.striping is not None
-                    else StripingPolicy().codec_mb_s
-                )
-                yield self.sim.timeout(meta.size_mb / mb_s)
+                yield from self.decode(meta)
             # Degraded means holders actually failed, not that parity
             # merely out-raced data on a healthy cluster.
             degraded = any(
@@ -653,6 +626,11 @@ class VStoreNode:
             return "remote-cloud", t0 - t_start, self.sim.now - t0
         self._count("stripe.fetch.lost")
         raise ChunksLostError(meta.name, len(arrived), codec.k)
+
+    def decode(self, meta: ObjectMeta):
+        """Process: rebuild a stripe's missing slices from any k chunks."""
+        policy = self.striping if self.striping is not None else StripingPolicy()
+        yield self.sim.timeout(meta.size_mb / policy.codec_mb_s)
 
     def fetch_range(
         self,
@@ -730,26 +708,6 @@ class VStoreNode:
             remote_cloud_s=remote_s,
             served_from=served_from,
         )
-
-    def _delete_stripe(self, meta: ObjectMeta, span):
-        """Process: remove every chunk of a stripe from its holders."""
-        for index, holder in enumerate(meta.chunk_nodes):
-            cname = chunk_name(meta.name, index)
-            if holder == LOCATION_REMOTE:
-                if self.cloud is not None:
-                    self.cloud.s3.delete_object(cname)
-            elif holder == self.name:
-                self._remove_local(cname)
-            else:
-                body = {"name": cname}
-                if span is not None:
-                    body["span"] = span.ctx_wire()
-                try:
-                    yield self.endpoint.call(holder, MSG_DELETE, body)
-                except (HostDownError, RpcTimeoutError, RemoteError):
-                    pass
-        if meta.url is not None and self.cloud is not None:
-            self.cloud.s3.delete_object(meta.name)
 
     # -- fetch ------------------------------------------------------------------
 
@@ -860,27 +818,36 @@ class VStoreNode:
         raise last_exc
 
     def delete_object(self, name: str, ctx=None):
-        """Process: remove an object and its metadata everywhere."""
+        """Process: remove an object's every copy and its metadata.
+
+        One scatter over the layout's holders, each dropping its full
+        copy or chunk, plus the ``url`` cloud copy.
+        """
         tel, span = self._span("vstore.delete", ctx, object=name)
         meta, _ = yield from self._lookup_meta(name, ctx=span)
-        if meta.is_striped:
-            yield from self._delete_stripe(meta, span)
-        elif meta.is_remote:
-            if self.cloud is not None:
-                self.cloud.s3.delete_object(name)
-        elif meta.location == self.name:
-            self._remove_local(name)
-        else:
-            body = {"name": name}
-            if span is not None:
-                body["span"] = span.ctx_wire()
-            try:
-                yield self.endpoint.call(meta.location, MSG_DELETE, body)
-            except (HostDownError, RpcTimeoutError, RemoteError):
-                pass
+        copies = [(node, meta.slot_name(slot)) for slot, node in enumerate(meta.holders)]
+        if meta.url is not None and (LOCATION_REMOTE, name) not in copies:
+            copies.append((LOCATION_REMOTE, name))
+        yield from self._scatter(
+            [self._drop(node, stored, span) for node, stored in copies]
+        )
         yield from self.kv.delete(object_key(name), ctx=span)
         if span is not None:
             tel.end(span)
+
+    def _drop(self, holder: str, stored: str, span):
+        """Process: delete ``holder``'s copy of ``stored``.  Best effort:
+        a holder that does not answer is not retried."""
+        if holder == LOCATION_REMOTE:
+            if self.cloud is not None:
+                self.cloud.s3.delete_object(stored)
+        elif holder == self.name:
+            self._remove_local(stored)
+        else:
+            body = {"name": stored}
+            if span is not None:
+                body["span"] = span.ctx_wire()
+            yield self.endpoint.call(holder, MSG_DELETE, body)
 
     def _lookup_meta(self, name: str, ctx=None):
         t0 = self.sim.now
@@ -1287,34 +1254,6 @@ class VStoreNode:
             return min(snapshot.bandwidth_mbps, 4.5)
         return 1.5
 
-    # -- resilience: payload replication --------------------------------------
-
-    def replicate_local(self, name: str, size_mb: float, targets: list[str], ctx=None):
-        """Process: push copies of a locally held object to ``targets``.
-
-        The payload is read from disk once, then streamed to each
-        target's voluntary bin.  Returns ``{"stored": [...]}`` naming
-        the targets that accepted a copy (the repairer's contract).
-        """
-        if not self.holds(name):
-            raise ObjectNotFoundError(name)
-        yield self.sim.timeout(size_mb / self.disk_mb_s)
-        stored = []
-        for target in targets:
-            if target == self.name:
-                continue
-            body = {"name": name, "size_mb": size_mb, "src": self.name}
-            if ctx is not None:
-                body["span"] = wire_ctx(ctx)
-            try:
-                yield from self._call(
-                    target, MSG_STORE_VOLUNTARY, body, timeout=120.0
-                )
-            except (HostDownError, RpcTimeoutError, RemoteError):
-                continue
-            stored.append(target)
-        return {"stored": stored}
-
     # -- RPC handlers ---------------------------------------------------------------
 
     def _register_handlers(self) -> None:
@@ -1324,22 +1263,18 @@ class VStoreNode:
         ep.register(MSG_PROCESS_REMOTE, self._handle_process_remote)
         ep.register(MSG_DELETE, self._handle_delete)
         ep.register(MSG_PING, self._handle_ping)
-        ep.register(MSG_REPLICATE, self._handle_replicate)
 
     def _handle_store_voluntary(self, request: Request):
         body = request.body
         tel, span = self._span(
             "vstore.serve_store", body.get("span"), src=body["src"]
         )
-        if not self.voluntary.fits(body["size_mb"]):
-            exc = BinFullError("voluntary", body["size_mb"], self.voluntary.free_mb)
+        try:
+            yield from self._receive(body["name"], body["size_mb"], body["src"], span)
+        except (NetworkError, VStoreError) as exc:
             if span is not None:
                 tel.fail(span, exc)
-            raise exc
-        yield from self.transfer.send(
-            body["src"], self.name, body["size_mb"] * 1024 * 1024, ctx=span
-        )
-        self.voluntary.store(body["name"], body["size_mb"])
+            raise
         if span is not None:
             tel.end(span)
         return {"stored": True, "bin": "voluntary"}
@@ -1402,24 +1337,3 @@ class VStoreNode:
     def _handle_ping(self, request: Request) -> dict:
         """Cheap liveness + holdership probe (repairer's health check)."""
         return {"alive": True, "holds": self.holds(request.body["name"])}
-
-    def _handle_replicate(self, request: Request):
-        """Serve a repairer's command to push payload copies out."""
-        body = request.body
-        tel, span = self._span(
-            "vstore.serve_replicate",
-            body.get("span"),
-            object=body["name"],
-            targets=len(body["targets"]),
-        )
-        try:
-            reply = yield from self.replicate_local(
-                body["name"], body["size_mb"], body["targets"], ctx=span
-            )
-        except ObjectNotFoundError as exc:
-            if span is not None:
-                tel.fail(span, exc)
-            raise
-        if span is not None:
-            tel.end(span, stored=len(reply["stored"]))
-        return reply

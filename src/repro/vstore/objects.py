@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.vstore.striping import chunk_name
+
 __all__ = ["ObjectMeta", "LOCATION_REMOTE"]
 
 #: Location marker for objects living in the remote cloud.
@@ -26,7 +28,14 @@ LOCATION_REMOTE = "@remote-cloud"
 
 @dataclass
 class ObjectMeta:
-    """An object's entry in the metadata key-value store."""
+    """An object's entry in the metadata key-value store.
+
+    Every object has one layout, "any :attr:`k` of these n
+    :attr:`holders`": a single copy is (1, 1), a copy plus R payload
+    replicas is (1, 1+R), and a (k, m) stripe is (k, k+m).  A holder is
+    a home node or ``LOCATION_REMOTE``, the cloud.  A full-object
+    ``url`` copy in the cloud, when set, backstops every layout.
+    """
 
     name: str
     size_mb: float
@@ -120,6 +129,23 @@ class ObjectMeta:
     @property
     def is_striped(self) -> bool:
         return self.stripe_k > 0
+
+    @property
+    def k(self) -> int:
+        """How many holders rebuild the object: 1 for full copies."""
+        return self.stripe_k or 1
+
+    @property
+    def holders(self) -> list[str]:
+        """The n holders, slot by slot: one per chunk of a stripe, else
+        the primary copy then each replica."""
+        if self.stripe_k:
+            return list(self.chunk_nodes)
+        return [self.location, *self.replicas]
+
+    def slot_name(self, slot: int) -> str:
+        """The name holder ``slot`` stores its share under."""
+        return chunk_name(self.name, slot) if self.stripe_k else self.name
 
     def wire(self) -> dict:
         data = {

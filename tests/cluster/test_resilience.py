@@ -14,8 +14,11 @@ from repro.cluster import (
     DeviceConfig,
     ResilienceConfig,
 )
+from repro.kvstore import DhtKeyValueStore
 from repro.vstore.node import object_key
-from repro.vstore.objects import ObjectMeta
+from repro.vstore.objects import LOCATION_REMOTE, ObjectMeta
+from repro.vstore.policies import Placement, PlacementTarget, StorePolicy
+from repro.vstore.striping import chunk_name
 
 
 def resilient_config(seed, nodes=8, **overrides):
@@ -76,20 +79,122 @@ class TestReplicatedStore:
         assert c4h.metrics.counter("vstore.replicate.short", node="node1").value >= 1
 
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="delete_object removes only meta.location's copy: payload "
-        "replicas (and a cloud spill copy) stay behind",
+def layout_local_copy():
+    return Cloud4Home(resilient_config(811, nodes=4, data_replicas=0)), 1.0
+
+
+def layout_peer_copy():
+    c4h = Cloud4Home(resilient_config(812, nodes=4, data_replicas=0))
+    c4h.devices[0].vstore.store_policy = StorePolicy(
+        default=Placement(PlacementTarget.NAMED_NODE, "node2")
     )
-    def test_delete_removes_every_payload_copy(self):
-        c4h = Cloud4Home(resilient_config(801))
-        c4h.start()
-        writer = c4h.devices[0]
-        c4h.run(writer.client.store_file("obj.bin", 2.0))
-        assert len(get_meta(c4h, writer, "obj.bin").replicas) == 2
-        c4h.run(writer.client.delete_object("obj.bin"))
-        holders = [d.name for d in c4h.devices if d.vstore.holds("obj.bin")]
-        assert holders == []
+    return c4h, 1.0
+
+
+def layout_replicas():
+    return Cloud4Home(resilient_config(813)), 1.0
+
+
+def layout_replicas_and_cloud_spill():
+    # Only node1 has voluntary room: one replica lands, the second is
+    # short and a cloud copy stands in for it.
+    c4h = Cloud4Home(resilient_config(814, nodes=5))
+    for device in c4h.devices[2:]:
+        device.vstore.voluntary.capacity_mb = 0.5
+    return c4h, 1.0
+
+
+def layout_stripe_with_spilled_chunk():
+    # Five nodes cannot give six chunks distinct homes: one spills.
+    config = resilient_config(815, nodes=5, data_replicas=0, striping=True)
+    return Cloud4Home(config), 16.0
+
+
+def layout_cloud_resident():
+    c4h = Cloud4Home(resilient_config(816, nodes=4, data_replicas=0))
+    c4h.devices[0].vstore.store_policy = StorePolicy(
+        default=Placement(PlacementTarget.REMOTE_CLOUD)
+    )
+    return c4h, 1.0
+
+
+LAYOUTS = {
+    "local-copy": (layout_local_copy, (1, 1)),
+    "peer-copy": (layout_peer_copy, (1, 1)),
+    "replicas": (layout_replicas, (1, 3)),
+    "replicas+cloud": (layout_replicas_and_cloud_spill, (1, 2)),
+    "stripe+cloud": (layout_stripe_with_spilled_chunk, (4, 6)),
+    "cloud": (layout_cloud_resident, (1, 1)),
+}
+
+
+def store_layout(layout):
+    build, (k, n) = LAYOUTS[layout]
+    c4h, size_mb = build()
+    c4h.start()
+    writer = c4h.devices[0]
+    c4h.run(writer.client.store_file("obj.bin", size_mb))
+    meta = get_meta(c4h, writer, "obj.bin")
+    assert (meta.k, len(meta.holders)) == (k, n)
+    if layout == "replicas+cloud":
+        assert meta.url is not None
+    if layout == "stripe+cloud":
+        assert meta.holders.count(LOCATION_REMOTE) == 1
+    return c4h, meta
+
+
+def live_holders(c4h, meta):
+    """Slots whose holder is up and physically has its share."""
+    live = []
+    for slot, holder in enumerate(meta.holders):
+        stored = meta.slot_name(slot)
+        if holder == LOCATION_REMOTE:
+            ok = c4h.s3.contains(stored)
+        else:
+            ok = c4h.network.hosts[holder].online and c4h.device(
+                holder
+            ).vstore.holds(stored)
+        if ok:
+            live.append(holder)
+    return live
+
+
+class TestEveryLayout:
+    """Store, delete and repair over each k-of-n layout."""
+
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    def test_delete_removes_every_payload_copy(self, layout):
+        c4h, meta = store_layout(layout)
+        assert len(live_holders(c4h, meta)) == len(meta.holders)
+        c4h.run(c4h.devices[1].client.delete_object("obj.bin"))
+        names = ["obj.bin"] + [chunk_name("obj.bin", i) for i in range(6)]
+        for name in names:
+            assert [d.name for d in c4h.devices if d.vstore.holds(name)] == []
+            assert not c4h.s3.contains(name)
+
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    def test_repair_restores_n_holders_from_k(self, layout):
+        c4h, meta = store_layout(layout)
+        n = len(meta.holders)
+        key_hex = DhtKeyValueStore.key_for(object_key("obj.bin")).hex
+        owner = next(d for d in c4h.devices if key_hex in d.kv.primary)
+        victims = [
+            h for h in meta.holders if h not in (LOCATION_REMOTE, owner.name)
+        ][: n - meta.k]
+        assert len(victims) == n - meta.k
+        if layout == "replicas+cloud":
+            # Room for the restored copy once the victim is gone.
+            c4h.device("node2").vstore.voluntary.capacity_mb = 4096.0
+            c4h.sim.run(until=c4h.sim.now + 2 * c4h.config.monitor_period_s)
+        chaos = ChaosSchedule(c4h)
+        for victim in victims:
+            chaos.crash(0.0, victim)
+        chaos.start()
+        c4h.sim.run(until=c4h.sim.now + 1.0)
+        c4h.run(owner.repairer.scan_once())
+        healed = get_meta(c4h, owner, "obj.bin")
+        assert not set(victims) & set(healed.holders)
+        assert len(live_holders(c4h, healed)) == len(healed.holders) >= n
 
 
 class TestFetchFailover:
