@@ -188,3 +188,39 @@ def test_forwarded_kv_get_hop():
     assert origin.stats.forwards == forwards + 1
     assert one_hop == KV_GET_ONE_HOP_EVENTS
     assert one_hop - get_events(owner) == KV_GET_HOP_EVENTS
+
+
+class TestSingleCopyObjectEvents:
+    """A single-copy object's store and delete schedule exactly the
+    kernel events they did before every layout shared one store, delete
+    and repair path: one holder means no scatter, no gather and no
+    extra process.  Message sizes and therefore timings follow."""
+
+    @pytest.mark.parametrize(
+        "placement, store_events, delete_events",
+        [
+            (None, 20, 25),  # the writer's own mandatory bin
+            (("named-node", "netbook1"), 31, 22),  # a peer's voluntary bin
+            (("remote-cloud", None), 35, 22),  # the remote cloud
+        ],
+    )
+    def test_store_and_delete(self, placement, store_events, delete_events):
+        from repro import Cloud4Home, ClusterConfig
+        from repro.vstore.policies import Placement, PlacementTarget, StorePolicy
+
+        c4h = Cloud4Home(ClusterConfig(seed=5, telemetry=True))
+        c4h.start(monitors=False)
+        writer = c4h.devices[0]
+        if placement is not None:
+            target, node = placement
+            writer.vstore.store_policy = StorePolicy(
+                default=Placement(PlacementTarget(target), node)
+            )
+        sim = c4h.sim
+        before = sim._event_seq
+        c4h.run(writer.client.store_file("a.bin", 3.0))
+        assert sim._event_seq - before == store_events
+        before = sim._event_seq
+        c4h.run(c4h.devices[1].client.delete_object("a.bin"))
+        assert sim._event_seq - before == delete_events
+        assert not any(d.vstore.holds("a.bin") for d in c4h.devices)
