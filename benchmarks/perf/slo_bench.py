@@ -5,12 +5,18 @@ Two claims, one payload:
 * **Overhead** — the active observability layer (windowed rollups fed
   from judged spans, the SLO engine, the flight-recorder hub) must
   cost ≤ 5% wall time *on top of plain telemetry* on the paper's
-  Table I store+fetch sweep.  Three sweeps are timed: everything off,
+  Table I store+fetch sweep.  Three modes are timed: everything off,
   telemetry on, and ``slo=True`` (telemetry + windowed rollups +
-  engine + recorders); the gate compares the minimum walls of the
-  last two, with the modes interleaved across ``repeats`` rounds so
-  host-load drift hits all three alike.  The simulated metrics of all
-  three must be bit-identical — the SLO layer observes the
+  engine + recorders).  They are interleaved point by point: each
+  Table I point runs in all three modes back to back (the order
+  rotating from point to point, a full collection before each), over
+  ``repeats`` rounds.  The gate is the median, over every (point,
+  round), of the slo/telemetry wall ratio: the two walls of a pair
+  are ~10 ms apart, so host-load drift cancels inside each pair, and
+  the median ignores the pairs a burst of load split.  The minimum of
+  a ~40 ms sweep over 9 rounds swung from −3% to +16% on a shared
+  host with a true overhead of ~3%.  The simulated metrics of all
+  three modes must be bit-identical — the SLO layer observes the
   simulation, it never perturbs it.
 
   Staying under the bar is a design property, not luck: the span feed
@@ -31,7 +37,9 @@ Two claims, one payload:
 
 from __future__ import annotations
 
+import gc
 import json
+import statistics
 import time
 
 from repro import Cloud4Home, ClusterConfig
@@ -73,18 +81,40 @@ def _measure(size_mb: int, mode: str, ops: int):
     return fetches
 
 
-def _sweep(sizes, mode: str, ops: int) -> tuple[float, dict]:
-    t0 = time.perf_counter()
-    results = {size: _measure(size, mode, ops) for size in sizes}
-    wall = time.perf_counter() - t0
-    metrics = {
-        str(size): [
-            [f.total_s, f.dht_lookup_s, f.inter_node_s, f.inter_domain_s]
-            for f in fetches
-        ]
-        for size, fetches in results.items()
-    }
-    return wall, metrics
+def _interleaved(sizes, ops: int, repeats: int):
+    """Time every Table I point in each mode, the modes back to back.
+
+    Returns ``walls[mode][round][point]`` and each mode's simulated
+    metrics (from the last round).
+    """
+    walls = {mode: [[0.0] * len(sizes) for _ in range(repeats)] for mode in _MODES}
+    metrics: dict[str, dict] = {mode: {} for mode in _MODES}
+    for round_ in range(repeats):
+        for point, size in enumerate(sizes):
+            shift = (round_ + point) % len(_MODES)
+            for mode in _MODES[shift:] + _MODES[:shift]:
+                gc.collect()
+                t0 = time.perf_counter()
+                fetches = _measure(size, mode, ops)
+                walls[mode][round_][point] = time.perf_counter() - t0
+                metrics[mode][str(size)] = [
+                    [f.total_s, f.dht_lookup_s, f.inter_node_s, f.inter_domain_s]
+                    for f in fetches
+                ]
+    return walls, metrics
+
+
+def _paired_overhead(walls: dict, mode: str, base: str) -> float:
+    """Median over every (round, point) of ``mode``'s wall over
+    ``base``'s, minus one."""
+    return (
+        statistics.median(
+            wall / base_wall
+            for mode_round, base_round in zip(walls[mode], walls[base])
+            for wall, base_wall in zip(mode_round, base_round)
+        )
+        - 1.0
+    )
 
 
 def _chaos_section() -> dict:
@@ -114,29 +144,23 @@ def _chaos_section() -> dict:
     }
 
 
-def bench_slo(sizes=SIZES_MB, repeats: int = 9, ops: int = 6) -> dict:
-    walls: dict[str, list[float]] = {mode: [] for mode in _MODES}
-    metrics: dict[str, dict] = {}
-    for _ in range(repeats):
-        for mode in _MODES:
-            wall, metrics[mode] = _sweep(sizes, mode, ops)
-            walls[mode].append(wall)
+def bench_slo(sizes=SIZES_MB, repeats: int = 21, ops: int = 6) -> dict:
+    walls, metrics = _interleaved(sizes, ops, repeats)
     assert metrics["off"] == metrics["telemetry"] == metrics["slo"], (
         "the SLO layer perturbed simulated results: "
         f"{metrics['off']} vs {metrics['telemetry']} vs {metrics['slo']}"
     )
-    off_wall = min(walls["off"])
-    telemetry_wall = min(walls["telemetry"])
-    slo_wall = min(walls["slo"])
+    # Fastest whole sweep per mode, for the record.
+    sweep = {mode: min(sum(round_) for round_ in walls[mode]) for mode in _MODES}
     return {
         "sizes_mb": list(sizes),
         "repeats": repeats,
         "ops_per_point": ops,
-        "disabled_wall_s": off_wall,
-        "telemetry_wall_s": telemetry_wall,
-        "slo_wall_s": slo_wall,
-        "overhead_vs_disabled": slo_wall / off_wall - 1.0,
-        "overhead_vs_telemetry": slo_wall / telemetry_wall - 1.0,
+        "disabled_wall_s": sweep["off"],
+        "telemetry_wall_s": sweep["telemetry"],
+        "slo_wall_s": sweep["slo"],
+        "overhead_vs_disabled": _paired_overhead(walls, "slo", "off"),
+        "overhead_vs_telemetry": _paired_overhead(walls, "slo", "telemetry"),
         "simulated_results_identical": True,
         "chaos": _chaos_section(),
     }

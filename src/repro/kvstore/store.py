@@ -459,9 +459,12 @@ class DhtKeyValueStore:
         self.primary[key_hex] = record
         if self.tombstones is not None:
             self.tombstones.pop(key_hex, None)
-        self._push_replicas(record)
-        self._push_cache_updates(record)
-        return {"record": record.wire(), "owner": self.name}
+        # One encoding serves the reply and both pushes.
+        wire = record.wire()
+        size = payload_size(wire)
+        self._push_replicas(record, wire, size)
+        self._push_cache_updates(key_hex, wire, size)
+        return {"record": wire, "owner": self.name}
 
     def _get_local(self, body: dict, span=None):
         key = NodeId.from_hex(body["key"])
@@ -607,21 +610,24 @@ class DhtKeyValueStore:
         key = NodeId.from_hex(key_hex)
         return self.chimera.nearest_peers(key, self.replication_factor)
 
-    def _push_replicas(self, record: Record) -> None:
+    def _push_replicas(
+        self, record: Record, wire: Optional[dict] = None, size: int = 0
+    ) -> None:
+        """Push ``record`` to its replica targets; ``wire`` and its
+        ``size``, when given, are the record's encoding already built."""
         targets = self._replica_targets(record.key_hex)
         if not targets:
             return
-        wire = record.wire()
-        size = payload_size(wire)
+        if wire is None:
+            wire = record.wire()
+            size = payload_size(wire)
         for peer in targets:
             self._safe_notify(peer.name, MSG_REPLICA, {"record": wire}, size=size)
 
-    def _push_cache_updates(self, record: Record) -> None:
-        holders = self.cache_holders.get(record.key_hex)
+    def _push_cache_updates(self, key_hex: str, wire: dict, size: int) -> None:
+        holders = self.cache_holders.get(key_hex)
         if not holders:
             return
-        wire = record.wire()
-        size = payload_size(wire)
         for holder in list(holders):
             self._safe_notify(holder, MSG_CACHE_UPDATE, {"record": wire}, size=size)
 

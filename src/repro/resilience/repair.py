@@ -6,12 +6,16 @@ one short until someone notices.  The :class:`Repairer` is that
 someone: each node runs one, and on a fixed period it walks the object
 metadata it *owns* (records in its KV primary map named ``object:*`` —
 ownership makes the sweep naturally partitioned, each object is
-repaired by exactly one live node) and for every object:
+repaired by exactly one live node).  A sweep
 
-1. **probes** the object's holders (a full-copy primary and its
-   replicas, or a stripe's chunk holders) with a cheap ``vstore.ping``,
-   treating breaker-open peers as down without touching the network;
-   cloud holders count as live;
+1. **probes** each distinct holder once: one ``vstore.ping`` per peer
+   carries the names of every share (full copy or stripe chunk) the
+   sweep's objects place there, plus pruned holders' names when
+   ``track_lost`` is on, and the peer answers which of them it holds.
+   Breaker-open peers count as down without touching the network;
+   cloud holders count as live.  An object whose n holders all hold
+   their share, with no pruned holder to check, is healthy and needs
+   nothing more.  For every other object the sweep
 2. **promotes** a live replica to primary when the primary is dead
    (or falls back to the object's cloud copy when fewer than k
    holders survive);
@@ -30,6 +34,7 @@ non-empty and the final metadata fully replicated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Optional
 
 from repro.kvstore.errors import KvError
@@ -82,7 +87,7 @@ class Repairer:
         #: Remember pruned holders in ``meta.lost_replicas`` and probe
         #: them on later sweeps — on durable-storage deployments a
         #: crashed holder can come back *with its payload*, and
-        #: reattaching it costs one ping instead of a full re-copy.
+        #: reattaching it costs no copy: the sweep's probe answers it.
         self.track_lost = track_lost
         self.repairs: list[RepairAction] = []
         self.scans = 0
@@ -153,19 +158,28 @@ class Repairer:
             ),
             key=lambda r: r.name,
         )
+        metas = []
         for record in records:
             try:
-                meta = ObjectMeta.from_wire(record.latest.value)
+                metas.append(ObjectMeta.from_wire(record.latest.value))
             except (TypeError, ValueError, AttributeError):
                 continue  # not object metadata after all
+        held = yield from self._probe(metas)
+        for meta in metas:
+            if self._healthy(meta, held):
+                continue
             try:
-                yield from self.repair_object(meta)
+                yield from self.repair_object(meta, held)
             except (NetworkError, KvError, VStoreError):
                 continue  # this object again next sweep
         return len(self.repairs) - before
 
-    def repair_object(self, meta: ObjectMeta):
-        """Process: restore one object to full payload redundancy."""
+    def repair_object(self, meta: ObjectMeta, held: Optional[set] = None):
+        """Process: restore one object to full payload redundancy.
+
+        ``held`` is a sweep's probe answers (see :meth:`_probe`); without
+        it the object's holders are probed first.
+        """
         if meta.is_remote and not meta.replicas:
             return False  # cloud-resident: the cloud is the redundancy
         tel = self.sim.telemetry
@@ -180,7 +194,9 @@ class Repairer:
             else None
         )
         try:
-            changed = yield from self._repair(meta, span)
+            if held is None:
+                held = yield from self._probe([meta], span)
+            changed = yield from self._repair(meta, held, span)
         except BaseException as exc:
             if span is not None:
                 tel.fail(span, exc)
@@ -189,14 +205,14 @@ class Repairer:
             tel.end(span, changed=changed)
         return changed
 
-    def _repair(self, meta: ObjectMeta, span):
+    def _repair(self, meta: ObjectMeta, held: set, span):
         """Process: restore the object's n holders from any k live ones.
 
-        Holders are probed; cloud holders count as live.  Full copies
-        are interchangeable: the first live one becomes the primary and
-        streams every missing copy itself.  A stripe's chunks are not:
-        this node pulls any k live ones, re-encodes the lost ones, and
-        streams those.  Either way the missing shares go out in one
+        Holders are live as ``held`` answered; cloud holders always are.
+        Full copies are interchangeable: the first live one becomes the
+        primary and streams every missing copy itself.  A stripe's
+        chunks are not: this node pulls any k live ones, re-encodes the
+        lost ones, and streams those.  Either way the missing shares go out in one
         scatter (:meth:`VStoreNode.replicate_local`).  With fewer than k
         live holders the ``url`` cloud copy, if any, becomes the object;
         otherwise the object is logged lost and left for a later sweep
@@ -204,16 +220,9 @@ class Repairer:
         """
         before = meta.wire()
         holders = meta.holders
-        live: list[Optional[str]] = []
-        for slot, holder in enumerate(holders):
-            alive = holder == LOCATION_REMOTE
-            if not alive:
-                alive = yield from self._holds_object(
-                    holder, meta.slot_name(slot), span
-                )
-            live.append(holder if alive else None)
+        live = self._live(meta, held)
         if meta.k == 1 and self.track_lost and meta.lost_replicas:
-            yield from self._reattach(meta, live, span)
+            self._reattach(meta, live, held)
         alive = [node for node in live if node is not None]
         dead = [node for node in holders if node not in alive]
         if meta.k == 1:
@@ -292,15 +301,15 @@ class Repairer:
         yield from self._republish(meta, span)
         return True
 
-    def _reattach(self, meta: ObjectMeta, live: list, span):
-        """Process: add pruned holders that came back with the payload to
+    def _reattach(self, meta: ObjectMeta, live: list, held: set) -> None:
+        """Add pruned holders that came back with the payload to
         ``live``.  The cheap recovery path: the holder replayed its WAL,
         so reattaching it moves zero bytes."""
         returned: list[str] = []
         for holder in list(meta.lost_replicas):
             if holder in live:
                 meta.lost_replicas.remove(holder)
-            elif (yield from self._holds_object(holder, meta.name, span)):
+            elif self._holds(held, holder, meta.name):
                 meta.lost_replicas.remove(holder)
                 returned.append(holder)
         if returned:
@@ -323,29 +332,75 @@ class Repairer:
         # Bounded memory: only the most recent departures matter.
         del meta.lost_replicas[:-8]
 
-    def _holds_object(self, holder: str, name: str, span):
-        """Process: does ``holder`` answer and physically hold ``name``?"""
+    def _live(self, meta: ObjectMeta, held: set) -> list[Optional[str]]:
+        """Each slot's holder if it held its share at the probe, else None."""
+        return [
+            holder if self._holds(held, holder, meta.slot_name(slot)) else None
+            for slot, holder in enumerate(meta.holders)
+        ]
+
+    def _healthy(self, meta: ObjectMeta, held: set) -> bool:
+        """Are all n holders live, with no pruned holder to check?  A
+        full-copy object is whole only with 1 + ``data_replicas``
+        holders."""
+        if meta.k == 1 and (
+            len(meta.holders) < 1 + self.data_replicas
+            or (self.track_lost and meta.lost_replicas)
+        ):
+            return False
+        return None not in self._live(meta, held)
+
+    def _holds(self, held: set, holder: str, name: str) -> bool:
+        """Did ``holder`` hold ``name`` at the probe?"""
+        if holder == LOCATION_REMOTE:
+            return True
         if holder == self.name:
             return self.vstore.holds(name)
-        breakers = self.caller.breakers if self.caller is not None else None
-        if breakers is not None and breakers.is_open(holder, self.sim.now):
-            return False  # recently failing; don't burn a probe on it
-        body = {"name": name}
-        if span is not None:
-            body["span"] = span.ctx_wire()
-        try:
-            # A deliberate bare call: failure of the probe *is* the
-            # signal, so retrying it would only slow the sweep down.
-            reply = yield self.vstore.endpoint.call(
-                holder, MSG_PING, body, timeout=PING_TIMEOUT_S
+        return (holder, name) in held
+
+    def _probe(self, metas: list, span=None):
+        """Process: ask each remote holder of ``metas`` once which of
+        its shares it holds; returns the (holder, name) pairs it does.
+
+        Holders are probed one after another in name order.  A holder
+        that fails to answer holds nothing, and each probe is one
+        breaker observation.
+        """
+        wanted = set()
+        for meta in metas:
+            wanted.update(
+                (holder, meta.slot_name(slot)) for slot, holder in enumerate(meta.holders)
             )
-        except (HostDownError, RpcTimeoutError, RemoteError):
+            if meta.k == 1 and self.track_lost:
+                wanted.update((holder, meta.name) for holder in meta.lost_replicas)
+        pairs = sorted(
+            pair for pair in wanted if pair[0] not in (LOCATION_REMOTE, self.name)
+        )
+        breakers = self.caller.breakers if self.caller is not None else None
+        held: set = set()
+        for holder, group in groupby(pairs, key=lambda pair: pair[0]):
+            if breakers is not None and breakers.is_open(holder, self.sim.now):
+                continue  # recently failing; don't burn a probe on it
+            names = [name for _, name in group]
+            body = {"names": names}
+            if span is not None:
+                body["span"] = span.ctx_wire()
+            try:
+                # A deliberate bare call: failure of the probe *is* the
+                # signal, so retrying it would only slow the sweep down.
+                reply = yield self.vstore.endpoint.call(
+                    holder, MSG_PING, body, timeout=PING_TIMEOUT_S
+                )
+            except (HostDownError, RpcTimeoutError, RemoteError):
+                if breakers is not None:
+                    breakers.record_failure(holder, self.sim.now)
+                continue
             if breakers is not None:
-                breakers.record_failure(holder, self.sim.now)
-            return False
-        if breakers is not None:
-            breakers.record_success(holder, self.sim.now)
-        return bool(reply.get("holds"))
+                breakers.record_success(holder, self.sim.now)
+            held.update(
+                (holder, name) for name, holds in zip(names, reply["holds"]) if holds
+            )
+        return held
 
     def _republish(self, meta: ObjectMeta, span):
         yield from self.vstore.kv.put(object_key(meta.name), meta.wire(), ctx=span)

@@ -1335,5 +1335,6 @@ class VStoreNode:
         return {"deleted": True}
 
     def _handle_ping(self, request: Request) -> dict:
-        """Cheap liveness + holdership probe (repairer's health check)."""
-        return {"alive": True, "holds": self.holds(request.body["name"])}
+        """Cheap holdership probe (the repairer's health check): which
+        of ``names`` this node holds, in order."""
+        return {"holds": [self.holds(name) for name in request.body["names"]]}

@@ -15,7 +15,7 @@ from repro.cluster import (
     ResilienceConfig,
 )
 from repro.kvstore import DhtKeyValueStore
-from repro.vstore.node import object_key
+from repro.vstore.node import MSG_PING, object_key
 from repro.vstore.objects import LOCATION_REMOTE, ObjectMeta
 from repro.vstore.policies import Placement, PlacementTarget, StorePolicy
 from repro.vstore.striping import chunk_name
@@ -159,6 +159,11 @@ def live_holders(c4h, meta):
     return live
 
 
+def owner_of(c4h, name):
+    key_hex = DhtKeyValueStore.key_for(object_key(name)).hex
+    return next(d for d in c4h.devices if key_hex in d.kv.primary)
+
+
 class TestEveryLayout:
     """Store, delete and repair over each k-of-n layout."""
 
@@ -176,8 +181,7 @@ class TestEveryLayout:
     def test_repair_restores_n_holders_from_k(self, layout):
         c4h, meta = store_layout(layout)
         n = len(meta.holders)
-        key_hex = DhtKeyValueStore.key_for(object_key("obj.bin")).hex
-        owner = next(d for d in c4h.devices if key_hex in d.kv.primary)
+        owner = owner_of(c4h, "obj.bin")
         victims = [
             h for h in meta.holders if h not in (LOCATION_REMOTE, owner.name)
         ][: n - meta.k]
@@ -195,6 +199,128 @@ class TestEveryLayout:
         healed = get_meta(c4h, owner, "obj.bin")
         assert not set(victims) & set(healed.holders)
         assert len(live_holders(c4h, healed)) == len(healed.holders) >= n
+
+
+def count_pings(device):
+    """Record each ``vstore.ping`` ``device`` sends as (dst, names)."""
+    sent = []
+    call = device.vstore.endpoint.call
+
+    def counting(dst, msg_type, body=None, **kwargs):
+        if msg_type == MSG_PING:
+            sent.append((dst, list(body["names"])))
+        return call(dst, msg_type, body, **kwargs)
+
+    device.vstore.endpoint.call = counting
+    return sent
+
+
+def drop_payload(device, name):
+    """The holder stays up but loses one stored share."""
+    vstore = device.vstore
+    (vstore.mandatory if name in vstore.mandatory else vstore.voluntary).remove(name)
+
+
+def repair_actions(device, after):
+    return [a.action for a in device.repairer.repairs if a.at >= after]
+
+
+class TestBatchedProbe:
+    """A sweep probes each distinct holder once and repairs only what
+    the probe found short."""
+
+    def test_healthy_sweep_pings_each_holder_once_and_opens_no_span(self):
+        c4h = Cloud4Home(resilient_config(821, telemetry=True))
+        c4h.start()
+        names = [f"h{i}.bin" for i in range(12)]
+        for i, name in enumerate(names):
+            c4h.run(c4h.devices[i % 8].client.store_file(name, 1.0))
+        metas = {name: get_meta(c4h, c4h.devices[0], name) for name in names}
+        swept = 0
+        for device in c4h.devices:
+            owned = [m for m in metas.values() if owner_of(c4h, m.name) is device]
+            remote = {h for m in owned for h in m.holders} - {device.name}
+            pings = count_pings(device)
+            since = c4h.sim.now
+            assert c4h.run(device.repairer.scan_once()) == 0
+            assert sorted(dst for dst, _ in pings) == sorted(remote)
+            for dst, asked in pings:
+                assert sorted(asked) == sorted(m.name for m in owned if dst in m.holders)
+            assert not [
+                s
+                for s in c4h.telemetry.spans
+                if s.name == "resilience.repair" and s.start >= since
+            ]
+            swept += len(owned)
+        # Holders are shared: the old per-(object, holder) probe sent more.
+        assert swept == len(names)
+        assert sum(len(m.holders) for m in metas.values()) > 8
+
+    def test_breaker_open_holder_gets_no_probe(self):
+        c4h, meta = store_layout("replicas")
+        owner = owner_of(c4h, "obj.bin")
+        target = next(h for h in meta.holders if h != owner.name)
+        breakers = owner.repairer.caller.breakers
+        for _ in range(breakers.failure_threshold):
+            breakers.record_failure(target, c4h.sim.now)
+        assert breakers.is_open(target, c4h.sim.now)
+        pings = count_pings(owner)
+        c4h.run(owner.repairer.scan_once())
+        sent_to = [dst for dst, _ in pings]
+        assert target not in sent_to
+        assert sorted(sent_to) == sorted(
+            set(meta.holders) - {owner.name, target, LOCATION_REMOTE}
+        )
+
+    @pytest.mark.parametrize(
+        "layout, action", [("replicas", "replicate"), ("stripe+cloud", "rebuild")]
+    )
+    def test_live_holder_that_lost_its_share_is_repaired(self, layout, action):
+        c4h, meta = store_layout(layout)
+        owner = owner_of(c4h, "obj.bin")
+        slot, holder = next(
+            (slot, h)
+            for slot, h in enumerate(meta.holders)
+            if h not in (owner.name, LOCATION_REMOTE)
+        )
+        drop_payload(c4h.device(holder), meta.slot_name(slot))
+        assert len(live_holders(c4h, meta)) == len(meta.holders) - 1
+        since = c4h.sim.now
+        c4h.run(owner.repairer.scan_once())
+        assert action in repair_actions(owner, since)
+        healed = get_meta(c4h, owner, "obj.bin")
+        assert len(live_holders(c4h, healed)) == len(healed.holders) == len(meta.holders)
+
+    def test_returned_holder_is_reattached_by_the_batched_probe(self):
+        c4h = Cloud4Home(resilient_config(822, storage="wal"))
+        c4h.start()
+        c4h.run(c4h.devices[0].client.store_file("obj.bin", 1.0))
+        meta = get_meta(c4h, c4h.devices[0], "obj.bin")
+        owner = owner_of(c4h, "obj.bin")
+        assert owner.repairer.track_lost
+        victim = next(h for h in meta.replicas if h != owner.name)
+        chaos = ChaosSchedule(c4h).crash(0.0, victim)
+        chaos.start()
+        c4h.sim.run(until=c4h.sim.now + 1.0)
+        c4h.run(owner.repairer.scan_once())
+        pruned = get_meta(c4h, owner, "obj.bin")
+        assert victim not in pruned.holders
+        assert pruned.lost_replicas == [victim]
+
+        ChaosSchedule(c4h).revive(0.0, victim).start()
+        c4h.sim.run(until=c4h.sim.now + 10.0)
+        assert c4h.device(victim).vstore.holds("obj.bin")
+        pings = count_pings(owner)
+        since = c4h.sim.now
+        c4h.run(owner.repairer.scan_once())
+        reattached = [
+            a for a in owner.repairer.repairs if a.at >= since and a.action == "reattach"
+        ]
+        assert [a.nodes for a in reattached] == [[victim]]
+        assert [dst for dst, _ in pings].count(victim) == 1
+        rejoined = get_meta(c4h, owner, "obj.bin")
+        assert victim in rejoined.holders
+        assert rejoined.lost_replicas == []
 
 
 class TestFetchFailover:
