@@ -13,8 +13,10 @@ seconds (used by CI, which makes no timing assertions).  Every mode
 enforces the exact event-count gates: XenSocket ``transfer()`` may
 schedule at most 8 kernel events at any size from 0 B to 100 MB, and
 an RPC echo round trip takes exactly 3 events (4 on an idle endpoint,
-5 with a generator handler), a forwarded ``kv.get`` hop 6, and a
-delivered ``Network.send`` message schedules nothing further.
+5 with a generator handler), a forwarded ``kv.get`` hop 6, a
+delivered ``Network.send`` message schedules nothing further, and a
+disk store's flush takes exactly 2 events when dirty and none per idle
+period.
 The ``fastpath`` suite records absolute figures — kernel events/s,
 wall time plus kernel events for the XenSocket transfer and the
 overlay lookup storm, and sequential RPC round trips per second.  ``--check`` additionally enforces the acceptance
@@ -66,6 +68,8 @@ for entry in (str(REPO_ROOT / "src"), str(REPO_ROOT)):
 
 from benchmarks.perf.decision_bench import bench_decision
 from benchmarks.perf.durability_bench import bench_durability
+from benchmarks.perf.flusher_bench import EVENT_COUNTS as FLUSHER_EVENT_COUNTS
+from benchmarks.perf.flusher_bench import bench_flusher
 from benchmarks.perf.kernel_bench import bench_kernel
 from benchmarks.perf.overlay_bench import bench_overlay
 from benchmarks.perf.parallel_bench import (
@@ -132,6 +136,7 @@ def _suites(smoke: bool, workers: int) -> list:
                 "xensocket_100mb": bench_xensocket(nbytes=5 * MB),
                 "overlay_lookup_storm": bench_overlay(n_nodes=12, n_lookups=100),
                 "rpc_round_trip": bench_rpc(n_calls=2000),
+                "disk_flusher": bench_flusher(),
                 "table1_sweep": bench_table1(sizes=[1, 10], repeats=1),
             }),
             ("parallel", lambda: {
@@ -172,6 +177,7 @@ def _suites(smoke: bool, workers: int) -> list:
             "xensocket_100mb": bench_xensocket(),
             "overlay_lookup_storm": bench_overlay(),
             "rpc_round_trip": bench_rpc(),
+            "disk_flusher": bench_flusher(),
             "table1_sweep": bench_table1(),
         }),
         ("parallel", lambda: {
@@ -194,6 +200,7 @@ GATES = {
         "thresholds": THRESHOLDS,
         "xensocket_event_budget": XENSOCKET_EVENT_BUDGET,
         "rpc_event_counts": RPC_EVENT_COUNTS,
+        "flusher_event_counts": FLUSHER_EVENT_COUNTS,
     },
     "parallel": {"thresholds": PARALLEL_THRESHOLDS},
     "telemetry": {"max_disabled_overhead": TELEMETRY_MAX_DISABLED_OVERHEAD},
@@ -357,6 +364,7 @@ def main(argv=None) -> int:
     xs = results["xensocket_100mb"]
     storm = results["overlay_lookup_storm"]
     rpc = results["rpc_round_trip"]
+    flusher = results["disk_flusher"]
     table1 = results["table1_sweep"]
     print(f"fastpath microbenchmarks ({mode} mode)")
     print(
@@ -376,6 +384,7 @@ def main(argv=None) -> int:
         f"  rpc_round_trip           {rpc['round_trips_per_s']:,.0f} round trips/s;"
         f" events {rpc['events']}"
     )
+    print(f"  disk_flusher             events {flusher['events']}")
     if table1["speedup"] is None:
         print(
             f"  table1_sweep             {table1['wall_s']:.4f} s wall"
@@ -468,6 +477,10 @@ def main(argv=None) -> int:
     if rpc["events"] != RPC_EVENT_COUNTS:
         failures.append(
             f"rpc: kernel events {rpc['events']} != {RPC_EVENT_COUNTS}"
+        )
+    if flusher["events"] != FLUSHER_EVENT_COUNTS:
+        failures.append(
+            f"disk flusher: kernel events {flusher['events']} != {FLUSHER_EVENT_COUNTS}"
         )
     if args.check:
         for name, minimum in THRESHOLDS.items():

@@ -14,11 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any
+from typing import Any, Optional
 
-from repro.storage.interface import entry_bytes
+from repro.storage.interface import encoded_len
 
-__all__ = ["OverwritePolicy", "VersionedValue", "Record", "payload_size"]
+__all__ = ["OverwritePolicy", "VersionedValue", "Record", "PAYLOAD_OVERHEAD", "payload_size"]
+
+#: Bytes a KV wire payload adds to its JSON encoding.
+PAYLOAD_OVERHEAD = 64
 
 
 class OverwritePolicy(Enum):
@@ -31,7 +34,7 @@ class OverwritePolicy(Enum):
 
 def payload_size(value: Any) -> int:
     """Approximate wire size of a JSON-serializable value, bytes."""
-    return entry_bytes(value, overhead=64)
+    return encoded_len(value) + PAYLOAD_OVERHEAD
 
 
 @dataclass
@@ -60,11 +63,20 @@ class Record:
 
     ``name`` preserves the human-readable key (object/service name or
     node address) when known; the 40-bit hash is the routing key.
+
+    A record encodes itself for its size at most once per version: the
+    owner's journal entry, its reply and its pushes share
+    :meth:`encoded_len`, and a receiver takes it from the message size.
     """
 
     key_hex: str
     name: str = ""
     versions: list[VersionedValue] = field(default_factory=list)
+
+    #: The cached :meth:`encoded_len`, or None; :meth:`apply` clears it.
+    #: A class default rather than a field, so building a record costs
+    #: what it did before the cache.
+    _encoded_len = None
 
     @property
     def latest(self) -> VersionedValue:
@@ -84,6 +96,19 @@ class Record:
             self.versions.append(entry)
         else:
             self.versions = [entry]
+        self._encoded_len = None
+
+    def encoded_len(self, wire: Optional[dict] = None) -> int:
+        """Length of :meth:`wire`'s JSON encoding, encoded once per
+        version; ``wire``, when given, is :meth:`wire` already built."""
+        size = self._encoded_len
+        if size is None:
+            size = self._encoded_len = encoded_len(self.wire() if wire is None else wire)
+        return size
+
+    def wire_size(self, wire: Optional[dict] = None) -> int:
+        """:func:`payload_size` of :meth:`wire`: this record's message size."""
+        return self.encoded_len(wire) + PAYLOAD_OVERHEAD
 
     def wire(self) -> dict:
         return {
@@ -93,12 +118,19 @@ class Record:
         }
 
     @classmethod
-    def from_wire(cls, data: dict) -> "Record":
-        return cls(
+    def from_wire(cls, data: dict, wire_size: Optional[int] = None) -> "Record":
+        """Rebuild a record; ``wire_size`` is the size of the message that
+        carried ``data`` alone (its sender's :meth:`wire_size`), if known."""
+        record = cls(
             key_hex=data["key"],
             name=data.get("name", ""),
             versions=[VersionedValue.from_wire(v) for v in data["versions"]],
         )
+        if wire_size is not None:
+            record._encoded_len = wire_size - PAYLOAD_OVERHEAD
+        return record
 
     def copy(self) -> "Record":
-        return Record.from_wire(self.wire())
+        record = Record.from_wire(self.wire())
+        record._encoded_len = self._encoded_len
+        return record

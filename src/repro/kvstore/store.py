@@ -391,14 +391,16 @@ class DhtKeyValueStore:
         # owner later crashes still have the promised redundancy.
         for key_hex, replica in list(self.replicas.items()):
             wire = replica.wire()
-            size = payload_size(wire)
+            size = replica.wire_size(wire)
             for peer in self._replica_targets(key_hex):
                 self._safe_notify(peer.name, MSG_REPLICA, {"record": wire}, size=size)
         yield from self.chimera.leave()
 
     # -- local entry points shared with the RPC handlers ---------------------
 
-    def _put_local(self, body: dict, span=None):
+    def _put_local(self, body: dict, span=None, size: Optional[int] = None):
+        """``size`` is the forwarded message's: the value's
+        :func:`payload_size`, reused from the incoming hop when known."""
         key = NodeId.from_hex(body["key"])
         yield self.sim.timeout(self.processing_s)
         tel = self.sim.telemetry
@@ -420,13 +422,10 @@ class DhtKeyValueStore:
             next_body = {**body, "path": body["path"] + [self.name]}
             if fwd is not None:
                 next_body["span"] = fwd.ctx_wire()
+            if size is None:
+                size = payload_size(body["value"])
             try:
-                reply = yield self.endpoint.call(
-                    hop.name,
-                    MSG_PUT,
-                    next_body,
-                    size=payload_size(body["value"]),
-                )
+                reply = yield self.endpoint.call(hop.name, MSG_PUT, next_body, size=size)
             except (HostDownError, RpcTimeoutError) as exc:
                 if fwd is not None:
                     tel.fail(fwd, exc)
@@ -459,11 +458,11 @@ class DhtKeyValueStore:
         self.primary[key_hex] = record
         if self.tombstones is not None:
             self.tombstones.pop(key_hex, None)
-        # One encoding serves the reply and both pushes.
+        # One wire form serves the reply and both pushes, and one size
+        # (the journal's, when there is one) serves all of them.
         wire = record.wire()
-        size = payload_size(wire)
-        self._push_replicas(record, wire, size)
-        self._push_cache_updates(key_hex, wire, size)
+        self._push_replicas(record, wire)
+        self._push_cache_updates(key_hex, wire, record.wire_size(wire))
         return {"record": wire, "owner": self.name}
 
     def _get_local(self, body: dict, span=None):
@@ -610,17 +609,15 @@ class DhtKeyValueStore:
         key = NodeId.from_hex(key_hex)
         return self.chimera.nearest_peers(key, self.replication_factor)
 
-    def _push_replicas(
-        self, record: Record, wire: Optional[dict] = None, size: int = 0
-    ) -> None:
-        """Push ``record`` to its replica targets; ``wire`` and its
-        ``size``, when given, are the record's encoding already built."""
+    def _push_replicas(self, record: Record, wire: Optional[dict] = None) -> None:
+        """Push ``record`` to its replica targets; ``wire``, when given,
+        is the record's wire form already built."""
         targets = self._replica_targets(record.key_hex)
         if not targets:
             return
         if wire is None:
             wire = record.wire()
-            size = payload_size(wire)
+        size = record.wire_size(wire)
         for peer in targets:
             self._safe_notify(peer.name, MSG_REPLICA, {"record": wire}, size=size)
 
@@ -718,16 +715,19 @@ class DhtKeyValueStore:
         ep.register(MSG_SYNC, self._handle_sync)
         ep.register(MSG_SYNC_PUSH, self._handle_sync_push)
 
-    def _handled(self, name: str, request: Request, inner, source_key: str = ""):
+    def _handled(
+        self, name: str, request: Request, inner, source_key: str = "", **kwargs
+    ):
         """Process: run a local entry point under a ``kv.handle_*`` span.
 
         The span parents from the forwarding hop's wire context (the
         ``"span"`` key carried in the request body when telemetry is
-        on), keeping the cross-node span tree connected.
+        on), keeping the cross-node span tree connected.  ``kwargs``
+        go to ``inner``.
         """
         tel = self.sim.telemetry
         if tel is None:
-            reply = yield from inner(request.body, None)
+            reply = yield from inner(request.body, None, **kwargs)
             return reply
         span = tel.begin(
             name,
@@ -737,7 +737,7 @@ class DhtKeyValueStore:
             src=request.src,
         )
         try:
-            reply = yield from inner(request.body, span)
+            reply = yield from inner(request.body, span, **kwargs)
         except BaseException as exc:
             tel.fail(span, exc)
             raise
@@ -748,7 +748,9 @@ class DhtKeyValueStore:
         return reply
 
     def _handle_put(self, request: Request):
-        reply = yield from self._handled("kv.handle_put", request, self._put_local)
+        reply = yield from self._handled(
+            "kv.handle_put", request, self._put_local, size=request.size
+        )
         return reply
 
     def _handle_get(self, request: Request):
@@ -764,7 +766,9 @@ class DhtKeyValueStore:
         return reply
 
     def _handle_replica(self, request: Request) -> None:
-        record = Record.from_wire(request.body["record"])
+        # The sender's size is the record's: a durable backend journals
+        # the replica without encoding it again.
+        record = Record.from_wire(request.body["record"], request.size)
         if self.tombstones is not None:
             tomb = self.tombstones.get(record.key_hex)
             if tomb is not None:
@@ -782,9 +786,9 @@ class DhtKeyValueStore:
             }
 
     def _handle_cache_update(self, request: Request) -> None:
-        record = Record.from_wire(request.body["record"])
-        if record.key_hex in self.cache:
-            self.cache[record.key_hex] = record
+        wire = request.body["record"]
+        if wire["key"] in self.cache:
+            self.cache[wire["key"]] = Record.from_wire(wire)
 
     def _handle_cache_invalidate(self, request: Request) -> None:
         self.cache.pop(request.body["key"], None)

@@ -83,6 +83,8 @@ class Request:
     msg_type: str
     body: Any
     req_id: int
+    #: The size the sender declared for the message, bytes.
+    size: int = 64
 
 
 @dataclass
@@ -257,7 +259,9 @@ class RpcEndpoint:
                 message.src, envelope, None, f"no handler for {envelope.msg_type!r}"
             )
             return
-        request = Request(message.src, envelope.msg_type, envelope.body, envelope.req_id)
+        request = Request(
+            message.src, envelope.msg_type, envelope.body, envelope.req_id, message.size
+        )
         error: Optional[str] = None
         value: Any = None
         try:

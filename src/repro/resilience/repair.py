@@ -25,6 +25,12 @@ repaired by exactly one live node).  A sweep
    shares no home node takes spill to the cloud, as for a store;
 4. **republishes** the metadata when it changed.
 
+A sweep works from the metadata it read at its start, so before it
+logs an object lost or moved to the cloud, and before it republishes,
+it re-reads its own ``kv.primary`` record.  When a delete or a new
+store got there first, the sweep leaves the metadata alone and drops
+the shares it placed that the current metadata does not name.
+
 Every action lands in the ``repairs`` log (and on
 ``resilience.repair.*`` counters when metrics are attached), which the
 chaos proofs assert on: after a crash schedule, the log must be
@@ -48,6 +54,11 @@ from repro.vstore.objects import LOCATION_REMOTE, ObjectMeta
 __all__ = ["Repairer", "RepairAction"]
 
 PING_TIMEOUT_S = 10.0
+
+
+def _stamp(record) -> Optional[tuple]:
+    """What identifies one write of a metadata record (None: no record)."""
+    return None if record is None else (record.version, record.latest.updated_at)
 
 
 @dataclass
@@ -161,27 +172,33 @@ class Repairer:
         metas = []
         for record in records:
             try:
-                metas.append(ObjectMeta.from_wire(record.latest.value))
+                metas.append((ObjectMeta.from_wire(record.latest.value), _stamp(record)))
             except (TypeError, ValueError, AttributeError):
                 continue  # not object metadata after all
-        held = yield from self._probe(metas)
-        for meta in metas:
+        held = yield from self._probe([meta for meta, _ in metas])
+        for meta, stamp in metas:
             if self._healthy(meta, held):
                 continue
             try:
-                yield from self.repair_object(meta, held)
+                yield from self.repair_object(meta, held, stamp)
             except (NetworkError, KvError, VStoreError):
                 continue  # this object again next sweep
         return len(self.repairs) - before
 
-    def repair_object(self, meta: ObjectMeta, held: Optional[set] = None):
+    def repair_object(
+        self, meta: ObjectMeta, held: Optional[set] = None, stamp: Optional[tuple] = None
+    ):
         """Process: restore one object to full payload redundancy.
 
         ``held`` is a sweep's probe answers (see :meth:`_probe`); without
-        it the object's holders are probed first.
+        it the object's holders are probed first.  ``stamp`` identifies
+        the metadata write ``meta`` came from (default: this node's
+        record now); the repair backs off if that write is superseded.
         """
         if meta.is_remote and not meta.replicas:
             return False  # cloud-resident: the cloud is the redundancy
+        if stamp is None:
+            stamp = _stamp(self._record(meta.name))
         tel = self.sim.telemetry
         span = (
             tel.begin(
@@ -196,7 +213,7 @@ class Repairer:
         try:
             if held is None:
                 held = yield from self._probe([meta], span)
-            changed = yield from self._repair(meta, held, span)
+            changed = yield from self._repair(meta, held, stamp, span)
         except BaseException as exc:
             if span is not None:
                 tel.fail(span, exc)
@@ -205,7 +222,7 @@ class Repairer:
             tel.end(span, changed=changed)
         return changed
 
-    def _repair(self, meta: ObjectMeta, held: set, span):
+    def _repair(self, meta: ObjectMeta, held: set, stamp: Optional[tuple], span):
         """Process: restore the object's n holders from any k live ones.
 
         Holders are live as ``held`` answered; cloud holders always are.
@@ -219,6 +236,7 @@ class Repairer:
         in case holders return.  Returns whether the metadata changed.
         """
         before = meta.wire()
+        placed_before = set(meta.copies())
         holders = meta.holders
         live = self._live(meta, held)
         if meta.k == 1 and self.track_lost and meta.lost_replicas:
@@ -229,6 +247,8 @@ class Repairer:
             self._note_lost(meta, dead)
 
         if len(alive) < meta.k:
+            if self._superseded(meta, stamp):
+                return False
             if not meta.url:
                 self._log(
                     "lost",
@@ -298,8 +318,35 @@ class Repairer:
             meta.chunk_nodes = [new or old for new, old in zip(slots, holders)]
         if meta.wire() == before:
             return False
+        if self._superseded(meta, stamp):
+            yield from self._drop_unnamed(meta, placed_before, span)
+            return False
         yield from self._republish(meta, span)
         return True
+
+    def _record(self, name: str):
+        """This node's own ``kv.primary`` metadata record of ``name``."""
+        kv = self.vstore.kv
+        return kv.primary.get(kv.key_for(object_key(name)).hex)
+
+    def _superseded(self, meta: ObjectMeta, stamp: Optional[tuple]) -> bool:
+        """Was the metadata write ``stamp`` deleted or overwritten since
+        it was read?  A local read: it costs no simulated time."""
+        return _stamp(self._record(meta.name)) != stamp
+
+    def _drop_unnamed(self, meta: ObjectMeta, kept: set, span):
+        """Process: drop the shares of ``meta`` this repair placed that
+        the current metadata, if any, does not name."""
+        record = self._record(meta.name)
+        if record is not None:
+            kept = kept | set(ObjectMeta.from_wire(record.latest.value).copies())
+        yield from self.vstore._scatter(
+            [
+                self.vstore._drop(node, stored, span)
+                for node, stored in meta.copies()
+                if (node, stored) not in kept
+            ]
+        )
 
     def _reattach(self, meta: ObjectMeta, live: list, held: set) -> None:
         """Add pruned holders that came back with the payload to

@@ -605,6 +605,19 @@ class Simulator:
         heapq.heappush(self._queue, (when, (PRIORITY_NORMAL << ORDER_SHIFT) | seq, event))
         return event
 
+    def _succeed_at(self, event: Event, when: float) -> None:
+        """Trigger the pending ``event`` at absolute time ``when``, as one
+        heap event: :meth:`_call_at` for an event a process already
+        waits on."""
+        if event._value is not Event._PENDING:
+            raise EventAlreadyTriggered(f"{event!r} already triggered")
+        event._ok = True
+        event._value = None
+        event._scheduled = True
+        seq = self._event_seq
+        self._event_seq = seq + 1
+        heapq.heappush(self._queue, (when, (PRIORITY_NORMAL << ORDER_SHIFT) | seq, event))
+
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         return self._queue[0][0] if self._queue else float("inf")

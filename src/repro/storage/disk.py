@@ -7,6 +7,9 @@ buffer (``pending_bytes``) and only become durable when a flush charges
 kernel.  The :class:`StorageFlusher` is that background fsync process —
 one per device, started/stopped with the monitors, interrupted by a
 crash mid-flush exactly like a real box losing power with dirty pages.
+It flushes on a fixed period while the store is dirty and parks while
+it is clean: an idle device schedules no kernel events, and the first
+append wakes it at the period tick it would have reached anyway.
 
 Consequences the durability tests pin down:
 
@@ -20,7 +23,7 @@ Consequences the durability tests pin down:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.sim import Interrupt
 from repro.storage.interface import RecoveryReport
@@ -60,11 +63,23 @@ class SimDiskStore(WalStore):
         #: Appended-but-unsynced bytes (the dirty OS buffer).
         self.pending_bytes = 0.0
         self.fsyncs = 0
+        #: Set by a parked :class:`StorageFlusher`; the next append
+        #: clears and calls it.
+        self._on_dirty: Optional[Callable[[], None]] = None
 
     def _on_append(self, size: int) -> None:
         # Unlike the idealized WAL, an append is only buffered; the
         # flusher advances ``synced`` once the charged flush completes.
         self.pending_bytes += size
+        on_dirty = self._on_dirty
+        if on_dirty is not None:
+            self._on_dirty = None
+            on_dirty()
+
+    @property
+    def dirty(self) -> bool:
+        """Is anything appended but not yet durable?"""
+        return self.pending_bytes > 0 or self.synced < len(self.log)
 
     # -- flush protocol (driven by StorageFlusher) --------------------------
 
@@ -120,6 +135,12 @@ class StorageFlusher:
     spawns the loop, ``stop()`` interrupts it.  A crash stops the
     flusher *before* the store's ``crash()`` runs, so a flush that was
     mid-charge never commits — its entries are part of the lost tail.
+
+    It ticks every ``period_s`` while the store is dirty.  While it is
+    clean the flusher parks on one event instead, and the first append
+    schedules that event at the tick the periodic loop would have
+    reached: the same commits at the same times, with no kernel event
+    per idle period.
     """
 
     def __init__(self, sim, store: SimDiskStore, period_s: float = 0.25) -> None:
@@ -143,18 +164,44 @@ class StorageFlusher:
         if self.running:
             self._process.interrupt("flusher stopped")
         self._process = None
+        self.store._on_dirty = None
 
     def _run(self):
+        store, sim = self.store, self.sim
         try:
             while True:
-                yield self.sim.timeout(self.period_s)
-                mark, nbytes = self.store.begin_flush()
-                if mark <= self.store.folded + self.store.synced and nbytes <= 0:
+                if store.dirty:
+                    yield sim.timeout(self.period_s)
+                else:
+                    yield self._park()
+                if not store.dirty:
                     continue
-                cost = self.store.flush_cost_s(nbytes)
+                mark, nbytes = store.begin_flush()
+                cost = store.flush_cost_s(nbytes)
                 if cost > 0:
-                    yield self.sim.timeout(cost)
-                self.store.commit_flush(mark, nbytes)
+                    yield sim.timeout(cost)
+                store.commit_flush(mark, nbytes)
                 self.flushes += 1
         except Interrupt:
             return
+
+    def _park(self):
+        """The event to wait on while the store is clean.
+
+        The next append schedules it at the first period tick at or
+        after the append, counted ``t += period_s`` from now: the float
+        sums the kernel's ``now + delay`` would have made tick by tick.
+        """
+        sim, period = self.sim, self.period_s
+        wake = sim.event()
+        last = sim.now
+
+        def on_dirty() -> None:
+            now = sim.now
+            tick = last + period
+            while tick < now:
+                tick += period
+            sim._succeed_at(wake, tick)
+
+        self.store._on_dirty = on_dirty
+        return wake

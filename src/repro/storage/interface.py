@@ -25,25 +25,33 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-__all__ = ["IStore", "MemStore", "RecoveryReport", "entry_bytes"]
+__all__ = ["IStore", "MemStore", "RecoveryReport", "ENTRY_OVERHEAD", "encoded_len", "entry_bytes"]
 
 
 #: One shared encoder: ``encode`` gives exactly ``json.dumps(value,
 #: default=str)`` without building a new encoder per call.
 _ENCODER = json.JSONEncoder(default=str)
 
+#: Bytes a journal entry adds to its payload's encoding.
+ENTRY_OVERHEAD = 32
 
-def entry_bytes(value: Any, overhead: int = 32) -> int:
-    """Approximate serialized size of ``value`` plus ``overhead``, bytes.
 
-    The one size estimate every layer uses: journal entries here, KV
-    wire payloads (``repro.kvstore.payload_size``) with their own
-    overhead.
+def encoded_len(value: Any) -> int:
+    """Length of ``value``'s JSON encoding (256 if it does not encode).
+
+    The one size estimate every layer uses: journal entries here
+    (:func:`entry_bytes`), KV wire payloads (``repro.kvstore.payload_size``)
+    with their own overhead.
     """
     try:
-        return len(_ENCODER.encode(value)) + overhead
+        return len(_ENCODER.encode(value))
     except (TypeError, ValueError):
-        return overhead + 256
+        return 256
+
+
+def entry_bytes(value: Any, overhead: int = ENTRY_OVERHEAD) -> int:
+    """Approximate serialized size of ``value`` plus ``overhead``, bytes."""
+    return encoded_len(value) + overhead
 
 
 @dataclass

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.storage.interface import IStore, RecoveryReport, entry_bytes
+from repro.storage.interface import ENTRY_OVERHEAD, IStore, RecoveryReport, entry_bytes
 
 __all__ = ["WalStore", "WalTable", "WalEntry"]
 
@@ -133,7 +133,14 @@ class WalStore(IStore):
     def append(self, op: str, table: str, key: str, value: Any) -> None:
         """Journal one mutation (called by the tables)."""
         encoded = value.wire() if hasattr(value, "wire") else value
-        size = entry_bytes(encoded) if op == "put" else 24
+        if op != "put":
+            size = 24
+        elif hasattr(value, "encoded_len"):
+            # A record that knows its encoding's length is not encoded
+            # a second time just to be measured.
+            size = value.encoded_len(encoded) + ENTRY_OVERHEAD
+        else:
+            size = entry_bytes(encoded)
         self.log.append(WalEntry(op, table, key, encoded, size))
         self.appends += 1
         self._count("storage.wal.appends")

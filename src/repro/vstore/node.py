@@ -825,11 +825,8 @@ class VStoreNode:
         """
         tel, span = self._span("vstore.delete", ctx, object=name)
         meta, _ = yield from self._lookup_meta(name, ctx=span)
-        copies = [(node, meta.slot_name(slot)) for slot, node in enumerate(meta.holders)]
-        if meta.url is not None and (LOCATION_REMOTE, name) not in copies:
-            copies.append((LOCATION_REMOTE, name))
         yield from self._scatter(
-            [self._drop(node, stored, span) for node, stored in copies]
+            [self._drop(node, stored, span) for node, stored in meta.copies()]
         )
         yield from self.kv.delete(object_key(name), ctx=span)
         if span is not None:

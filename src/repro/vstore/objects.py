@@ -147,6 +147,14 @@ class ObjectMeta:
         """The name holder ``slot`` stores its share under."""
         return chunk_name(self.name, slot) if self.stripe_k else self.name
 
+    def copies(self) -> list[tuple[str, str]]:
+        """Every stored share as ``(holder, stored name)``: each holder
+        slot's, plus the ``url`` cloud copy."""
+        copies = [(node, self.slot_name(slot)) for slot, node in enumerate(self.holders)]
+        if self.url is not None and (LOCATION_REMOTE, self.name) not in copies:
+            copies.append((LOCATION_REMOTE, self.name))
+        return copies
+
     def wire(self) -> dict:
         data = {
             "name": self.name,

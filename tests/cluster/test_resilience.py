@@ -323,6 +323,64 @@ class TestBatchedProbe:
         assert rejoined.lost_replicas == []
 
 
+class TestRepairDeleteRace:
+    """A sweep works from metadata read at its start; a delete that
+    lands meanwhile must win: no false ``lost``, no metadata written
+    back, and no copy the sweep placed left behind."""
+
+    @pytest.mark.parametrize("layout", ["replicas", "stripe+cloud"])
+    def test_sweep_across_a_delete_leaves_nothing_behind(self, layout):
+        c4h, meta = store_layout(layout)
+        owner = owner_of(c4h, "obj.bin")
+        slot, holder = next(
+            (slot, h)
+            for slot, h in enumerate(meta.holders)
+            if h not in (owner.name, LOCATION_REMOTE)
+        )
+        drop_payload(c4h.device(holder), meta.slot_name(slot))
+        sim = c4h.sim
+        since = sim.now
+        done = {}
+        sweep = sim.process(owner.repairer.scan_once())
+        delete = sim.process(c4h.devices[1].client.delete_object("obj.bin"))
+        for name, proc in (("sweep", sweep), ("delete", delete)):
+            proc.callbacks.append(lambda _e, name=name: done.setdefault(name, sim.now))
+        sim.run(until=sim.all_of([sweep, delete]))
+        sim.run(until=sim.now + 5.0)  # replica deletes are one-way pushes
+        # The sweep restored the share while the delete ran.
+        assert done["delete"] < done["sweep"]
+        actions = repair_actions(owner, since)
+        assert ("replicate" if meta.k == 1 else "rebuild") in actions
+        assert "lost" not in actions
+        key_hex = DhtKeyValueStore.key_for(object_key("obj.bin")).hex
+        for device in c4h.devices:
+            assert key_hex not in device.kv.primary
+            assert key_hex not in device.kv.replicas
+        names = ["obj.bin"] + [chunk_name("obj.bin", i) for i in range(6)]
+        for name in names:
+            assert [d.name for d in c4h.devices if d.vstore.holds(name)] == []
+            assert not c4h.s3.contains(name)
+
+    def test_sweep_that_probes_a_half_deleted_object_logs_no_loss(self):
+        c4h, meta = store_layout("replicas")
+        owner = owner_of(c4h, "obj.bin")
+        sim = c4h.sim
+        delete = sim.process(c4h.devices[1].client.delete_object("obj.bin"))
+        # Every copy is gone; the metadata delete is still on its way.
+        while any(c4h.device(h).vstore.holds("obj.bin") for h in meta.holders):
+            sim.step()
+        key_hex = DhtKeyValueStore.key_for(object_key("obj.bin")).hex
+        assert key_hex in owner.kv.primary
+        since = sim.now
+        done = {}
+        sweep = sim.process(owner.repairer.scan_once())
+        for name, proc in (("sweep", sweep), ("delete", delete)):
+            proc.callbacks.append(lambda _e, name=name: done.setdefault(name, sim.now))
+        sim.run(until=sim.all_of([sweep, delete]))
+        assert done["delete"] < done["sweep"]
+        assert repair_actions(owner, since) == []
+
+
 class TestFetchFailover:
     def test_fetch_fails_over_to_replica_after_crash(self):
         c4h = Cloud4Home(resilient_config(804))

@@ -13,6 +13,7 @@ from repro.kvstore import DhtKeyValueStore
 from repro.net import Link, RpcEndpoint, TcpProfile
 from repro.overlay import NodeId
 from repro.sim import Simulator
+from repro.storage import SimDiskStore, StorageFlusher
 from repro.virt import XenSocketChannel
 
 from tests.conftest import build_lan, build_overlay
@@ -32,6 +33,11 @@ GENERATOR_ROUND_TRIP_EVENTS = 5
 #: delay inside it (6).
 KV_GET_ONE_HOP_EVENTS = 9
 KV_GET_HOP_EVENTS = 6
+
+#: A flush of a dirty disk store: the flusher's tick and its charge.
+DIRTY_FLUSH_EVENTS = 2
+#: A flush period of a clean store: the flusher is parked.
+IDLE_PERIOD_EVENTS = 0
 
 MB = 1024 * 1024
 
@@ -224,3 +230,27 @@ class TestSingleCopyObjectEvents:
         c4h.run(c4h.devices[1].client.delete_object("a.bin"))
         assert sim._event_seq - before == delete_events
         assert not any(d.vstore.holds("a.bin") for d in c4h.devices)
+
+
+class TestDiskFlusherEvents:
+    def test_dirty_flush_and_idle_period(self):
+        sim = Simulator()
+        store = SimDiskStore(jitter=0.0)
+        flusher = StorageFlusher(sim, store, period_s=0.25)
+        flusher.start()
+        sim.run(until=0.0)  # the process starts and parks
+        table = store.table("t")
+        periods = 4
+        for i in range(5):
+            before = sim._event_seq
+            table[f"k{i}"] = i
+            sim.run(until=sim.now + periods * flusher.period_s)
+            # One event is the run's own horizon marker.
+            events = sim._event_seq - before - 1
+            assert events == DIRTY_FLUSH_EVENTS + (periods - 1) * IDLE_PERIOD_EVENTS
+            assert store.synced == i + 1 and not store.dirty
+        periods = 100
+        before = sim._event_seq
+        sim.run(until=sim.now + periods * flusher.period_s)
+        assert sim._event_seq - before - 1 == periods * IDLE_PERIOD_EVENTS
+        assert flusher.flushes == 5

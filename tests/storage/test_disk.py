@@ -134,6 +134,139 @@ class TestStorageFlusher:
             StorageFlusher(sim, SimDiskStore(), period_s=0)
 
 
+def commit_times(sim, store):
+    """Record the simulated time of every committed flush."""
+    times = []
+    commit = store.commit_flush
+
+    def recording(mark, nbytes):
+        times.append(sim.now)
+        commit(mark, nbytes)
+
+    store.commit_flush = recording
+    return times
+
+
+def ticks_until(start, period, when):
+    """The per-tick loop's first tick at or after ``when``, summed one
+    period at a time from ``start`` as the kernel's ``now + delay`` does."""
+    tick = start + period
+    while tick < when:
+        tick += period
+    return tick
+
+
+class TestParkedFlusher:
+    """While its store is clean the flusher parks on one event: no
+    kernel event per idle period, and the same commits at the same
+    times as a loop that ticks every period."""
+
+    def test_idle_store_schedules_no_events(self):
+        sim = Simulator()
+        flusher = StorageFlusher(sim, SimDiskStore(jitter=0.0), period_s=0.25)
+        flusher.start()
+        sim.run(until=0.0)  # the process starts and parks
+        assert flusher.running
+        before = sim._event_seq
+        sim.run(until=100 * 0.25)
+        # The horizon marker is the run's own event; the flusher adds none.
+        assert sim._event_seq - before == 1
+        assert flusher.flushes == 0
+
+    @pytest.mark.parametrize("start, period, append_at", [
+        (0.1, 0.1, 37.3),
+        (3.7, 0.3, 1000.05),
+        (0.0, 0.25, 50.0),  # on a tick: the tick flushes it
+    ])
+    def test_append_after_idle_spell_commits_on_the_periodic_tick(
+        self, start, period, append_at
+    ):
+        sim = Simulator(start_time=start)
+        store = SimDiskStore(fsync_s=0.005, jitter=0.0)
+        flusher = StorageFlusher(sim, store, period_s=period)
+        times = commit_times(sim, store)
+        flusher.start()
+
+        def writer():
+            yield sim.timeout(append_at - start)
+            store.table("t")["a"] = {"v": 1}
+
+        sim.process(writer())
+        sim.run(until=append_at + 10 * period)
+        tick = ticks_until(start, period, append_at)
+        cost = store.flush_cost_s(store.log[0].size if store.log else 0)
+        assert times == [tick + cost]
+        assert store.synced == 1 and not store.dirty
+
+    def test_appends_during_a_charge_flush_one_period_after_commit(self):
+        sim = Simulator()
+        # 1 MB at 1 MB/s: the charge takes about a simulated second.
+        store = SimDiskStore(write_mb_s=1.0, jitter=0.0)
+        flusher = StorageFlusher(sim, store, period_s=0.25)
+        times = commit_times(sim, store)
+        flusher.start()
+        tbl = store.table("t")
+        tbl["blob"] = {"v": "x" * (1024 * 1024)}
+        sim.run(until=0.5)  # charging since the 0.25 tick
+        tbl["b"] = 1
+        sim.run(until=10.0)
+        assert len(times) == 2
+        assert times[1] == times[0] + 0.25 + store.flush_cost_s(store.log[-1].size)
+        assert store.synced == 2
+
+    def test_stop_while_parked_keeps_prefix_durability(self):
+        sim = Simulator()
+        store = SimDiskStore(jitter=0.0)
+        flusher = StorageFlusher(sim, store, period_s=0.25)
+        flusher.start()
+        tbl = store.table("t")
+        tbl["a"] = 1
+        sim.run(until=1.0)  # flushed, then parked
+        assert store.synced == 1 and not store.dirty
+        flusher.stop()
+        before = sim._event_seq
+        tbl["b"] = 2  # no flusher left to wake
+        assert sim._event_seq == before
+        sim.run(until=5.0)
+        assert not flusher.running
+        report = store.crash()
+        assert report["lost_ops"] == 1
+        store.replay()
+        assert dict(tbl) == {"a": 1}
+
+    def test_crash_while_a_wake_is_scheduled_loses_the_tail(self):
+        sim = Simulator()
+        store = SimDiskStore(jitter=0.0)
+        flusher = StorageFlusher(sim, store, period_s=0.25)
+        flusher.start()
+        tbl = store.table("t")
+        tbl["a"] = 1
+        sim.run(until=1.0)
+        tbl["b"] = 2  # wakes the parked flusher at the 1.25 tick
+        flusher.stop()  # a crash stops the flusher, then the store
+        report = store.crash()
+        sim.run(until=5.0)
+        assert report["lost_ops"] == 1
+        assert store.fsyncs == 1
+        store.replay()
+        assert dict(tbl) == {"a": 1}
+
+    def test_start_on_a_dirty_store_flushes_one_period_later(self):
+        sim = Simulator(start_time=2.0)
+        store = SimDiskStore(jitter=0.0)
+        tbl = store.table("t")
+        tbl["a"] = 1
+        tbl["b"] = 2
+        flusher = StorageFlusher(sim, store, period_s=0.25)
+        times = commit_times(sim, store)
+        flusher.start()
+        sim.run(until=5.0)
+        assert times == [2.25 + store.flush_cost_s(sum(e.size for e in store.log))]
+        assert store.crash()["lost_ops"] == 0
+        store.replay()
+        assert dict(tbl) == {"a": 1, "b": 2}
+
+
 def test_compaction_during_a_flush_keeps_its_mark():
     # The flush's mark must survive a compaction that runs while the
     # flush is being charged (the log prefix it folds shifts every
