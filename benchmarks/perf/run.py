@@ -45,7 +45,8 @@ the speedup numbers only mean anything on top of that equality.
 The scale suite (``BENCH_scale.json``) drives 256 → 10 k-node overlays
 with the open-loop load driver and A/Bs the O(N²) protocol join against
 ``fast_join``; ``--check`` requires ≥2× on that A/B at the largest
-node count.  It is the slow suite — skip it with ``--no-scale`` when
+node count and holds the 10,000-node curve's peak RSS under a
+ceiling.  It is the slow suite — skip it with ``--no-scale`` when
 iterating on the others.  Every suite payload records its own
 :func:`repro.telemetry.memory_probe` snapshot, taken after the suite
 with the peak RSS reset before it (``peak_rss_mb`` is null where the
@@ -95,6 +96,11 @@ THRESHOLDS = {"table1_sweep": 1.3}
 
 #: Protocol join vs fast_join at the largest A/B node count.
 SCALE_MIN_JOIN_SPEEDUP = 2.0
+
+#: Peak RSS (MB) ceiling of the 10,000-node load curve: 198.9 MB as
+#: measured with idle queues and routing rows allocated on first use
+#: (254.6 MB before), plus 10%.
+SCALE_MAX_PEAK_RSS_MB = 218.8
 
 PARALLEL_THRESHOLDS = {
     "table1_parallel": 2.0,
@@ -216,7 +222,10 @@ GATES = {
         "min_local_serve": DURABILITY_MIN_LOCAL_SERVE,
         "min_success_rate": DURABILITY_MIN_SUCCESS,
     },
-    "scale": {"min_join_speedup": SCALE_MIN_JOIN_SPEEDUP},
+    "scale": {
+        "min_join_speedup": SCALE_MIN_JOIN_SPEEDUP,
+        "max_peak_rss_mb": SCALE_MAX_PEAK_RSS_MB,
+    },
 }
 
 
@@ -572,6 +581,12 @@ def main(argv=None) -> int:
                 f"scale: join A/B {scale_result['speedup']:.2f}x"
                 f" < {SCALE_MIN_JOIN_SPEEDUP}x"
                 f" at {scale_result['speedup_nodes']} nodes"
+            )
+        ten_k = scale_result["curves"].get("10000") if scale_result else None
+        if ten_k is not None and ten_k["peak_rss_mb"] > SCALE_MAX_PEAK_RSS_MB:
+            failures.append(
+                f"scale: 10000-node peak rss {ten_k['peak_rss_mb']:.1f} MB"
+                f" > {SCALE_MAX_PEAK_RSS_MB} MB"
             )
     if failures:
         print("threshold failures:\n  " + "\n  ".join(failures))

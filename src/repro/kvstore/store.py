@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.net import HostDownError, RemoteError, Request, RpcTimeoutError
@@ -76,7 +76,9 @@ class KvStats:
     ``lookup_times`` holds only the most recent :data:`LOOKUP_WINDOW`
     samples (bounded memory under heavy traffic); the exact mean over
     *all* lookups comes from the running ``lookup_count`` /
-    ``lookup_time_total`` pair.
+    ``lookup_time_total`` pair.  The window is allocated by the first
+    sample: until then it is the shared empty tuple, so a node that
+    never looks anything up holds no window.
     """
 
     puts: int = 0
@@ -93,14 +95,15 @@ class KvStats:
     #: Records silently lost because every transfer target was
     #: unreachable during a graceful leave.
     leave_stranded: int = 0
-    lookup_times: deque = field(
-        default_factory=lambda: deque(maxlen=LOOKUP_WINDOW)
-    )
+    lookup_times: deque | tuple = ()
     lookup_count: int = 0
     lookup_time_total: float = 0.0
 
     def record_lookup(self, elapsed: float) -> None:
-        self.lookup_times.append(elapsed)
+        times = self.lookup_times
+        if not times:
+            times = self.lookup_times = deque(maxlen=LOOKUP_WINDOW)
+        times.append(elapsed)
         self.lookup_count += 1
         self.lookup_time_total += elapsed
 

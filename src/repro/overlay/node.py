@@ -30,7 +30,7 @@ from repro.net import (
 )
 from repro.net.topology import Host
 from repro.overlay.errors import NotJoinedError, RoutingFailure
-from repro.overlay.ids import NodeId
+from repro.overlay.ids import ID_DIGITS, NodeId
 from repro.overlay.rbtree import RedBlackTree
 from repro.overlay.state import LeafSet, RoutingTable
 
@@ -436,7 +436,7 @@ class ChimeraNode:
         row for our shared prefix with it, and our leaf set."""
         row_index = self.id.shared_prefix_len(joiner.id)
         entries = {self.id}
-        if row_index < len(self.table._rows):
+        if row_index < ID_DIGITS:
             entries.update(e for e in self.table.row(row_index) if e is not None)
         entries.update(self.leaf.members())
         out = []

@@ -21,15 +21,18 @@ __all__ = ["RoutingTable", "LeafSet"]
 
 
 class RoutingTable:
-    """Pastry-style prefix routing table (first-writer-wins slots)."""
+    """Pastry-style prefix routing table (first-writer-wins slots).
+
+    A row is allocated when its first slot fills and dropped when its
+    last one empties: in an N-node overlay only about log16(N) of the
+    ``ID_DIGITS`` rows hold anything, so an empty row is ``None``.
+    """
 
     COLUMNS = 16
 
     def __init__(self, owner: NodeId) -> None:
         self.owner = owner
-        self._rows: list[list[Optional[NodeId]]] = [
-            [None] * self.COLUMNS for _ in range(ID_DIGITS)
-        ]
+        self._rows: list[Optional[list[Optional[NodeId]]]] = [None] * ID_DIGITS
 
     def add(self, node: NodeId) -> bool:
         """Record ``node``; returns True if it filled an empty slot.
@@ -40,9 +43,12 @@ class RoutingTable:
         row = self.owner.shared_prefix_len(node)
         if row >= ID_DIGITS:
             return False  # our own id
+        slots = self._rows[row]
+        if slots is None:
+            slots = self._rows[row] = [None] * self.COLUMNS
         col = node.digit(row)
-        if self._rows[row][col] is None:
-            self._rows[row][col] = node
+        if slots[col] is None:
+            slots[col] = node
             return True
         return False
 
@@ -51,9 +57,14 @@ class RoutingTable:
         row = self.owner.shared_prefix_len(node)
         if row >= ID_DIGITS:
             return False  # our own id
+        slots = self._rows[row]
+        if slots is None:
+            return False
         col = node.digit(row)
-        if self._rows[row][col] == node:
-            self._rows[row][col] = None
+        if slots[col] == node:
+            slots[col] = None
+            if slots.count(None) == self.COLUMNS:
+                self._rows[row] = None
             return True
         return False
 
@@ -62,24 +73,28 @@ class RoutingTable:
         row = self.owner.shared_prefix_len(key)
         if row >= ID_DIGITS:
             return None  # key equals our own id
-        return self._rows[row][key.digit(row)]
+        slots = self._rows[row]
+        return None if slots is None else slots[key.digit(row)]
 
     def row(self, index: int) -> list[Optional[NodeId]]:
         """A copy of row ``index`` (used to seed joining nodes)."""
-        return list(self._rows[index])
+        slots = self._rows[index]
+        return [None] * self.COLUMNS if slots is None else list(slots)
 
     def entries(self) -> Iterable[NodeId]:
         """All populated entries."""
-        for row in self._rows:
-            for entry in row:
-                if entry is not None:
-                    yield entry
+        for slots in self._rows:
+            if slots is not None:
+                for entry in slots:
+                    if entry is not None:
+                        yield entry
 
     def __contains__(self, node: NodeId) -> bool:
         row = self.owner.shared_prefix_len(node)
         if row >= ID_DIGITS:
             return False
-        return self._rows[row][node.digit(row)] == node
+        slots = self._rows[row]
+        return slots is not None and slots[node.digit(row)] == node
 
 
 class LeafSet:

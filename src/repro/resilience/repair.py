@@ -25,6 +25,11 @@ repaired by exactly one live node).  A sweep
    shares no home node takes spill to the cloud, as for a store;
 4. **republishes** the metadata when it changed.
 
+A sweep parses an owned record's metadata only when the record's
+``(version, updated_at)`` stamp changed since the last sweep.  It
+forgets records it no longer owns, and parses afresh any object that
+went to repair, because the repair edits that metadata in place.
+
 A sweep works from the metadata it read at its start, so before it
 logs an object lost or moved to the cloud, and before it republishes,
 it re-reads its own ``kv.primary`` record.  When a delete or a new
@@ -102,6 +107,10 @@ class Repairer:
         self.track_lost = track_lost
         self.repairs: list[RepairAction] = []
         self.scans = 0
+        #: Record name -> (stamp, parsed meta or None) for every owned
+        #: ``object:*`` record the last sweep read: an unchanged record
+        #: is not parsed again.
+        self._metas: dict[str, tuple] = {}
         self._process = None
 
     # -- lifecycle (same shape as ResourceMonitor) ---------------------------
@@ -169,16 +178,27 @@ class Repairer:
             ),
             key=lambda r: r.name,
         )
+        cached, self._metas = self._metas, {}
         metas = []
         for record in records:
-            try:
-                metas.append((ObjectMeta.from_wire(record.latest.value), _stamp(record)))
-            except (TypeError, ValueError, AttributeError):
-                continue  # not object metadata after all
-        held = yield from self._probe([meta for meta, _ in metas])
-        for meta, stamp in metas:
+            stamp = _stamp(record)
+            hit = cached.get(record.name)
+            if hit is not None and hit[0] == stamp:
+                meta = hit[1]
+            else:
+                try:
+                    meta = ObjectMeta.from_wire(record.latest.value)
+                except (TypeError, ValueError, AttributeError):
+                    meta = None  # not object metadata after all
+            self._metas[record.name] = (stamp, meta)
+            if meta is not None:
+                metas.append((record.name, meta, stamp))
+        held = yield from self._probe([meta for _, meta, _ in metas])
+        for name, meta, stamp in metas:
             if self._healthy(meta, held):
                 continue
+            # The repair edits ``meta`` in place: parse it afresh next time.
+            self._metas.pop(name, None)
             try:
                 yield from self.repair_object(meta, held, stamp)
             except (NetworkError, KvError, VStoreError):

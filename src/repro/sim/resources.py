@@ -21,6 +21,12 @@ from repro.sim.kernel import Event, Simulator
 
 __all__ = ["Request", "Resource", "Container", "Store"]
 
+#: The queue of a :class:`Resource` or :class:`Store` that has never
+#: held anything: empty, falsy and zero-length like a deque, but shared,
+#: so an idle instance allocates no queue.  The first append replaces
+#: it with the instance's own deque.
+_IDLE: tuple = ()
+
 
 class Request(Event):
     """A pending claim on a :class:`Resource` slot."""
@@ -38,7 +44,11 @@ class Request(Event):
 
 
 class Resource:
-    """A resource with ``capacity`` identical slots, granted FIFO."""
+    """A resource with ``capacity`` identical slots, granted FIFO.
+
+    The wait queue is allocated by the first request that has to wait;
+    most resources (a device's CPUs, its XenSocket ring) never queue.
+    """
 
     def __init__(self, sim: Simulator, capacity: int = 1) -> None:
         if capacity <= 0:
@@ -46,7 +56,7 @@ class Resource:
         self.sim = sim
         self.capacity = capacity
         self._users: list[Request] = []
-        self._waiting: deque[Request] = deque()
+        self._waiting: deque[Request] | tuple = _IDLE
 
     @property
     def count(self) -> int:
@@ -82,19 +92,19 @@ class Resource:
             self._users.append(request)
             request.succeed(request)
         else:
-            self._waiting.append(request)
+            waiting = self._waiting
+            if waiting is _IDLE:
+                waiting = self._waiting = deque()
+            waiting.append(request)
 
     def _do_release(self, request: Request) -> None:
         if request in self._users:
             self._users.remove(request)
             self._grant_next()
+        elif request in self._waiting:
+            self._waiting.remove(request)
         else:
-            try:
-                self._waiting.remove(request)
-            except ValueError:
-                raise SimulationError(
-                    "releasing a request unknown to this resource"
-                ) from None
+            raise SimulationError("releasing a request unknown to this resource")
 
     def _grant_next(self) -> None:
         while self._waiting and len(self._users) < self.capacity:
@@ -156,12 +166,14 @@ class Store:
     ``put(item)`` never blocks.  ``get()`` returns an event that triggers
     with the next item (immediately if one is queued).  This is the
     message-channel primitive used between simulated domains and nodes.
+    The item and getter queues are allocated on first use: a host inbox
+    drained by a push-mode consumer never queues either.
     """
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self._items: deque[Any] = deque()
-        self._getters: deque[Event] = deque()
+        self._items: deque[Any] | tuple = _IDLE
+        self._getters: deque[Event] | tuple = _IDLE
         self._consumer: Optional[Any] = None
 
     def __len__(self) -> int:
@@ -179,7 +191,10 @@ class Store:
         elif self._consumer is not None:
             self._consumer(item)
         else:
-            self._items.append(item)
+            items = self._items
+            if items is _IDLE:
+                items = self._items = deque()
+            items.append(item)
 
     def set_consumer(self, consumer: Optional[Any]) -> None:
         """Install (or clear, with ``None``) a push-mode consumer.
@@ -202,7 +217,10 @@ class Store:
         if self._items:
             event.succeed(self._items.popleft())
         else:
-            self._getters.append(event)
+            getters = self._getters
+            if getters is _IDLE:
+                getters = self._getters = deque()
+            getters.append(event)
         return event
 
     def peek(self) -> Optional[Any]:

@@ -10,7 +10,14 @@ join converges to.
 import pytest
 
 from repro.cluster import Cloud4Home, scale_overlay
-from repro.overlay import ChimeraNode, LeafSet, NodeId, RedBlackTree, RoutingTable
+from repro.overlay import (
+    ID_DIGITS,
+    ChimeraNode,
+    LeafSet,
+    NodeId,
+    RedBlackTree,
+    RoutingTable,
+)
 
 
 def global_owner(nodes, key):
@@ -89,7 +96,7 @@ class TestSeedViewMatchesPerPeerJoin:
             bulk = (
                 list(node.known.items()),
                 node.leaf.members(),
-                node.table._rows,
+                [node.table.row(i) for i in range(ID_DIGITS)],
                 node.sorted_ids(),
             )
             node.known = RedBlackTree()
@@ -102,6 +109,6 @@ class TestSeedViewMatchesPerPeerJoin:
             assert (
                 list(node.known.items()),
                 node.leaf.members(),
-                node.table._rows,
+                [node.table.row(i) for i in range(ID_DIGITS)],
                 node.sorted_ids(),
             ) == bulk, node.name

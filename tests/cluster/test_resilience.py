@@ -15,6 +15,7 @@ from repro.cluster import (
     ResilienceConfig,
 )
 from repro.kvstore import DhtKeyValueStore
+from repro.resilience.repair import Repairer
 from repro.vstore.node import MSG_PING, object_key
 from repro.vstore.objects import LOCATION_REMOTE, ObjectMeta
 from repro.vstore.policies import Placement, PlacementTarget, StorePolicy
@@ -321,6 +322,62 @@ class TestBatchedProbe:
         rejoined = get_meta(c4h, owner, "obj.bin")
         assert victim in rejoined.holders
         assert rejoined.lost_replicas == []
+
+
+def count_parses(monkeypatch):
+    """Record the object name of every ``ObjectMeta.from_wire`` call."""
+    parsed = []
+    from_wire = ObjectMeta.from_wire.__func__
+
+    def counting(cls, data):
+        meta = from_wire(cls, data)
+        parsed.append(meta.name)
+        return meta
+
+    monkeypatch.setattr(ObjectMeta, "from_wire", classmethod(counting))
+    return parsed
+
+
+class TestSweepParseCache:
+    """A sweep parses an owned metadata record once per write of it."""
+
+    def test_two_sweeps_over_unchanged_records_parse_each_once(self, monkeypatch):
+        c4h = Cloud4Home(resilient_config(823))
+        c4h.start()
+        names = [f"p{i}.bin" for i in range(12)]
+        for i, name in enumerate(names):
+            c4h.run(c4h.devices[i % 8].client.store_file(name, 1.0))
+        owner = max(
+            c4h.devices,
+            key=lambda d: sum(owner_of(c4h, name) is d for name in names),
+        )
+        owned = sorted(name for name in names if owner_of(c4h, name) is owner)
+        assert len(owned) >= 2
+        parsed = count_parses(monkeypatch)
+        for _ in range(2):
+            assert c4h.run(owner.repairer.scan_once()) == 0
+        assert sorted(parsed) == owned
+
+    def test_a_repaired_object_is_parsed_afresh(self, monkeypatch):
+        c4h, meta = store_layout("replicas")
+        owner = owner_of(c4h, "obj.bin")
+        holder = next(h for h in meta.replicas if h != owner.name)
+        drop_payload(c4h.device(holder), "obj.bin")
+        seen = []
+
+        def edit_in_place(repairer, meta, held, stamp, span):
+            # Never republished: only a fresh parse undoes this edit.
+            seen.append(list(meta.replicas))
+            meta.replicas.clear()
+            return False
+            yield
+
+        monkeypatch.setattr(Repairer, "_repair", edit_in_place)
+        parsed = count_parses(monkeypatch)
+        for _ in range(2):
+            c4h.run(owner.repairer.scan_once())
+        assert parsed == ["obj.bin", "obj.bin"]
+        assert seen == [meta.replicas, meta.replicas]
 
 
 class TestRepairDeleteRace:
