@@ -97,10 +97,12 @@ THRESHOLDS = {"table1_sweep": 1.3}
 #: Protocol join vs fast_join at the largest A/B node count.
 SCALE_MIN_JOIN_SPEEDUP = 2.0
 
-#: Peak RSS (MB) ceiling of the 10,000-node load curve: 198.9 MB as
-#: measured with idle queues and routing rows allocated on first use
-#: (254.6 MB before), plus 10%.
-SCALE_MAX_PEAK_RSS_MB = 218.8
+#: Peak RSS (MB) ceiling of the 10,000-node load curve: 182.6 MB as
+#: measured with each node's peer view kept as an id -> name dict over
+#: its cached sorted ids (198.9 MB with a red-black tree beside them,
+#: 254.6 MB with idle queues and routing rows allocated up front too),
+#: plus 10%.
+SCALE_MAX_PEAK_RSS_MB = 200.9
 
 PARALLEL_THRESHOLDS = {
     "table1_parallel": 2.0,

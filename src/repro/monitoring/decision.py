@@ -9,10 +9,11 @@ overall service performance, vs. achieving balanced resource
 utilization or improved battery lives for portable devices."
 (Section III-A, Figure 2.)
 
-The candidate list comes from the overlay node's red-black-tree view of
-known members; each candidate's snapshot is fetched from the key-value
-store, so the decision's cost is real simulated time — the paper's
-evaluation explicitly includes it.
+The candidate list is the overlay node's ordered view of known members,
+in id order (the paper keeps that view in a red-black tree; here it is
+an id -> name dict over a cached sorted-id tuple); each candidate's
+snapshot is fetched from the key-value store, so the decision's cost is
+real simulated time — the paper's evaluation explicitly includes it.
 
 Snapshot fetches can be issued sequentially (the reference behaviour:
 the decision pays the *sum* of the k lookup latencies) or scatter-gather
@@ -195,7 +196,7 @@ class DecisionEngine:
         return ResourceSnapshot.from_wire(value)
 
     def _default_candidates(self) -> list[str]:
-        names = [name for _nid, name in self.chimera.known.items()]
+        names = [peer.name for peer in self.chimera.peers()]
         if self.include_self:
             names.append(self.chimera.name)
         return names

@@ -5,7 +5,9 @@ Public surface:
 * :class:`NodeId` — 40-bit identifiers for nodes, objects, services.
 * :class:`ChimeraNode`, :class:`PeerInfo` — the overlay participant.
 * :class:`RoutingTable`, :class:`LeafSet` — per-node routing state.
-* :class:`RedBlackTree` — the ordered "logical tree view" structure.
+  The "logical tree view" of known peers (a red-black tree in the
+  paper) is an ordered view on each node: ``ChimeraNode.known`` maps
+  id -> name and ``ChimeraNode.sorted_ids()`` caches its id order.
 * Errors: :class:`OverlayError`, :class:`NotJoinedError`,
   :class:`RoutingFailure`.
 """
@@ -14,7 +16,6 @@ from repro.overlay.errors import NotJoinedError, OverlayError, RoutingFailure
 from repro.overlay.ids import ID_BITS, ID_DIGITS, ID_SPACE, NodeId
 from repro.overlay.inspect import ownership_map, ring_diagram, routing_summary
 from repro.overlay.node import ChimeraNode, PeerInfo
-from repro.overlay.rbtree import RedBlackTree
 from repro.overlay.stabilizer import Stabilizer
 from repro.overlay.state import LeafSet, RoutingTable
 
@@ -27,7 +28,6 @@ __all__ = [
     "PeerInfo",
     "RoutingTable",
     "LeafSet",
-    "RedBlackTree",
     "Stabilizer",
     "ring_diagram",
     "routing_summary",

@@ -4,8 +4,14 @@ Implements the peer-to-peer layer the paper builds its metadata
 key-value store on: prefix routing (Tapestry/Pastry-style), node join
 with state transfer from the join path, graceful leave with
 left/right-neighbour notification, failure-driven state repair, and the
-red-black-tree "logical tree view" of known nodes that
-``chimeraGetDecision`` reads (Figure 2).
+"logical tree view" of known nodes that ``chimeraGetDecision`` reads
+(Figure 2).
+
+The paper keeps that view in a red-black tree; here it is an ordered
+view: ``known``, a dict from peer id to host name, plus the sorted-id
+tuple that :meth:`ChimeraNode.sorted_ids` caches per ``view_version``.
+Queries that need id order read the tuple, so the ordered semantics
+are unchanged.
 
 A node owns the keys for which it is the numerically closest live
 identifier.  Upper layers (the key-value store) subscribe to
@@ -18,6 +24,7 @@ from __future__ import annotations
 
 import bisect
 from collections import OrderedDict
+from operator import attrgetter
 from typing import Callable, Iterable, Optional
 
 from repro.net import (
@@ -31,7 +38,6 @@ from repro.net import (
 from repro.net.topology import Host
 from repro.overlay.errors import NotJoinedError, RoutingFailure
 from repro.overlay.ids import ID_DIGITS, NodeId
-from repro.overlay.rbtree import RedBlackTree
 from repro.overlay.state import LeafSet, RoutingTable
 
 __all__ = ["ChimeraNode", "PeerInfo"]
@@ -46,6 +52,9 @@ MSG_PING = "chimera.ping"
 #: Sentinel distinguishing "not cached" from a cached ``None`` (we are
 #: the root for the key).
 _ROUTE_MISS = object()
+
+#: Sort key for ids: the plain int, so sorting never calls ``NodeId.__lt__``.
+_ID_VALUE = attrgetter("value")
 
 
 class PeerInfo:
@@ -115,8 +124,9 @@ class ChimeraNode:
         self.id = NodeId.from_name(host.name)
         self.leaf = LeafSet(self.id, per_side=leaf_size)
         self.table = RoutingTable(self.id)
-        #: Red-black tree: id -> peer name ("logical tree view", Fig. 2).
-        self.known = RedBlackTree()
+        #: id -> peer name; ``sorted_ids()`` gives its id order
+        #: ("logical tree view", Fig. 2).
+        self.known: dict[NodeId, str] = {}
         self.hop_processing_s = hop_processing_s
         self.joined = False
         self.on_node_joined: list[Callable[[PeerInfo], None]] = []
@@ -149,8 +159,9 @@ class ChimeraNode:
     # -- membership views ---------------------------------------------------
 
     def peers(self) -> list[PeerInfo]:
-        """All known peers in id order (from the red-black tree)."""
-        return [PeerInfo(name, nid) for nid, name in self.known.items()]
+        """All known peers in id order."""
+        known = self.known
+        return [PeerInfo(known[nid], nid) for nid in self.sorted_ids()]
 
     def name_of(self, node_id: NodeId) -> Optional[str]:
         """The host name for a known overlay id (None if unknown)."""
@@ -161,12 +172,12 @@ class ChimeraNode:
     def sorted_ids(self) -> tuple[NodeId, ...]:
         """Known peer ids in ascending order, cached per view version.
 
-        The tuple is rebuilt lazily after a membership change, so steady
-        -state callers (ring-window queries, the stabilizer's probe
-        cursor) pay O(1) instead of re-traversing the red-black tree.
+        This is the view's only ordered copy.  It is re-sorted lazily
+        after a membership change, so steady-state callers (ring-window
+        queries, the stabilizer's probe cursor, :meth:`peers`) pay O(1).
         """
         if self._ids_cache_version != self.view_version:
-            self._ids_cache = tuple(self.known.keys())
+            self._ids_cache = tuple(sorted(self.known, key=_ID_VALUE))
             self._ids_cache_version = self.view_version
         return self._ids_cache
 
@@ -308,20 +319,22 @@ class ChimeraNode:
         entry = self.table.lookup(key)
         if entry is not None:
             return PeerInfo(self._peer_name(entry), entry)
-        # Fallback: strictly closer node with >= shared prefix length.
+        # Fallback: strictly closer node with >= shared prefix length,
+        # ranked by (distance, id value) so ties go to the smaller id.
         own_prefix = self.id.shared_prefix_len(key)
         own_distance = self.id.distance(key)
-        best: Optional[NodeId] = None
-        for nid, _name in self.known.items():
-            if nid.shared_prefix_len(key) < own_prefix:
-                continue
-            if nid.distance(key) >= own_distance:
-                continue
-            if best is None or nid.distance(key) < best.distance(key):
-                best = nid
-        if best is None:
+        best = min(
+            (
+                (nid.distance(key), nid.value, nid)
+                for nid in self.known
+                if nid.shared_prefix_len(key) >= own_prefix
+            ),
+            default=None,
+        )
+        if best is None or best[0] >= own_distance:
             return None
-        return PeerInfo(self._peer_name(best), best)
+        nid = best[2]
+        return PeerInfo(self.known[nid], nid)
 
     def resolve(self, key: NodeId, ctx=None):
         """Process: find the overlay root for ``key``.
@@ -454,11 +467,12 @@ class ChimeraNode:
         constructing the whole overlay at once, so there is no stored
         data to redistribute and no protocol traffic to emit.
 
-        On an empty view the red-black tree is built in one balanced
-        pass from the sorted ids.  The routing table is filled in the
-        given peer order (its slots are first-writer-wins), and the leaf
-        set is pruned once: pruning after every add and pruning at the
-        end keep the same closest members.
+        On an empty view the sorted-id tuple is set straight from the
+        sorted peers, so the first :meth:`sorted_ids` does not re-sort.
+        The routing table is filled in the given peer order (its slots
+        are first-writer-wins), and the leaf set is pruned once: pruning
+        after every add and pruning at the end keep the same closest
+        members.
         """
         fresh: dict[int, PeerInfo] = {}
         own = self.id.value
@@ -466,25 +480,21 @@ class ChimeraNode:
             if peer.id.value != own:
                 fresh.setdefault(peer.id.value, peer)
         bulk = not self.known
-        if bulk:
-            ordered = [fresh[value] for value in sorted(fresh)]
-            self.known = RedBlackTree.from_sorted([(p.id, p.name) for p in ordered])
-        else:
-            for peer in fresh.values():
-                self.known.insert(peer.id, peer.name)
         for peer in fresh.values():
+            self.known[peer.id] = peer.name
             self.table.add(peer.id)
         self.leaf.update(peer.id for peer in fresh.values())
         self._route_cache.clear()
         self.view_version += 1
         if bulk:
-            self._ids_cache = tuple(p.id for p in ordered)
+            self._ids_cache = tuple(fresh[value].id for value in sorted(fresh))
             self._ids_cache_version = self.view_version
 
     def _add_peer(self, peer: PeerInfo) -> None:
         if peer.id == self.id:
             return
-        is_new = self.known.insert(peer.id, peer.name)
+        is_new = peer.id not in self.known
+        self.known[peer.id] = peer.name
         self.leaf.add(peer.id)
         self.table.add(peer.id)
         if is_new:
@@ -494,15 +504,14 @@ class ChimeraNode:
                 callback(peer)
 
     def _forget(self, node_id: NodeId, notify: bool = True) -> None:
-        name = self.known.get(node_id)
+        name = self.known.pop(node_id, None)
         if name is None:
             return
-        self.known.delete(node_id)
         self.leaf.remove(node_id)
         self.table.remove(node_id)
         # Backfill the leaf set from the remaining known view so the
         # ring stays connected after departures.
-        self.leaf.update(nid for nid, _ in self.known.items())
+        self.leaf.update(self.known)
         self._route_cache.clear()
         self.view_version += 1
         if notify:

@@ -18,7 +18,9 @@ whole harness leans on:
   :class:`JobFailure` after the whole batch has run.
 * **Simplicity of the unit** — a job runs a *complete* simulation in a
   worker process.  Workers share nothing, so the simulator itself needs
-  no locks and stays single-threaded-fast.
+  no locks and stays single-threaded-fast.  Each pooled job gets a
+  freshly forked worker, so a job's peak RSS (``memory_probe``) is its
+  own, not the high-water mark of whatever ran before it.
 """
 
 from __future__ import annotations
@@ -157,7 +159,9 @@ def run_jobs(
         ``None`` — one worker per CPU (capped by the distinct job
         count); ``0`` or ``1`` — run inline in this process (the serial
         reference path, no pool, still deduplicated); ``>= 2`` — a
-        ``multiprocessing`` pool of that many workers.
+        ``multiprocessing`` pool of that many workers, each of which
+        runs one job and exits (the pool forks a fresh one for the
+        next), so per-job memory figures are not inherited.
     ``dedup``:
         Compute each distinct job identity once and fan the result out
         to every duplicate (sound because jobs are deterministic
@@ -190,11 +194,10 @@ def run_jobs(
     else:
         ctx = _pool_context()
         n_workers = min(workers, len(work))
-        chunksize = max(1, len(work) // (n_workers * 4))
         executed = [None] * len(work)
-        with ctx.Pool(processes=n_workers) as pool:
+        with ctx.Pool(processes=n_workers, maxtasksperchild=1) as pool:
             for position, result in pool.imap_unordered(
-                _execute_indexed, list(enumerate(work)), chunksize=chunksize
+                _execute_indexed, list(enumerate(work))
             ):
                 executed[position] = result
 

@@ -32,8 +32,10 @@ def memory_probe(count_objects: bool = True) -> dict:
     """A JSON-ready snapshot of this process's memory footprint.
 
     ``rss_mb`` is the current resident set, ``peak_rss_mb`` the
-    process-lifetime high-water mark (``VmHWM``; note that a reused
-    worker process reports the max across every job it has run).
+    process-lifetime high-water mark (``VmHWM``).  A pooled
+    :func:`repro.parallel.run_jobs` job runs in a worker forked for it
+    alone, so there the peak is the job's own (it starts from the
+    parent's resident set at fork time).
     ``gc_objects`` is the number of live collector-tracked objects —
     the leak signal RSS alone can hide behind allocator caching.  Set
     ``count_objects=False`` to skip the object walk (it is O(heap)).

@@ -15,7 +15,6 @@ from repro.overlay import (
     ChimeraNode,
     LeafSet,
     NodeId,
-    RedBlackTree,
     RoutingTable,
 )
 
@@ -94,20 +93,22 @@ class TestSeedViewMatchesPerPeerJoin:
         for device in c4h.devices:
             node = device.chimera
             bulk = (
-                list(node.known.items()),
+                sorted(node.known.items()),
                 node.leaf.members(),
                 [node.table.row(i) for i in range(ID_DIGITS)],
                 node.sorted_ids(),
             )
-            node.known = RedBlackTree()
+            node.known = {}
             node.leaf = LeafSet(node.id, per_side=node.leaf.per_side)
             node.table = RoutingTable(node.id)
             node.on_node_joined = []
             for peer in seeded[node.name]:
                 node._add_peer(peer)
-            node.known.check_invariants()
+            # The ordered view's invariant: the cached tuple is exactly
+            # the dict's ids in ascending order.
+            assert node.sorted_ids() == tuple(sorted(node.known)), node.name
             assert (
-                list(node.known.items()),
+                sorted(node.known.items()),
                 node.leaf.members(),
                 [node.table.row(i) for i in range(ID_DIGITS)],
                 node.sorted_ids(),

@@ -21,9 +21,11 @@ from repro.overlay import ID_DIGITS, ID_SPACE, NodeId, RoutingTable
 from repro.sim import Resource, Simulator, Store
 
 #: Traced bytes per node of a started ``scale_overlay(1000, seed=0)``
-#: in a fresh interpreter: 13,953 B (CPython 3.11), plus a 10% margin.
-#: Allocating every idle queue and routing row up front reads ~20,600.
-BYTES_PER_NODE_BUDGET = 15_350
+#: in a fresh interpreter: 11,999 B (CPython 3.11), plus a 10% margin.
+#: Keeping a red-black tree of each node's known peers beside its
+#: sorted-id tuple reads ~13,950; allocating every idle queue and
+#: routing row up front as well reads ~20,600.
+BYTES_PER_NODE_BUDGET = 13_200
 
 
 def queues(obj) -> list:

@@ -52,7 +52,9 @@ def node_with_view(values):
 
 
 def known_ids(node):
-    return [nid for nid, _name in node.known.items()]
+    """The known view in id order, sorted here rather than read from the
+    node's cached tuple, so the oracles stay independent of it."""
+    return sorted(node.known, key=lambda nid: nid.value)
 
 
 def oracle_nearest(node, key, count):

@@ -1,4 +1,7 @@
-"""run_jobs: order stability, dedup, failure isolation, worker parity."""
+"""run_jobs: order stability, dedup, failure isolation, worker parity,
+per-job memory figures."""
+
+import os
 
 import pytest
 
@@ -30,6 +33,16 @@ def flaky(x):
     if x == 3:
         raise RuntimeError("x=3 always fails")
     return x + 100
+
+
+def peak_after(mb, tag):
+    """Touch ``mb`` MiB, then report this worker's pid and peak RSS."""
+    from repro.telemetry import memory_probe
+
+    ballast = b"\x01" * (mb << 20)
+    peak = memory_probe(count_objects=False)["peak_rss_mb"]
+    del ballast
+    return {"pid": os.getpid(), "peak_rss_mb": peak, "tag": tag}
 
 
 # -- Job identity --------------------------------------------------------
@@ -170,3 +183,20 @@ def test_workers_none_uses_cpu_count():
     jobs = [Job.make(f"{HERE}:square", {"x": x}) for x in range(4)]
     results = run_jobs(jobs, workers=None)
     assert [r.value for r in results] == [0, 1, 4, 9]
+
+
+# -- per-job memory ------------------------------------------------------
+
+
+def test_pooled_job_reports_its_own_peak():
+    """A small job that follows large ones in a two-worker pool runs in
+    a worker that has run nothing else, so its peak is not theirs."""
+    jobs = [Job.make(f"{HERE}:peak_after", {"mb": 64, "tag": i}) for i in range(2)]
+    jobs += [Job.make(f"{HERE}:peak_after", {"mb": 0, "tag": i}) for i in range(2)]
+    values = [r.value for r in run_jobs(jobs, workers=2, on_error="raise")]
+    if any(v["peak_rss_mb"] is None for v in values):
+        pytest.skip("no peak-RSS source on this platform")
+    assert len({v["pid"] for v in values}) == len(jobs)
+    big = min(v["peak_rss_mb"] for v in values[:2])
+    for small in values[2:]:
+        assert small["peak_rss_mb"] < big - 32, (small, big)
