@@ -25,6 +25,9 @@ mechanisms:
   then reconciles with its ring neighbours
   (:meth:`DhtKeyValueStore.sync_with_peers`): pull what was missed
   during the outage, push what peers lost, drop what was deleted.
+  Soft state (:func:`~repro.kvstore.records.is_soft_state`: resource
+  snapshots) is neither journaled nor reconciled; a crash drops it and
+  the next publish restores it.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from repro.kvstore.errors import KeyExistsError, KeyNotFoundError, KvError
 from repro.kvstore.records import (
     OverwritePolicy,
     Record,
+    is_soft_state,
     payload_size,
 )
 from repro.kvstore.sync import (
@@ -171,7 +175,8 @@ class DhtKeyValueStore:
     storage:
         Optional :class:`repro.storage.IStore` backend.  When set, the
         primary/replica tables are bound through it (so every mutation
-        is journaled by durable backends) and deletes leave tombstones
+        of a record that is not soft state is journaled by durable
+        backends) and deletes leave tombstones
         for anti-entropy; when None (the default) the tables are plain
         dictionaries and behaviour is byte-identical to before the
         storage layer existed.
@@ -204,8 +209,12 @@ class DhtKeyValueStore:
             #: None when no backend is attached (feature off).
             self.tombstones: Optional[dict] = None
         else:
-            self.primary = storage.table("kv.primary", decode=Record.from_wire)
-            self.replicas = storage.table("kv.replicas", decode=Record.from_wire)
+            self.primary = storage.table(
+                "kv.primary", decode=Record.from_wire, volatile=is_soft_state
+            )
+            self.replicas = storage.table(
+                "kv.replicas", decode=Record.from_wire, volatile=is_soft_state
+            )
             self.tombstones = storage.table("kv.tombstones")
         self.cache: "OrderedDict[str, Record]" = OrderedDict()
         #: Owner-side map: key -> names of nodes holding cached copies.
@@ -461,8 +470,8 @@ class DhtKeyValueStore:
         self.primary[key_hex] = record
         if self.tombstones is not None:
             self.tombstones.pop(key_hex, None)
-        # One wire form serves the reply and both pushes, and one size
-        # (the journal's, when there is one) serves all of them.
+        # One wire form and one size (the journal's, when there is one)
+        # serve the reply and both pushes.
         wire = record.wire()
         self._push_replicas(record, wire)
         self._push_cache_updates(key_hex, wire, record.wire_size(wire))
@@ -769,9 +778,14 @@ class DhtKeyValueStore:
         return reply
 
     def _handle_replica(self, request: Request) -> None:
-        # The sender's size is the record's: a durable backend journals
-        # the replica without encoding it again.
-        record = Record.from_wire(request.body["record"], request.size)
+        # The sender's size and wire form are the record's: a journal
+        # takes both as they came, without building or encoding again.
+        storage = self.storage
+        record = Record.from_wire(
+            request.body["record"],
+            request.size,
+            keep=storage is not None and storage.durable,
+        )
         if self.tombstones is not None:
             tomb = self.tombstones.get(record.key_hex)
             if tomb is not None:
@@ -893,7 +907,8 @@ class DhtKeyValueStore:
         digests: dict[str, dict] = {}
         for key_hex in sorted(set(self.primary) | set(self.replicas)):
             record = self.primary.get(key_hex) or self.replicas.get(key_hex)
-            digests[key_hex] = record_digest(record)
+            if not is_soft_state(record):
+                digests[key_hex] = record_digest(record)
         if self.tombstones is not None:
             for key_hex in sorted(self.tombstones):
                 digests[key_hex] = tombstone_digest(self.tombstones[key_hex])
@@ -1000,9 +1015,10 @@ class DhtKeyValueStore:
                 records_out.append(local.wire())
             elif digest_beats(remote, record_digest(local)):
                 want.append(key_hex)
-        # Primaries the requester should replicate but did not mention.
+        # Primaries the requester should replicate but did not mention
+        # (soft state is never mentioned, and never handed over).
         for key_hex in sorted(self.primary):
-            if key_hex in digests:
+            if key_hex in digests or is_soft_state(self.primary[key_hex]):
                 continue
             if any(p.name == requester for p in self._replica_targets(key_hex)):
                 records_out.append(self.primary[key_hex].wire())
@@ -1011,7 +1027,7 @@ class DhtKeyValueStore:
         # replica copies on nodes like us — hand them back, or they
         # stay orphaned where no lookup will ever route.
         for key_hex in sorted(self.replicas):
-            if key_hex in digests:
+            if key_hex in digests or is_soft_state(self.replicas[key_hex]):
                 continue
             owner = self.chimera.closest_known(NodeId.from_hex(key_hex))
             if owner.name == requester:

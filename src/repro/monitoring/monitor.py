@@ -13,6 +13,7 @@ from typing import Callable
 
 from repro.kvstore import DhtKeyValueStore
 from repro.kvstore.errors import KvError
+from repro.kvstore.records import SOFT_STATE_PREFIX
 from repro.monitoring.snapshot import ResourceSnapshot
 from repro.net import NetworkError
 from repro.sim import Interrupt
@@ -21,8 +22,11 @@ __all__ = ["ResourceMonitor", "resource_key"]
 
 
 def resource_key(node_name: str) -> str:
-    """KV-store key under which a node's resources are published."""
-    return f"resource:{node_name}"
+    """KV-store key under which a node's resources are published.
+
+    Snapshots are soft state: durable backends keep them in RAM only.
+    """
+    return f"{SOFT_STATE_PREFIX}{node_name}"
 
 
 class ResourceMonitor:

@@ -7,6 +7,9 @@ table[key]``, ``table.pop(key)``).  The KV store binds
 binds ``bin.mandatory`` / ``bin.voluntary`` manifests.  Durable
 backends intercept every mutation and journal it; :class:`MemStore`
 hands out plain dictionaries, so the default deployment pays nothing.
+A table may name *volatile* values (soft state the program rebuilds on
+its own): durable backends keep those in RAM only, so a crash drops
+them and replay does not restore them.
 
 The crash/recovery lifecycle is three calls:
 
@@ -86,21 +89,29 @@ class IStore:
         #: Lifetime crash count (observability).
         self.crashes = 0
 
-    def table(self, name: str, decode: Optional[Callable[[Any], Any]] = None) -> dict:
+    def table(
+        self,
+        name: str,
+        decode: Optional[Callable[[Any], Any]] = None,
+        volatile: Optional[Callable[[Any], bool]] = None,
+    ) -> dict:
         """Get-or-create the named table.
 
         ``decode`` maps a journaled wire payload back to the live
         object on replay (e.g. ``Record.from_wire``); values that are
-        already JSON-shaped need none.
+        already JSON-shaped need none.  ``volatile``, given when the
+        table is created, is true of the values that stay out of the
+        journal (e.g. ``is_soft_state``).  A key's values must all be
+        volatile or all durable.
         """
         tbl = self._tables.get(name)
         if tbl is None:
-            tbl = self._tables[name] = self._make_table(name)
+            tbl = self._tables[name] = self._make_table(name, volatile)
         if decode is not None:
             self._decoders[name] = decode
         return tbl
 
-    def _make_table(self, name: str) -> dict:
+    def _make_table(self, name: str, volatile=None) -> dict:
         return {}
 
     # -- crash / recovery lifecycle ----------------------------------------

@@ -1,7 +1,7 @@
 """Append-only simulated write-ahead log with snapshot+compaction.
 
 Every mutation of a :class:`WalTable` appends a :class:`WalEntry` to
-the backend's log; when the log reaches ``snapshot_every`` entries the
+the backend's log (except for values the table names volatile); when the log reaches ``snapshot_every`` entries the
 *synced* prefix is folded into a compacted per-table snapshot and
 truncated.  Replay rebuilds every table from snapshot + log in order.
 
@@ -43,30 +43,38 @@ class WalTable(dict):
 
     Reads are plain dict reads (no overhead); writes go through
     ``__setitem__`` / ``__delitem__`` / ``pop`` / ``clear`` /
-    ``update`` / ``setdefault``, all of which append to the WAL.
-    Recovery repopulates via ``dict.__setitem__`` directly so replay
-    never re-journals what it reads back.
+    ``update`` / ``setdefault``, all of which append to the WAL unless
+    the value is volatile (``volatile(value)`` is true): those live in
+    the dict alone.  Recovery repopulates via ``dict.__setitem__``
+    directly so replay never re-journals what it reads back.
     """
 
-    __slots__ = ("_store", "_name")
+    __slots__ = ("_store", "_name", "_volatile")
 
-    def __init__(self, store: "WalStore", name: str) -> None:
+    def __init__(self, store: "WalStore", name: str, volatile=None) -> None:
         super().__init__()
         self._store = store
         self._name = name
+        self._volatile = volatile
+
+    def _durable(self, value) -> bool:
+        return self._volatile is None or not self._volatile(value)
 
     def __setitem__(self, key, value) -> None:
         dict.__setitem__(self, key, value)
-        self._store.append("put", self._name, key, value)
+        if self._durable(value):
+            self._store.append("put", self._name, key, value)
 
     def __delitem__(self, key) -> None:
-        dict.__delitem__(self, key)
-        self._store.append("del", self._name, key, None)
+        value = dict.pop(self, key)
+        if self._durable(value):
+            self._store.append("del", self._name, key, None)
 
     def pop(self, key, *default):
         if key in self:
             value = dict.pop(self, key)
-            self._store.append("del", self._name, key, None)
+            if self._durable(value):
+                self._store.append("del", self._name, key, None)
             return value
         if default:
             return default[0]
@@ -74,7 +82,8 @@ class WalTable(dict):
 
     def popitem(self):
         key, value = dict.popitem(self)
-        self._store.append("del", self._name, key, None)
+        if self._durable(value):
+            self._store.append("del", self._name, key, None)
         return key, value
 
     def clear(self) -> None:
@@ -118,21 +127,27 @@ class WalStore(IStore):
         self.compactions = 0
         #: Serialized bytes of the snapshot: each live key's journaled
         #: size, and their running total.  The sizes stay exact because
-        #: a journaled payload is never edited after append: ``wire()``
-        #: builds fresh containers, and callers copy a value fetched
-        #: from the KV store before editing it (``ObjectMeta.from_wire``,
+        #: a journaled payload is never edited after append: a record's
+        #: kept wire form is dropped, not edited, when the record
+        #: changes, and callers copy a value fetched from the KV store
+        #: before editing it (``ObjectMeta.from_wire``,
         #: ``ServiceRegistry``).
         self._snapshot_sizes: dict[tuple[str, str], int] = {}
         self._snapshot_bytes = 0
 
-    def _make_table(self, name: str) -> dict:
-        return WalTable(self, name)
+    def _make_table(self, name: str, volatile=None) -> dict:
+        return WalTable(self, name, volatile)
 
     # -- journaling ---------------------------------------------------------
 
     def append(self, op: str, table: str, key: str, value: Any) -> None:
         """Journal one mutation (called by the tables)."""
-        encoded = value.wire() if hasattr(value, "wire") else value
+        if hasattr(value, "keep_wire"):
+            # The record keeps the wire form the log holds, so its
+            # replies and pushes do not build it again.
+            encoded = value.keep_wire()
+        else:
+            encoded = value.wire() if hasattr(value, "wire") else value
         if op != "put":
             size = 24
         elif hasattr(value, "encoded_len"):

@@ -15,6 +15,7 @@ from repro.cluster import (
     ResilienceConfig,
     StorageConfig,
 )
+from repro.kvstore.records import is_soft_state
 
 
 def fresh_cluster(seed, **kwargs):
@@ -70,9 +71,11 @@ class TestWalCrashRevive:
         c4h.run(victim.client.store_file("dur.bin", 2.0))
         assert victim.vstore.holds("dur.bin")
         c4h.sim.run(until=c4h.sim.now + 1.0)
+        # Resource snapshots are soft state: the WAL never held them.
         held = {
             k: r.version
             for k, r in [*victim.kv.primary.items(), *victim.kv.replicas.items()]
+            if not is_soft_state(r)
         }
         chaos = (
             ChaosSchedule(c4h)
@@ -130,9 +133,14 @@ class TestWalCrashRevive:
             c4h.run(writer.kv.put(f"disk-{i}", i))
         # Let the flushers fsync the journals.
         c4h.sim.run(until=c4h.sim.now + 2.0)
-        victim = next(d for d in c4h.devices if d.kv.primary)
+        # Resource snapshots are soft state: the journal never holds them.
+        victim = next(
+            d
+            for d in c4h.devices
+            if any(not is_soft_state(r) for r in d.kv.primary.values())
+        )
         assert victim.storage.fsyncs > 0
-        held = set(victim.kv.primary)
+        held = {k for k, r in victim.kv.primary.items() if not is_soft_state(r)}
         chaos = (
             ChaosSchedule(c4h)
             .crash(after=1.0, device_name=victim.name)

@@ -10,7 +10,7 @@ repeats it on disk-backed journals and checks what they retain.
 
 import pytest
 
-from repro.cluster import ChaosSchedule, Cloud4Home, large_home
+from repro.cluster import ChaosSchedule, Cloud4Home, StorageConfig, large_home
 from repro.kvstore import KeyNotFoundError
 from repro.net import NetworkError
 from repro.overlay import Stabilizer
@@ -25,8 +25,16 @@ def test_large_home_soak():
 
 @pytest.mark.slow
 def test_durable_home_soak():
+    # Resource snapshots stay out of the journal, so a small snapshot
+    # interval is what makes object metadata alone compact.
     c4h = Cloud4Home(
-        large_home(n_devices=20, seed=500, replication_factor=2, storage="disk")
+        large_home(
+            n_devices=20,
+            seed=500,
+            replication_factor=2,
+            storage="disk",
+            storage_tuning=StorageConfig(snapshot_every=32),
+        )
     )
     soak(c4h)
     # Every journal entry still carries the size of its own payload,

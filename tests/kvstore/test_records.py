@@ -84,6 +84,43 @@ class TestEncodedLength:
         assert received.wire_size() == payload_size(received.wire())
 
 
+class TestKeptWire:
+    """A journaled record builds its wire form once per version."""
+
+    def make(self):
+        record = Record(key_hex="ab" * 5, name="cam.jpg")
+        record.apply("v1", OverwritePolicy.OVERWRITE, now=1.0)
+        return record
+
+    def test_a_record_keeps_no_wire_form_unless_asked(self):
+        record = self.make()
+        assert record.wire() is not record.wire()
+        assert record.wire() == record.wire()
+
+    def test_kept_wire_is_shared_until_the_next_version(self):
+        record = self.make()
+        kept = record.keep_wire()
+        assert record.wire() is kept and record.keep_wire() is kept
+        record.apply("v2", OverwritePolicy.CHAIN, now=2.0)
+        assert record.wire() is not kept
+        assert [v["value"] for v in record.wire()["versions"]] == ["v1", "v2"]
+        assert [v["value"] for v in kept["versions"]] == ["v1"]
+
+    def test_copy_keeps_none(self):
+        record = self.make()
+        kept = record.keep_wire()
+        assert record.copy().wire() is not kept
+
+    def test_from_wire_keeps_the_received_form_when_asked(self):
+        wire = self.make().wire()
+        assert Record.from_wire(wire).wire() is not wire
+        received = Record.from_wire(wire, keep=True)
+        assert received.wire() is wire
+        received.apply("v2", OverwritePolicy.OVERWRITE, now=2.0)
+        assert received.wire()["versions"][0]["value"] == "v2"
+        assert wire["versions"][0]["value"] == "v1"
+
+
 class TestVersionedValue:
     def test_wire_round_trip(self):
         v = VersionedValue({"a": 1}, 3, 7.25)

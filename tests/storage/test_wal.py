@@ -73,6 +73,45 @@ class TestWalTable:
         assert store.log[0].value == {"version": 7}
 
 
+class TestVolatileValues:
+    """Values a table names volatile live in RAM only."""
+
+    def make(self):
+        store = WalStore(snapshot_every=4)
+        tbl = store.table("t", volatile=lambda v: v.get("soft", False))
+        return store, tbl
+
+    def test_no_mutation_of_a_volatile_value_is_journaled(self):
+        store, tbl = self.make()
+        for i in range(6):
+            tbl[f"s{i}"] = {"soft": True, "i": i}
+        tbl.setdefault("s9", {"soft": True})
+        tbl.update({"s10": {"soft": True}})
+        del tbl["s0"]
+        tbl.pop("s1")
+        tbl.popitem()
+        tbl.clear()
+        assert store.appends == 0 and store.compactions == 0
+        assert store.log == [] and store.snapshot == {}
+
+    def test_durable_values_beside_them_are_journaled(self):
+        store, tbl = self.make()
+        tbl["a"] = {"v": 1}
+        tbl["s"] = {"soft": True}
+        del tbl["s"]
+        del tbl["a"]
+        assert [(e.op, e.key) for e in store.log] == [("put", "a"), ("del", "a")]
+
+    def test_crash_drops_them_and_replay_does_not_restore_them(self):
+        store, tbl = self.make()
+        tbl["a"] = {"v": 1}
+        tbl["s"] = {"soft": True}
+        assert store.crash()["lost_records"] == 2
+        report = store.replay()
+        assert dict(tbl) == {"a": {"v": 1}}
+        assert report.records == 1
+
+
 class TestCompaction:
     def test_compacts_at_threshold(self):
         store = WalStore(snapshot_every=4)
