@@ -43,8 +43,11 @@ N_NODES = 8
 #: The two holder nodes the fixed chaos script kills and revives.
 VICTIMS = ("node1", "node2")
 OBJECT_MB = 1.0
-#: Long repair period: the first sweep lands *after* the revives, so
-#: what it finds is exactly what recovery left behind.
+#: Backstop period.  Two backstop sweeps bring every object to full
+#: strength before the fault.  During the outage only the sweeps that
+#: the crashes trigger run; on a durable backend they restore only
+#: objects one failure from loss, so what a WAL rejoin costs is that
+#: plus whatever recovery left behind.
 REPAIR_PERIOD_S = 60.0
 
 

@@ -16,7 +16,9 @@ an RPC echo round trip takes exactly 3 events (4 on an idle endpoint,
 5 with a generator handler), a forwarded ``kv.get`` hop 6, a
 delivered ``Network.send`` message schedules nothing further, and a
 disk store's flush takes exactly 2 events when dirty and none per idle
-period.
+period, and a healthy durable home journals no resource snapshot,
+sweeps once for a burst of repair triggers (twice when the burst lands
+during a sweep) and once per elapsed backstop period when idle.
 The ``fastpath`` suite records absolute figures — kernel events/s,
 wall time plus kernel events for the XenSocket transfer and the
 overlay lookup storm, and sequential RPC round trips per second.  ``--check`` additionally enforces the acceptance
@@ -67,6 +69,8 @@ for entry in (str(REPO_ROOT / "src"), str(REPO_ROOT)):
     if entry not in sys.path:
         sys.path.insert(0, entry)
 
+from benchmarks.perf.background_bench import COUNTS as BACKGROUND_COUNTS
+from benchmarks.perf.background_bench import bench_background
 from benchmarks.perf.decision_bench import bench_decision
 from benchmarks.perf.durability_bench import bench_durability
 from benchmarks.perf.flusher_bench import EVENT_COUNTS as FLUSHER_EVENT_COUNTS
@@ -145,6 +149,7 @@ def _suites(smoke: bool, workers: int) -> list:
                 "overlay_lookup_storm": bench_overlay(n_nodes=12, n_lookups=100),
                 "rpc_round_trip": bench_rpc(n_calls=2000),
                 "disk_flusher": bench_flusher(),
+                "background_work": bench_background(),
                 "table1_sweep": bench_table1(sizes=[1, 10], repeats=1),
             }),
             ("parallel", lambda: {
@@ -186,6 +191,7 @@ def _suites(smoke: bool, workers: int) -> list:
             "overlay_lookup_storm": bench_overlay(),
             "rpc_round_trip": bench_rpc(),
             "disk_flusher": bench_flusher(),
+            "background_work": bench_background(),
             "table1_sweep": bench_table1(),
         }),
         ("parallel", lambda: {
@@ -209,6 +215,7 @@ GATES = {
         "xensocket_event_budget": XENSOCKET_EVENT_BUDGET,
         "rpc_event_counts": RPC_EVENT_COUNTS,
         "flusher_event_counts": FLUSHER_EVENT_COUNTS,
+        "background_counts": BACKGROUND_COUNTS,
     },
     "parallel": {"thresholds": PARALLEL_THRESHOLDS},
     "telemetry": {"max_disabled_overhead": TELEMETRY_MAX_DISABLED_OVERHEAD},
@@ -376,6 +383,7 @@ def main(argv=None) -> int:
     storm = results["overlay_lookup_storm"]
     rpc = results["rpc_round_trip"]
     flusher = results["disk_flusher"]
+    background = results["background_work"]
     table1 = results["table1_sweep"]
     print(f"fastpath microbenchmarks ({mode} mode)")
     print(
@@ -396,6 +404,7 @@ def main(argv=None) -> int:
         f" events {rpc['events']}"
     )
     print(f"  disk_flusher             events {flusher['events']}")
+    print(f"  background_work          counts {background['counts']}")
     if table1["speedup"] is None:
         print(
             f"  table1_sweep             {table1['wall_s']:.4f} s wall"
@@ -492,6 +501,10 @@ def main(argv=None) -> int:
     if flusher["events"] != FLUSHER_EVENT_COUNTS:
         failures.append(
             f"disk flusher: kernel events {flusher['events']} != {FLUSHER_EVENT_COUNTS}"
+        )
+    if background["counts"] != BACKGROUND_COUNTS:
+        failures.append(
+            f"background work: counts {background['counts']} != {BACKGROUND_COUNTS}"
         )
     if args.check:
         for name, minimum in THRESHOLDS.items():

@@ -170,8 +170,10 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--assert-clean",
         action="store_true",
-        help="exit 1 unless every operation succeeded and the repair "
-        "log is non-empty (the CI chaos smoke)",
+        help="exit 1 unless every operation succeeded, the stack healed "
+        "(the repair log is non-empty, or with --durability a revive "
+        "recovered from its journal) and, with resilience on, no "
+        "durability invariant is breached at the end (the CI chaos smoke)",
     )
     chaos.add_argument(
         "--flightrec-dir",
@@ -476,6 +478,7 @@ def cmd_report(args) -> int:
 def cmd_chaos(args) -> int:
     from repro.cluster import SloConfig
     from repro.cluster.chaos import RandomChaos
+    from repro.cluster.invariants import check_invariants
     from repro.kvstore import KvError
     from repro.net import NetworkError
     from repro.vstore.errors import VStoreError
@@ -555,18 +558,31 @@ def cmd_chaos(args) -> int:
             f"  durability: {backends} WAL backends attached, "
             f"{recoveries} revive(s) recovered from the journal"
         )
+    breaches = [] if args.resilience_off else check_invariants(c4h)
+    if not args.resilience_off:
+        print(f"  invariants: {len(breaches)} breach(es) at the end")
     for op, error in failures:
         print(f"  FAILED {op}: {error}")
+    for breach in breaches:
+        print(f"  BREACH {breach.kind} {breach.name}: {breach.detail}")
     if args.assert_clean:
+        # With durable storage a revive that replays its journal heals
+        # the node without a single repair action.
+        unhealed = not args.resilience_off and repairs == 0 and recoveries == 0
         missing_recovery = args.durability and recoveries == 0
-        if failures or (not args.resilience_off and repairs == 0) or missing_recovery:
-            print(
-                "assert-clean: operation failures above"
-                if failures
-                else "assert-clean: repair log is empty"
-                if not args.resilience_off and repairs == 0
-                else "assert-clean: no revive recovered from the WAL"
-            )
+        problem = (
+            "operation failures above"
+            if failures
+            else "repair log is empty"
+            if unhealed
+            else "no revive recovered from the WAL"
+            if missing_recovery
+            else "invariant breaches above"
+            if breaches
+            else None
+        )
+        if problem is not None:
+            print(f"assert-clean: {problem}")
             if c4h.recorders is not None:
                 c4h.recorders.dump(
                     now=c4h.sim.now, reason="assert-clean-failure"

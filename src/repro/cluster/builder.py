@@ -28,6 +28,7 @@ from repro.net import Link, Network, Route, TcpProfile
 from repro.overlay import ID_DIGITS, ChimeraNode, PeerInfo
 from repro.resilience import (
     BreakerRegistry,
+    FailureDetector,
     Repairer,
     ResilientCaller,
     RetryPolicy,
@@ -97,6 +98,9 @@ class Device:
     breakers: Optional[BreakerRegistry] = None
     caller: Optional[ResilientCaller] = None
     repairer: Optional[Repairer] = None
+    #: Evicts crashed peers and triggers the repairer; checks on each
+    #: monitor tick (resilience on only).
+    detector: Optional[FailureDetector] = None
     #: Durable storage backend (None when ``ClusterConfig.storage`` is
     #: ``"off"``) and its background flusher (``"disk"`` backend only).
     storage: Optional[object] = None
@@ -437,6 +441,13 @@ class Cloud4Home:
 
         vstore.snapshot_fn = sampler
         monitor = ResourceMonitor(kv, sampler, period_s=self.config.monitor_period_s)
+        detector = None
+        if repairer is not None:
+            detector = FailureDetector(
+                kv, (d.name for d in self.config.devices), monitor.period_s
+            )
+            detector.on_suspect.append(repairer.trigger)
+            monitor.on_tick = [detector.check_once]
         client = VStoreClient(vstore)
         return Device(
             config=dc,
@@ -458,6 +469,7 @@ class Cloud4Home:
             breakers=breakers,
             caller=caller,
             repairer=repairer,
+            detector=detector,
             storage=storage,
             flusher=flusher,
         )

@@ -251,6 +251,7 @@ class ChaosSchedule:
             detail += f", replayed {report.records} records"
         yield from device.chimera.join(bootstrap=bootstrap)
         yield from device.monitor.publish_once()
+        device.monitor.start(publish_immediately=False)
         if device.storage is not None:
             # One anti-entropy round with the ring neighbours: pull
             # writes missed while down, push records only we hold,
@@ -264,7 +265,10 @@ class ChaosSchedule:
                 f"(pushed {summary['pushed']})"
             )
         if device.repairer is not None:
+            # A revived node sweeps at once: the metadata it replayed and
+            # synced may name holders that failed while it was down.
             device.repairer.start()
+            device.repairer.trigger()
         if device.flusher is not None:
             device.flusher.start()
         self.events.append(

@@ -120,8 +120,13 @@ class ResilienceConfig:
     #: long an open breaker refuses calls before half-opening.
     failure_threshold: int = 3
     breaker_cooldown_s: float = 15.0
-    #: Period of each node's background payload-repair sweep.
-    repair_period_s: float = 30.0
+    #: Backstop period of each node's payload-repair sweeps.  Sweeps
+    #: run when a peer looks failed or returned (the failure detector,
+    #: overlay membership, an opened breaker, a fetch failover, a
+    #: revive); this periodic one, ``repair_period_s`` after the last
+    #: one ended, catches loss that nothing reports, such as a disk
+    #: crash that drops unsynced appends.
+    repair_period_s: float = 300.0
     #: Decision-engine freshness TTL: candidates whose published
     #: snapshot is older than this are treated as dead.  Six monitor
     #: periods of slack by default.

@@ -37,6 +37,11 @@ class ResourceMonitor:
     space from the file-system watcher, etc.).
     """
 
+    #: Called after each periodic publish, successful or not.  A
+    #: class-level empty tuple until something subscribes (by assigning
+    #: a list), so the monitors of a large overlay allocate nothing.
+    on_tick: "tuple | list[Callable[[], None]]" = ()
+
     def __init__(
         self,
         store: DhtKeyValueStore,
@@ -96,6 +101,8 @@ class ResourceMonitor:
             while True:
                 yield self.sim.timeout(self.period_s)
                 yield from self._publish_guarded()
+                for callback in self.on_tick:
+                    callback()
         except Interrupt:
             return
 

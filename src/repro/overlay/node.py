@@ -253,7 +253,7 @@ class ChimeraNode:
         )
         for wire in reply["peers"]:
             self._add_peer(PeerInfo.from_wire(wire))
-        self._announce()
+        self.announce()
 
     def leave(self):
         """Process: gracefully leave the overlay.
@@ -394,9 +394,17 @@ class ChimeraNode:
         contribution = self._state_for(joiner)
         hop = self.next_hop(joiner.id)
         self._add_peer(joiner)
-        if hop is None or hop.id == joiner.id:
-            return {"peers": contribution}
-        reply = yield self.endpoint.call(hop.name, MSG_JOIN, request.body)
+        while True:
+            if hop is None or hop.id == joiner.id:
+                return {"peers": contribution}
+            try:
+                reply = yield self.endpoint.call(hop.name, MSG_JOIN, request.body)
+                break
+            except (HostDownError, RpcTimeoutError):
+                # A crashed hop nobody has noticed yet: forget it and
+                # route on, as _handle_route does.
+                self._forget(hop.id)
+                hop = self.next_hop(joiner.id)
         merged = {entry["id"]: entry for entry in reply["peers"]}
         for entry in contribution:
             merged.setdefault(entry["id"], entry)
@@ -519,7 +527,14 @@ class ChimeraNode:
             for callback in self.on_node_left:
                 callback(peer)
 
-    def _announce(self) -> None:
+    def evict(self, name: str) -> None:
+        """Forget the peer ``name`` after a failure detector found it
+        crashed, as a failed route forgets its hop."""
+        self._forget(NodeId.from_name(name))
+
+    def announce(self) -> None:
+        """Tell every known peer that we are here (on join, or after
+        being wrongly evicted)."""
         me = PeerInfo(self.name, self.id).wire()
         for peer in self.peers():
             try:

@@ -192,6 +192,14 @@ def run_jobs(
     if workers <= 1 or len(work) <= 1:
         executed = [execute_job(job) for job in work]
     else:
+        # Each job gets a freshly forked worker: import the job modules
+        # here once, or every worker imports them again.  A module that
+        # fails to import is left to fail its jobs, in their workers.
+        for module_name in dict.fromkeys(job.fn.partition(":")[0] for job in work):
+            try:
+                importlib.import_module(module_name)
+            except Exception:  # noqa: BLE001 - reported per job by execute_job
+                pass
         ctx = _pool_context()
         n_workers = min(workers, len(work))
         executed = [None] * len(work)

@@ -18,6 +18,8 @@ through the store/fetch/process path and **off by default** —
   under-replicated object payloads after a crash and restores the
   configured ``data_replicas`` copy count, promoting surviving
   replicas (or the cloud copy) when the primary holder died.
+* :class:`FailureDetector` — suspects a peer whose resource snapshot
+  went stale and tells every device, so the repairers sweep at once.
 
 See ``docs/RESILIENCE.md`` for the full model.
 """
@@ -27,6 +29,7 @@ from repro.resilience.breaker import (
     BreakerTransition,
     CircuitBreaker,
 )
+from repro.resilience.detector import FailureDetector
 from repro.resilience.errors import CircuitOpenError, DeadlineExceededError
 from repro.resilience.repair import RepairAction, Repairer
 from repro.resilience.retry import ResilientCaller, RetryPolicy
@@ -37,6 +40,7 @@ __all__ = [
     "CircuitBreaker",
     "CircuitOpenError",
     "DeadlineExceededError",
+    "FailureDetector",
     "RepairAction",
     "Repairer",
     "ResilientCaller",

@@ -23,6 +23,7 @@ whole registry is deterministic.  Transitions are appended to
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.resilience.errors import CircuitOpenError
 
@@ -127,6 +128,8 @@ class BreakerRegistry:
         self._breakers: dict[str, CircuitBreaker] = {}
         self.transitions: list[BreakerTransition] = []
         self.short_circuits = 0
+        #: Called with the peer's name when its breaker opens.
+        self.on_open: list[Callable[[str], None]] = []
 
     def breaker(self, peer: str) -> CircuitBreaker:
         b = self._breakers.get(peer)
@@ -177,6 +180,9 @@ class BreakerRegistry:
         if opened or old != b.state:
             self.transitions.append(BreakerTransition(now, peer, old, b.state))
             self._count("resilience.breaker.opened")
+        if opened:
+            for callback in self.on_open:
+                callback(peer)
 
     def open_peers(self, now: float) -> list[str]:
         """Peers currently refused (for diagnostics)."""

@@ -3,10 +3,22 @@
 Metadata heals itself (the KV store promotes replicas and re-pushes on
 churn), but after a holder crashes an object's *payload* copies stay
 one short until someone notices.  The :class:`Repairer` is that
-someone: each node runs one, and on a fixed period it walks the object
-metadata it *owns* (records in its KV primary map named ``object:*`` —
-ownership makes the sweep naturally partitioned, each object is
-repaired by exactly one live node).  A sweep
+someone: each node runs one, and when it has a reason to it walks the
+object metadata it *owns* (records in its KV primary map named
+``object:*`` — ownership makes the sweep naturally partitioned, each
+object is repaired by exactly one live node).  The reasons
+(:meth:`Repairer.trigger`) are the signs of a peer that failed or came
+back: the failure detector finds a peer crashed
+(:class:`~repro.resilience.detector.FailureDetector`), the overlay
+forgets or learns a peer (``on_node_left`` / ``on_node_joined``), a
+peer's circuit breaker opens, a fetch fails over, or this node revives
+after its anti-entropy round.  Triggers that arrive while a sweep is
+pending or running add at most one follow-up sweep.  With a durable
+storage backend a triggered sweep restores at once only what is one
+failure from loss (:meth:`Repairer.scan_once`).  A
+slow periodic backstop sweep (``period_s`` after the last one ended;
+triggered sweeps do not postpone it) catches loss that no signal
+reports, such as a disk crash that drops unsynced appends.  A sweep
 
 1. **probes** each distinct holder once: one ``vstore.ping`` per peer
    carries the names of every share (full copy or stripe chunk) the
@@ -80,13 +92,15 @@ class RepairAction:
 
 
 class Repairer:
-    """Periodic payload-redundancy sweeper for one node's owned objects."""
+    """Payload-redundancy sweeper for one node's owned objects: sweeps on
+    suspicion of a failed or returned peer, and every ``period_s`` as a
+    backstop."""
 
     def __init__(
         self,
         vstore,
         data_replicas: int = 2,
-        period_s: float = 30.0,
+        period_s: float = 300.0,
         caller: Optional[ResilientCaller] = None,
         metrics=None,
         track_lost: bool = False,
@@ -112,6 +126,18 @@ class Repairer:
         #: is not parsed again.
         self._metas: dict[str, tuple] = {}
         self._process = None
+        #: The event the idle loop waits on (None while it is not
+        #: waiting), whether a trigger arrived since the last sweep
+        #: began, and the pending backstop timer and whether it fired.
+        self._wake = None
+        self._again = False
+        self._timer = None
+        self._backstop_due = False
+        vstore.chimera.on_node_left.append(self.trigger)
+        vstore.chimera.on_node_joined.append(self._on_joined)
+        vstore.on_failover = [*vstore.on_failover, self.trigger]
+        if caller is not None and caller.breakers is not None:
+            caller.breakers.on_open.append(self.trigger)
 
     # -- lifecycle (same shape as ResourceMonitor) ---------------------------
 
@@ -129,22 +155,72 @@ class Repairer:
 
     def start(self) -> None:
         if not self.running:
+            self._again = self._backstop_due = False
+            self._arm_backstop()
             self._process = self.sim.process(self._run())
 
     def stop(self) -> None:
         if self.running:
             self._process.interrupt("repairer stopped")
         self._process = None
+        self._wake = None
+        if self._timer is not None:
+            self._timer.callbacks.clear()  # the pending backstop goes inert
+            self._timer = None
+
+    def trigger(self, *_reason) -> None:
+        """Sweep now: a peer may have failed or come back.
+
+        Takes (and ignores) what the signal passes, e.g. the peer.  A
+        trigger while a sweep is pending changes nothing, and any while
+        one runs add a single follow-up sweep.  A stopped repairer
+        ignores triggers.
+        """
+        if self.running:
+            self._again = True
+            self._wake_up()
+
+    def _on_joined(self, peer) -> None:
+        """A peer joined or came back: sweep.  Its announcement is
+        evidence of life, so a breaker its outage opened here closes
+        first; the sweep then probes it and reattaches what it kept."""
+        breakers = self.caller.breakers if self.caller is not None else None
+        if breakers is not None and breakers.is_open(peer.name, self.sim.now):
+            breakers.record_success(peer.name, self.sim.now)
+        self.trigger()
+
+    def _arm_backstop(self) -> None:
+        """Schedule the backstop sweep a period from now: once per
+        backstop sweep, so triggered sweeps never postpone it."""
+        self._timer = self.sim._call_at(self.sim.now + self.period_s, self._on_backstop)
+
+    def _on_backstop(self, _timer) -> None:
+        self._timer = None
+        self._backstop_due = True
+        self._wake_up()
+
+    def _wake_up(self) -> None:
+        """Resume the idle loop, if it is waiting."""
+        wake, self._wake = self._wake, None
+        if wake is not None:
+            wake.succeed()
 
     def _run(self):
         try:
             while True:
-                yield self.sim.timeout(self.period_s)
+                if not (self._again or self._backstop_due):
+                    self._wake = self.sim.event()
+                    yield self._wake
+                backstop = self._backstop_due
+                self._again = self._backstop_due = False
                 try:
-                    yield from self.scan_once()
+                    yield from self.scan_once(triggered=not backstop)
                 except (NetworkError, KvError, VStoreError):
-                    # Transient churn mid-sweep; next period retries.
+                    # Transient churn mid-sweep; the next trigger or the
+                    # backstop retries.
                     pass
+                if backstop:
+                    self._arm_backstop()
         except Interrupt:
             return
 
@@ -160,10 +236,17 @@ class Repairer:
 
     # -- the sweep -----------------------------------------------------------
 
-    def scan_once(self):
+    def scan_once(self, triggered: bool = False):
         """Process: check and repair every object this node owns.
 
-        Returns the number of repair actions performed.
+        A ``triggered`` sweep on a deployment with a durable storage
+        backend leaves an object with a dead holder but more than k live ones
+        for the backstop sweep: the dead holders may come back with
+        their shares, and restoring them now would copy what a revive
+        brings back for free.  An object one failure from loss is
+        repaired at once, and a returned holder is reattached at once
+        (that copies nothing).  Returns the number of repair actions
+        performed.
         """
         self.scans += 1
         self._count("resilience.repair.scans")
@@ -194,9 +277,15 @@ class Repairer:
             if meta is not None:
                 metas.append((record.name, meta, stamp))
         held = yield from self._probe([meta for _, meta, _ in metas])
+        storage = self.vstore.storage
+        spare_waits = triggered and storage is not None and storage.durable
         for name, meta, stamp in metas:
             if self._healthy(meta, held):
                 continue
+            if spare_waits:
+                dead = self._live(meta, held).count(None)
+                if dead and len(meta.holders) - dead > meta.k:
+                    continue
             # The repair edits ``meta`` in place: parse it afresh next time.
             self._metas.pop(name, None)
             try:

@@ -1,9 +1,10 @@
 """Append-only simulated write-ahead log with snapshot+compaction.
 
 Every mutation of a :class:`WalTable` appends a :class:`WalEntry` to
-the backend's log (except for values the table names volatile); when the log reaches ``snapshot_every`` entries the
-*synced* prefix is folded into a compacted per-table snapshot and
-truncated.  Replay rebuilds every table from snapshot + log in order.
+the backend's log (except for values the table names volatile); when
+the log reaches ``snapshot_every`` entries the *synced* prefix is
+folded into a compacted per-table snapshot and truncated.  Replay
+rebuilds every table from snapshot + log in order.
 
 The log is plain Python state — a *model* of a disk journal, never a
 real file (SIM108 enforces this).  What makes it "durable" is the

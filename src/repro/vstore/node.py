@@ -123,6 +123,12 @@ class ProcessResult:
 class VStoreNode:
     """The per-device VStore++ service (dom0 component)."""
 
+    #: Called with a holder's name when a fetch finds it unreachable (a
+    #: full-copy failover, or a stripe chunk pull that failed).  The
+    #: shared empty tuple until a subscriber replaces it with a list, so
+    #: a node nobody watches allocates nothing.
+    on_failover: "tuple | list[Callable[[str], None]]" = ()
+
     def __init__(
         self,
         chimera: ChimeraNode,
@@ -604,6 +610,10 @@ class VStoreNode:
         arrived = [
             i for i, outcome in enumerate(outcomes) if isinstance(outcome, int)
         ]
+        for i, outcome in enumerate(outcomes):
+            if isinstance(outcome, BaseException):
+                for callback in self.on_failover:
+                    callback(meta.chunk_nodes[i])
         if codec.can_decode(len(arrived)):
             if any(codec.is_parity(i) for i in arrived):
                 # Parity chunks were among the first k (they won the
@@ -797,6 +807,8 @@ class VStoreNode:
                 last_exc = exc
                 if failover:
                     self._count("vstore.fetch.failover")
+                    for callback in self.on_failover:
+                        callback(src)
                     # An unreachable source is evidence the metadata we
                     # routed on may be a stale cached copy whose owner
                     # (the node that would push us updates) is gone.

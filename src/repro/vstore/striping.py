@@ -42,6 +42,7 @@ __all__ = [
     "StripeCodec",
     "StripingPolicy",
     "chunk_name",
+    "object_of",
     "plan_chunk_placement",
 ]
 
@@ -56,6 +57,12 @@ def chunk_name(name: str, index: int) -> str:
     if index < 0:
         raise ValueError(f"chunk index must be non-negative, got {index!r}")
     return f"{name}{_CHUNK_SEP}{index}"
+
+
+def object_of(stored: str) -> str:
+    """The object a stored name belongs to: a chunk's object, or a full
+    copy's own name."""
+    return stored.split(_CHUNK_SEP, 1)[0]
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,8 @@ from repro.cluster import (
     ResilienceConfig,
 )
 from repro.kvstore import DhtKeyValueStore
+from repro.overlay import PeerInfo
+from repro.resilience.detector import MSG_SUSPECT
 from repro.resilience.repair import Repairer
 from repro.vstore.node import MSG_PING, object_key
 from repro.vstore.objects import LOCATION_REMOTE, ObjectMeta
@@ -262,11 +264,14 @@ class TestBatchedProbe:
         owner = owner_of(c4h, "obj.bin")
         target = next(h for h in meta.holders if h != owner.name)
         breakers = owner.repairer.caller.breakers
+        pings = count_pings(owner)
+        scans = owner.repairer.scans
         for _ in range(breakers.failure_threshold):
             breakers.record_failure(target, c4h.sim.now)
         assert breakers.is_open(target, c4h.sim.now)
-        pings = count_pings(owner)
-        c4h.run(owner.repairer.scan_once())
+        # The opening breaker is a reason to sweep: one sweep runs.
+        c4h.sim.run(until=c4h.sim.now + 5.0)
+        assert owner.repairer.scans == scans + 1
         sent_to = [dst for dst, _ in pings]
         assert target not in sent_to
         assert sorted(sent_to) == sorted(
@@ -308,12 +313,14 @@ class TestBatchedProbe:
         assert victim not in pruned.holders
         assert pruned.lost_replicas == [victim]
 
+        # The revive is a reason to sweep: the owner's triggered sweep
+        # probes the returned holder once and reattaches it.
+        pings = count_pings(owner)
+        since, scans = c4h.sim.now, owner.repairer.scans
         ChaosSchedule(c4h).revive(0.0, victim).start()
         c4h.sim.run(until=c4h.sim.now + 10.0)
         assert c4h.device(victim).vstore.holds("obj.bin")
-        pings = count_pings(owner)
-        since = c4h.sim.now
-        c4h.run(owner.repairer.scan_once())
+        assert owner.repairer.scans == scans + 1
         reattached = [
             a for a in owner.repairer.repairs if a.at >= since and a.action == "reattach"
         ]
@@ -611,3 +618,220 @@ class TestHealthAwareDecisions:
         # Only the decider itself survives the freshness filter.
         assert [s.node for s in ranked] == ["node0"]
         assert decider.filtered_stale > 0
+
+
+class TestRepairTriggers:
+    """Each sign of a failed or returned peer starts exactly one sweep,
+    long before the backstop period (1000 s here) would."""
+
+    def home(self, seed, **overrides):
+        tuning = ResilienceConfig(
+            repair_period_s=overrides.pop("repair_period_s", 1000.0),
+            failure_threshold=overrides.pop("failure_threshold", 3),
+        )
+        c4h = Cloud4Home(resilient_config(seed, resilience_tuning=tuning, **overrides))
+        c4h.start()
+        for i in range(6):
+            c4h.run(c4h.devices[i].client.store_file(f"t{i}.bin", 1.0))
+        # No publishes (and so no failure detection): the only traffic
+        # is what the test drives.
+        for device in c4h.devices:
+            device.monitor.stop()
+        c4h.sim.run(until=c4h.sim.now + 5.0)
+        return c4h
+
+    def sweeps(self, c4h, action) -> dict:
+        """Sweeps per node (where any) in the 30 s after ``action()``."""
+        before = {d.name: d.repairer.scans for d in c4h.devices}
+        action()
+        c4h.sim.run(until=c4h.sim.now + 30.0)
+        return {
+            d.name: d.repairer.scans - before[d.name]
+            for d in c4h.devices
+            if d.repairer.scans != before[d.name]
+        }
+
+    def test_the_overlay_forgetting_a_peer(self):
+        c4h = self.home(831)
+        node, peer = c4h.devices[2], c4h.devices[5]
+        forget = lambda: node.chimera._forget(peer.chimera.id)
+        assert self.sweeps(c4h, forget) == {node.name: 1}
+
+    def test_a_breaker_opening(self):
+        c4h = self.home(832)
+        node, peer = c4h.devices[2], c4h.devices[5]
+        breakers = node.breakers
+
+        def fail(times):
+            for _ in range(times):
+                breakers.record_failure(peer.name, c4h.sim.now)
+
+        assert self.sweeps(c4h, lambda: fail(breakers.failure_threshold - 1)) == {}
+        assert self.sweeps(c4h, lambda: fail(1)) == {node.name: 1}
+
+    def test_a_fetch_failing_over(self):
+        # A breaker that never opens: the failover is the only signal.
+        c4h = self.home(833, failure_threshold=100)
+        name = next(
+            f"t{i}.bin"
+            for i in range(6)
+            if get_meta(c4h, c4h.devices[0], f"t{i}.bin").location
+            != owner_of(c4h, f"t{i}.bin").name
+        )
+        meta = get_meta(c4h, c4h.devices[0], name)
+        reader = next(d for d in c4h.devices if d.name not in meta.holders)
+        c4h.network.take_offline(meta.location)
+        fetched = []
+        fetch = lambda: fetched.append(c4h.run(reader.client.fetch_object(name)))
+        assert self.sweeps(c4h, fetch) == {reader.name: 1}
+        assert fetched[0].served_from in meta.replicas
+
+    def test_a_revive(self):
+        c4h = self.home(834, storage="wal")
+        victim = c4h.devices[3]
+        ChaosSchedule(c4h).crash(0.0, victim.name).start()
+        c4h.sim.run(until=c4h.sim.now + 1.0)
+        others = [d for d in c4h.devices if d is not victim]
+
+        def notice():
+            for device in others:
+                device.chimera._forget(victim.chimera.id)
+
+        assert self.sweeps(c4h, notice) == {d.name: 1 for d in others}
+        revive = lambda: ChaosSchedule(c4h).revive(0.0, victim.name).start()
+        # The revived node sweeps after its anti-entropy round, and every
+        # node that learns it is back sweeps once.
+        assert self.sweeps(c4h, revive) == {d.name: 1 for d in c4h.devices}
+
+    def test_a_rejoin_closes_the_breaker_its_outage_opened(self):
+        """The join announcement is evidence of life: the sweep it
+        starts must probe the returned peer, not skip it as down."""
+        c4h = self.home(841)
+        node, peer = c4h.devices[2], c4h.devices[5]
+        node.chimera._forget(peer.chimera.id)
+        for _ in range(node.breakers.failure_threshold):
+            node.breakers.record_failure(peer.name, c4h.sim.now)
+        c4h.sim.run(until=c4h.sim.now + 1.0)  # the sweeps these start
+        assert node.breakers.is_open(peer.name, c4h.sim.now)
+        scans = node.repairer.scans
+        node.chimera._add_peer(PeerInfo(peer.name, peer.chimera.id))
+        c4h.sim.run(until=c4h.sim.now + 1.0)  # well inside the cooldown
+        assert node.breakers.open_peers(c4h.sim.now) == []
+        assert node.repairer.scans == scans + 1
+
+    def test_a_stopped_repairer_ignores_triggers(self):
+        c4h = self.home(835)
+        node = c4h.devices[2]
+        node.repairer.stop()
+        assert self.sweeps(c4h, node.repairer.trigger) == {}
+
+    def test_a_durable_home_waits_for_the_backstop_while_a_spare_lives(self):
+        """A triggered sweep leaves a copy set with two of three holders
+        live (k = 1) to the backstop, which triggers do not postpone."""
+        period = 100.0
+        c4h = self.home(836, storage="wal", repair_period_s=period)
+        meta = get_meta(c4h, c4h.devices[0], "t0.bin")
+        owner = owner_of(c4h, "t0.bin")
+        victim = c4h.device(next(h for h in meta.holders if h != owner.name))
+        ChaosSchedule(c4h).crash(0.0, victim.name).start()
+        c4h.sim.run(until=c4h.sim.now + 1.0)
+        noticed = c4h.sim.now
+        owner.chimera._forget(victim.chimera.id)
+
+        def poke():
+            while True:
+                yield c4h.sim.timeout(30.0)
+                owner.repairer.trigger()
+
+        c4h.sim.process(poke())
+        c4h.sim.run(until=noticed + 20.0)
+        assert owner.repairer.scans > 0
+        assert repair_actions(owner, noticed) == []
+        c4h.sim.run(until=noticed + period + 20.0)
+        assert "replicate" in repair_actions(owner, noticed)
+        restored = get_meta(c4h, owner, "t0.bin")
+        assert victim.name not in restored.holders
+        assert len(live_holders(c4h, restored)) == 3
+
+    def test_a_memory_home_repairs_at_once(self):
+        """Without a durable backend a revived holder comes back empty,
+        so a triggered sweep restores the missing copy at once."""
+        c4h = self.home(837, storage="mem")
+        meta = get_meta(c4h, c4h.devices[0], "t0.bin")
+        owner = owner_of(c4h, "t0.bin")
+        victim = c4h.device(next(h for h in meta.holders if h != owner.name))
+        ChaosSchedule(c4h).crash(0.0, victim.name).start()
+        c4h.sim.run(until=c4h.sim.now + 1.0)
+        noticed = c4h.sim.now
+        forget = lambda: owner.chimera._forget(victim.chimera.id)
+        assert self.sweeps(c4h, forget) == {owner.name: 1}
+        assert "replicate" in repair_actions(owner, noticed)
+        restored = get_meta(c4h, owner, "t0.bin")
+        assert victim.name not in restored.holders
+        assert len(live_holders(c4h, restored)) == 3
+
+    def test_a_crash_the_detector_confirms(self):
+        """With monitors publishing, a crash is confirmed within four
+        monitor periods: every live node evicts the victim and sweeps."""
+        c4h = Cloud4Home(
+            resilient_config(
+                838, resilience_tuning=ResilienceConfig(repair_period_s=1000.0)
+            )
+        )
+        c4h.start()
+        for i in range(6):
+            c4h.run(c4h.devices[i].client.store_file(f"t{i}.bin", 1.0))
+        c4h.sim.run(until=c4h.sim.now + 5.0)
+        victim = c4h.devices[3]
+        others = [d for d in c4h.devices if d is not victim]
+        before = {d.name: d.repairer.scans for d in others}
+        crashed = c4h.sim.now
+        ChaosSchedule(c4h).crash(0.0, victim.name).start()
+        c4h.sim.run(until=crashed + 4 * c4h.config.monitor_period_s + 2.0)
+        assert any(d.detector.reports == [victim.name] for d in others)
+        assert all(victim.chimera.id not in d.chimera.known for d in others)
+        # Several holders report the crash; each device acts on one.
+        assert {d.name: d.repairer.scans - before[d.name] for d in others} == {
+            d.name: 1 for d in others
+        }
+        # Nothing else looks dead.
+        c4h.sim.run(until=c4h.sim.now + 60.0)
+        assert all(d.detector.reports in ([], [victim.name]) for d in others)
+
+
+class TestFailureDetector:
+    """Stale snapshots are only a reason to ask; a live node that was
+    evicted anyway comes back."""
+
+    def home(self, seed):
+        c4h = Cloud4Home(resilient_config(seed))
+        c4h.start()
+        c4h.sim.run(until=c4h.sim.now + 5.0)
+        return c4h
+
+    def test_a_silent_live_peer_is_pinged_not_evicted(self):
+        c4h = self.home(839)
+        quiet = c4h.devices[4]
+        quiet.monitor.stop()
+        scans = {d.name: d.repairer.scans for d in c4h.devices}
+        c4h.sim.run(until=c4h.sim.now + 60.0)
+        holders = [d for d in c4h.devices if quiet.name in d.detector.stale]
+        assert holders  # its snapshot went stale where it is held
+        assert all(d.detector.reports == [] for d in c4h.devices)
+        assert all(quiet.chimera.id in d.chimera.known for d in c4h.devices if d is not quiet)
+        assert {d.name: d.repairer.scans for d in c4h.devices} == scans
+
+    def test_a_wrongly_evicted_node_announces_itself(self):
+        c4h = self.home(840)
+        accuser, victim = c4h.devices[0], c4h.devices[5]
+        others = [d for d in c4h.devices[1:] if d is not victim]
+        seen = []
+        for device in others:
+            device.chimera.on_node_left.append(lambda p, d=device: seen.append(("left", d.name)))
+            device.chimera.on_node_joined.append(lambda p, d=device: seen.append(("back", d.name)))
+        for device in c4h.devices[1:]:
+            accuser.kv.endpoint.notify(device.name, MSG_SUSPECT, {"node": victim.name})
+        c4h.sim.run(until=c4h.sim.now + 0.5)
+        assert {("left", d.name) for d in others} <= set(seen)
+        assert all(victim.chimera.id in d.chimera.known for d in others)
+        assert {("back", d.name) for d in others} <= set(seen)

@@ -7,8 +7,11 @@ per-message delivery processes and per-call RPC timers from coming
 back.
 """
 
+import math
+
 import pytest
 
+from benchmarks.perf import background_bench
 from repro.kvstore import DhtKeyValueStore
 from repro.net import Link, RpcEndpoint, TcpProfile
 from repro.overlay import NodeId
@@ -38,6 +41,16 @@ KV_GET_HOP_EVENTS = 6
 DIRTY_FLUSH_EVENTS = 2
 #: A flush period of a clean store: the flusher is parked.
 IDLE_PERIOD_EVENTS = 0
+
+#: Repair sweeps after a burst of triggers that all arrive before the
+#: sweep they start has begun.
+PENDING_TRIGGER_SWEEPS = 1
+#: Repair sweeps after a trigger and five more that arrive while its
+#: sweep runs: that sweep and one follow-up.
+RUNNING_TRIGGER_SWEEPS = 2
+#: Repair sweeps per node over 3.5 backstop periods of an idle healthy
+#: home: one per elapsed period, within ceil(T / repair_period_s).
+IDLE_SWEEPS_PER_NODE = 3
 
 MB = 1024 * 1024
 
@@ -254,3 +267,25 @@ class TestDiskFlusherEvents:
         sim.run(until=sim.now + periods * flusher.period_s)
         assert sim._event_seq - before - 1 == periods * IDLE_PERIOD_EVENTS
         assert flusher.flushes == 5
+
+
+class TestBackgroundWork:
+    """A healthy durable home's background loops do nothing per unit of
+    time beyond one backstop sweep per period."""
+
+    def test_trigger_bursts_coalesce(self):
+        c4h = background_bench.durable_home()
+        repairer = background_bench.sweeper(c4h)
+        pending = background_bench.triggered_sweeps(c4h, repairer, during_sweep=False)
+        running = background_bench.triggered_sweeps(c4h, repairer, during_sweep=True)
+        assert (pending, running) == (PENDING_TRIGGER_SWEEPS, RUNNING_TRIGGER_SWEEPS)
+
+    def test_an_idle_home_sweeps_once_per_backstop_period(self):
+        c4h = background_bench.durable_home()
+        period = c4h.config.resilience_tuning.repair_period_s
+        per_node = background_bench.idle_sweeps(c4h)
+        assert per_node == [IDLE_SWEEPS_PER_NODE] * len(c4h.devices)
+        assert IDLE_SWEEPS_PER_NODE <= math.ceil(background_bench.IDLE_PERIODS)
+        assert background_bench.soft_state_appends(c4h) == 0
+        assert sum(d.monitor.updates_published for d in c4h.devices) > 100 * len(c4h.devices)
+        assert period == 300.0

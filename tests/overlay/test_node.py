@@ -133,6 +133,28 @@ class TestChurn:
         owner = resolve(sim, late, key)
         assert owner.name == expected_owner(live, key).name
 
+    def test_join_routes_around_a_crashed_hop(self):
+        """A join forwarded toward a crashed node nobody has noticed yet
+        forgets that hop and routes on, as a lookup does."""
+        sim, net, nodes = build_overlay(6)
+        bootstrap = nodes[0]
+        name = next(
+            f"latecomer{i}"
+            for i in range(100)
+            if bootstrap.next_hop(NodeId.from_name(f"latecomer{i}")) is not None
+        )
+        hop = bootstrap.next_hop(NodeId.from_name(name))
+        crashed = next(n for n in nodes if n.id == hop.id)
+        crashed.fail_abruptly()
+        net.take_offline(crashed.name)
+        late = ChimeraNode(net, net.add_host(name, group="home"))
+        proc = sim.process(late.join(bootstrap=bootstrap.name))
+        sim.run(until=proc)
+        sim.run()
+        assert late.joined
+        assert crashed.id not in bootstrap.known
+        assert late.id in bootstrap.known
+
     def test_joined_callback_fires_on_existing_nodes(self):
         sim, net, nodes = build_overlay(3)
         arrivals = []

@@ -2,6 +2,7 @@
 per-job memory figures."""
 
 import os
+import sys
 
 import pytest
 
@@ -200,3 +201,27 @@ def test_pooled_job_reports_its_own_peak():
     big = min(v["peak_rss_mb"] for v in values[:2])
     for small in values[2:]:
         assert small["peak_rss_mb"] < big - 32, (small, big)
+
+
+# -- job modules ----------------------------------------------------------
+
+
+def test_pooled_jobs_inherit_their_module_from_the_parent():
+    """The parent imports each job module once before the pool forks,
+    so no fresh worker imports it again."""
+    module = "tests.parallel.pooled_module"
+    sys.modules.pop(module, None)
+    jobs = [Job.make(f"{module}:imported_before_fork", {"x": x}) for x in range(4)]
+    values = [r.value for r in run_jobs(jobs, workers=2, on_error="raise")]
+    assert [v["x"] for v in values] == [0, 1, 2, 3]
+    assert all(v["inherited"] for v in values)
+
+
+def test_a_job_module_that_fails_to_import_fails_only_its_jobs():
+    jobs = [
+        Job.make("tests.parallel.no_such_module:fn", {"x": 1}),
+        Job.make(f"{HERE}:square", {"x": 3}),
+    ]
+    results = run_jobs(jobs, workers=2)
+    assert not results[0].ok and "ModuleNotFoundError" in results[0].error
+    assert results[1].ok and results[1].value == 9
