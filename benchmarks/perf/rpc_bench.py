@@ -20,17 +20,20 @@ from repro.sim import RandomSource, Simulator
 #: ``sync_echo_first`` — a plain-handler echo on an idle endpoint
 #: (request arrival, response arrival, result, and arming the
 #: endpoint's deadline sweep); ``sync_echo`` — the same once the sweep
-#: is armed; ``generator_echo`` — a generator handler adds its one
-#: serving process's start and end; ``kv_get_hop`` — what one forward
-#: adds to a ``kv.get`` (a generator round trip with the owner's
-#: processing delay inside); ``send_delivery`` — what delivering a
-#: ``Network.send`` message schedules.
+#: is armed; ``generator_echo`` — a generator handler's serving process
+#: starts inside the arrival and ends unwatched, so it adds nothing;
+#: ``kv_get_hop`` — what one forward adds to a ``kv.get`` (a generator
+#: round trip with the owner's processing delay inside);
+#: ``send_delivery`` — what delivering a ``Network.send`` message
+#: schedules; ``unwatched_process`` — a process nobody waits on that
+#: returns: its start, and no done event.
 EVENT_COUNTS = {
     "sync_echo_first": 4,
     "sync_echo": 3,
-    "generator_echo": 5,
-    "kv_get_hop": 6,
+    "generator_echo": 3,
+    "kv_get_hop": 4,
     "send_delivery": 0,
+    "unwatched_process": 1,
 }
 
 
@@ -109,9 +112,27 @@ def _kv_get_hop() -> int:
     return get_events(origin) - get_events(owner)
 
 
+def _unwatched_process() -> int:
+    """Events a process nobody waits on schedules when it returns."""
+    sim = Simulator()
+
+    def returns_at_once():
+        return None
+        yield  # a process that never waits
+
+    before = sim._event_seq
+    sim.process(returns_at_once())
+    sim.run()
+    return sim._event_seq - before
+
+
 def bench_rpc(n_calls: int = 20_000) -> dict:
     """The exact event counts, plus sequential sync echoes per second."""
-    events = {**_echo_counts(), "kv_get_hop": _kv_get_hop()}
+    events = {
+        **_echo_counts(),
+        "kv_get_hop": _kv_get_hop(),
+        "unwatched_process": _unwatched_process(),
+    }
     sim, net, hosts = _lan(2)
     client, server = (RpcEndpoint(net, host) for host in hosts)
     server.register("echo", _echo)

@@ -268,7 +268,7 @@ class DhtKeyValueStore:
             "path": [],
         }
         self.stats.puts += 1
-        tel = self.sim.telemetry
+        tel = self.chimera.sim.telemetry
         span = (
             tel.begin(
                 "kv.put", layer="kvstore", node=self.name, parent=ctx, key=key.hex
@@ -310,9 +310,10 @@ class DhtKeyValueStore:
     def get_record(self, name: str, ctx=None):
         """Process: return the full :class:`Record` (with version chain)."""
         key = self.key_for(name)
-        started = self.sim.now
+        sim = self.chimera.sim
+        started = sim.now
         self.stats.gets += 1
-        tel = self.sim.telemetry
+        tel = sim.telemetry
         span = (
             tel.begin(
                 "kv.get", layer="kvstore", node=self.name, parent=ctx, key=key.hex
@@ -326,7 +327,7 @@ class DhtKeyValueStore:
             if span is not None:
                 tel.fail(span, exc)
             raise
-        self.stats.record_lookup(self.sim.now - started)
+        self.stats.record_lookup(sim.now - started)
         if span is not None:
             tel.end(span, source=reply.get("source", ""))
         return Record.from_wire(reply["record"])
@@ -413,17 +414,19 @@ class DhtKeyValueStore:
     def _put_local(self, body: dict, span=None, size: Optional[int] = None):
         """``size`` is the forwarded message's: the value's
         :func:`payload_size`, reused from the incoming hop when known."""
+        chimera = self.chimera
+        sim = chimera.sim
         key = NodeId.from_hex(body["key"])
-        yield self.sim.timeout(self.processing_s)
-        tel = self.sim.telemetry
-        hop = self.chimera.next_hop(key)
+        yield sim.timeout(self.processing_s)
+        tel = sim.telemetry
+        hop = chimera.next_hop(key)
         while hop is not None:
             self.stats.forwards += 1
             fwd = (
                 tel.begin(
                     "kv.forward",
                     layer="kvstore",
-                    node=self.name,
+                    node=chimera.name,
                     parent=span,
                     to=hop.name,
                     op="put",
@@ -431,18 +434,18 @@ class DhtKeyValueStore:
                 if tel is not None
                 else None
             )
-            next_body = {**body, "path": body["path"] + [self.name]}
+            next_body = {**body, "path": body["path"] + [chimera.name]}
             if fwd is not None:
                 next_body["span"] = fwd.ctx_wire()
             if size is None:
                 size = payload_size(body["value"])
             try:
-                reply = yield self.endpoint.call(hop.name, MSG_PUT, next_body, size=size)
+                reply = yield chimera.endpoint.call(hop.name, MSG_PUT, next_body, size=size)
             except (HostDownError, RpcTimeoutError) as exc:
                 if fwd is not None:
                     tel.fail(fwd, exc)
-                self.chimera._forget(hop.id)
-                hop = self.chimera.next_hop(key)
+                chimera._forget(hop.id)
+                hop = chimera.next_hop(key)
                 continue
             except RemoteError as exc:
                 if fwd is not None:
@@ -478,10 +481,12 @@ class DhtKeyValueStore:
         return {"record": wire, "owner": self.name}
 
     def _get_local(self, body: dict, span=None):
-        key = NodeId.from_hex(body["key"])
+        chimera = self.chimera
+        sim = chimera.sim
         key_hex = body["key"]
-        yield self.sim.timeout(self.processing_s)
-        hop = self.chimera.next_hop(key)
+        key = NodeId.from_hex(key_hex)
+        yield sim.timeout(self.processing_s)
+        hop = chimera.next_hop(key)
         if hop is None:
             return self._serve_as_owner(key_hex, body["path"])
         if self.cache_enabled and key_hex in self.cache:
@@ -492,14 +497,14 @@ class DhtKeyValueStore:
                 "owner": self.name,
                 "source": "cache",
             }
-        tel = self.sim.telemetry
+        tel = sim.telemetry
         while hop is not None:
             self.stats.forwards += 1
             fwd = (
                 tel.begin(
                     "kv.forward",
                     layer="kvstore",
-                    node=self.name,
+                    node=chimera.name,
                     parent=span,
                     to=hop.name,
                     op="get",
@@ -507,16 +512,16 @@ class DhtKeyValueStore:
                 if tel is not None
                 else None
             )
-            next_body = {**body, "path": body["path"] + [self.name]}
+            next_body = {**body, "path": body["path"] + [chimera.name]}
             if fwd is not None:
                 next_body["span"] = fwd.ctx_wire()
             try:
-                reply = yield self.endpoint.call(hop.name, MSG_GET, next_body)
+                reply = yield chimera.endpoint.call(hop.name, MSG_GET, next_body)
             except (HostDownError, RpcTimeoutError) as exc:
                 if fwd is not None:
                     tel.fail(fwd, exc)
-                self.chimera._forget(hop.id)
-                hop = self.chimera.next_hop(key)
+                chimera._forget(hop.id)
+                hop = chimera.next_hop(key)
                 continue
             except RemoteError as exc:
                 if fwd is not None:
@@ -737,7 +742,7 @@ class DhtKeyValueStore:
         on), keeping the cross-node span tree connected.  ``kwargs``
         go to ``inner``.
         """
-        tel = self.sim.telemetry
+        tel = self.chimera.sim.telemetry
         if tel is None:
             reply = yield from inner(request.body, None, **kwargs)
             return reply

@@ -14,11 +14,14 @@ can themselves wait on transfers, other RPCs, etc.).
 
 Event budget
 ------------
-A round trip with a plain-function handler costs three kernel events:
-the request's arrival, the response's arrival, and the caller's result.
-The arrival handler serves the request inline and the response settles
-the caller's result directly.  A generator handler adds two: the one
-process that serves the request starts and finishes.
+A round trip costs three kernel events, whatever the handler: the
+request's arrival, the response's arrival, and the caller's result.
+The arrival serves the request inline and the response settles the
+caller's result directly.  A generator handler's serving process runs
+its first step inside the arrival and ends without a done event, as
+nobody waits on it; only the events the handler itself waits on add to
+the three.  One :class:`Request` object per message carries the call
+there and its answer back.
 
 Deadlines are lazy.  Each endpoint keeps a ``(deadline_at, req_id)``
 heap and one kernel timer armed for its earliest deadline; the timer
@@ -31,9 +34,9 @@ timeout``.
 from __future__ import annotations
 
 import heapq
-import inspect
 import itertools
 from dataclasses import dataclass
+from types import GeneratorType
 from typing import Any, Callable, Optional
 
 from repro.sim import Event, Simulator
@@ -75,24 +78,22 @@ class RemoteError(RpcError):
         self.detail = detail
 
 
-@dataclass
+@dataclass(slots=True)
 class Request:
-    """An inbound request as seen by a handler."""
+    """One RPC message on the wire; a handler receives the request itself.
+
+    A call or a notify travels as a request; its answer travels back
+    in the same shape, with ``kind`` ``"response"`` and ``error`` set
+    when the handler raised.
+    """
 
     src: str
     msg_type: str
     body: Any
-    req_id: int
+    req_id: int = 0
     #: The size the sender declared for the message, bytes.
     size: int = 64
-
-
-@dataclass
-class _Envelope:
-    kind: str  # "request" | "response" | "notify"
-    msg_type: str
-    body: Any
-    req_id: int = 0
+    kind: str = "request"  # "request" | "notify" | "response"
     error: Optional[str] = None
 
 
@@ -187,9 +188,9 @@ class RpcEndpoint:
             timeout = self.DEFAULT_TIMEOUT
         result = Event(self.sim)
         req_id = next(self._req_ids)
-        envelope = _Envelope("request", msg_type, body, req_id)
+        name = self.name
         try:
-            self.network.send(self.name, dst, envelope, size=size)
+            self.network.send(name, dst, Request(name, msg_type, body, req_id, size), size)
         except HostDownError as exc:
             result.fail(exc)
             return result
@@ -202,8 +203,9 @@ class RpcEndpoint:
 
     def notify(self, dst: str, msg_type: str, body: Any = None, size: int = 64) -> None:
         """Fire-and-forget one-way message; errors at send time propagate."""
-        envelope = _Envelope("notify", msg_type, body)
-        self.network.send(self.name, dst, envelope, size=size)
+        name = self.name
+        request = Request(name, msg_type, body, 0, size, "notify")
+        self.network.send(name, dst, request, size)
 
     def _arm_sweep(self, when: float) -> None:
         """Arm the deadline timer for ``when``; a later one goes inert."""
@@ -234,46 +236,42 @@ class RpcEndpoint:
 
         A response settles its pending call's result directly.  A
         request whose handler returns a plain value is answered inline;
-        one whose handler returns a generator is served by one process.
+        one whose handler returns a generator is served by one process,
+        whose first step runs here (the arrival's last act, so the
+        order is the one a kernel-started process would get).
         """
-        envelope = message.payload
-        if not isinstance(envelope, _Envelope):
+        request = message.payload
+        if type(request) is not Request:
             return  # stray traffic from another protocol
-        if envelope.kind == "response":
+        if request.kind == "response":
             pending = self._pending
-            call = pending.pop(envelope.req_id, None)
+            call = pending.pop(request.req_id, None)
             if call is None:
                 return  # late: the call already timed out
             result, dst, msg_type, _timeout = call
-            if envelope.error is None:
-                result.succeed(envelope.body)
+            if request.error is None:
+                result.succeed(request.body)
             else:
-                _fail_call(result, RemoteError(dst, msg_type, envelope.error))
+                _fail_call(result, RemoteError(dst, msg_type, request.error))
             deadlines = self._deadlines
             while deadlines and deadlines[0][1] not in pending:
                 heapq.heappop(deadlines)
             return
-        handler = self._handlers.get(envelope.msg_type)
+        handler = self._handlers.get(request.msg_type)
         if handler is None:
-            self._respond(
-                message.src, envelope, None, f"no handler for {envelope.msg_type!r}"
-            )
+            self._respond(request, None, f"no handler for {request.msg_type!r}")
             return
-        request = Request(
-            message.src, envelope.msg_type, envelope.body, envelope.req_id, message.size
-        )
-        error: Optional[str] = None
-        value: Any = None
         try:
             value = handler(request)
         except Exception as exc:  # noqa: BLE001 - forwarded to caller
-            error = f"{type(exc).__name__}: {exc}"
-        if error is None and inspect.isgenerator(value):
-            self.sim.process(self._serve(message.src, envelope, value))
+            self._respond(request, None, f"{type(exc).__name__}: {exc}")
             return
-        self._respond(message.src, envelope, value, error)
+        if type(value) is GeneratorType:
+            self.sim._start_now(self._serve(request, value))
+            return
+        self._respond(request, value, None)
 
-    def _serve(self, src: str, envelope: _Envelope, gen):
+    def _serve(self, request: Request, gen):
         """Run a generator handler to completion and answer with its result."""
         error: Optional[str] = None
         value: Any = None
@@ -281,16 +279,15 @@ class RpcEndpoint:
             value = yield from gen
         except Exception as exc:  # noqa: BLE001 - forwarded to caller
             error = f"{type(exc).__name__}: {exc}"
-        self._respond(src, envelope, value, error)
+        self._respond(request, value, error)
 
-    def _respond(
-        self, src: str, envelope: _Envelope, value: Any, error: Optional[str]
-    ) -> None:
+    def _respond(self, request: Request, value: Any, error: Optional[str]) -> None:
         self.requests_served += 1
-        if envelope.kind == "notify":
+        if request.kind == "notify":
             return
-        response = _Envelope("response", envelope.msg_type, value, envelope.req_id, error)
+        name = self.name
+        response = Request(name, request.msg_type, value, request.req_id, 64, "response", error)
         try:
-            self.network.send(self.name, src, response, size=64)
+            self.network.send(name, request.src, response, 64)
         except HostDownError:
             pass  # caller vanished; its timeout handles it

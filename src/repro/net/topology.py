@@ -173,15 +173,39 @@ class Network:
 
     def route(self, src: str, dst: str) -> Route:
         """Resolve the route from ``src`` to ``dst`` (host pair wins)."""
-        exact = self._host_routes.get((src, dst))
-        if exact is not None:
-            return exact
-        src_host = self._require_host(src)
-        dst_host = self._require_host(dst)
-        group = self._group_routes.get((src_host.group, dst_host.group))
-        if group is not None:
-            return group
-        raise NoRouteError(src, dst)
+        return self._route(self._require_host(src), self._require_host(dst))
+
+    def _route(self, src_host: Host, dst_host: Host) -> Route:
+        route = self._host_routes.get((src_host.name, dst_host.name))
+        if route is None:
+            route = self._group_routes.get((src_host.group, dst_host.group))
+            if route is None:
+                raise NoRouteError(src_host.name, dst_host.name)
+        return route
+
+    def _open_hosts(self, src: str, dst: str) -> tuple[Host, Host]:
+        """Both endpoints of a send or transfer, each resolved once.
+
+        Raises :class:`NoRouteError` for an unknown host and
+        :class:`HostDownError` for an offline or partitioned one.
+        """
+        hosts = self.hosts
+        src_host = hosts.get(src)
+        if src_host is None:
+            raise NoRouteError(src, src)
+        dst_host = hosts.get(dst)
+        if dst_host is None:
+            raise NoRouteError(dst, dst)
+        if not src_host.online:
+            raise HostDownError(src)
+        if not dst_host.online:
+            raise HostDownError(dst)
+        if self._partitions and self.partitioned(src, dst):
+            # Same failure mode as a dead host: the connection attempt
+            # is refused at once, which is what lets callers (and the
+            # overlay) react instead of hanging.
+            raise HostDownError(dst)
+        return src_host, dst_host
 
     # -- partitions (chaos) ------------------------------------------------
 
@@ -223,34 +247,26 @@ class Network:
         went down meanwhile, is dropped silently: a waiting RPC caller
         sees its deadline pass.
         """
-        src_host = self._require_host(src)
-        dst_host = self._require_host(dst)
-        if not src_host.online:
-            raise HostDownError(src)
-        if not dst_host.online:
-            raise HostDownError(dst)
-        if self.partitioned(src, dst):
-            # Same failure mode as a dead host: the connection attempt
-            # is refused at once, which is what lets callers (and the
-            # overlay) react instead of hanging.
-            raise HostDownError(dst)
+        src_host, dst_host = self._open_hosts(src, dst)
         if self.loss_rate > 0 and self._loss_rng.random() < self.loss_rate:
             # Silent in-flight loss: the sender cannot tell loss from
             # slowness, unlike a partition.
             self.messages_lost += 1
             return
-        route = self.route(src, dst)
+        route = self._route(src_host, dst_host)
         delay = route.sample_latency(self.rng) + size / _CONTROL_BYTES_PER_SEC
-        message = Message(src, dst, payload, size, sent_at=self.sim.now)
-        self.sim._call_at(self.sim._now + delay, self._deliver, message)
+        sim = self.sim
+        now = sim._now
+        sim._call_at(now + delay, self._deliver, Message(src, dst, payload, size, now))
 
     def _deliver(self, arrival: Event) -> None:
         message: Message = arrival._value
         dst_host = self.hosts[message.dst]
         if dst_host.online:
-            message.delivered_at = self.sim.now
-            dst_host.inbox.put(message)
+            message.delivered_at = self.sim._now
             self.messages_delivered += 1
+            # Last: an RPC consumer may start a serving process inline.
+            dst_host.inbox.put(message)
 
     # -- data plane --------------------------------------------------------
 
@@ -262,15 +278,7 @@ class Network:
         fair-share model, bounded by the route's TCP profile and the
         sampled per-transfer cap.
         """
-        src_host = self._require_host(src)
-        dst_host = self._require_host(dst)
-        if not src_host.online:
-            raise HostDownError(src)
-        if not dst_host.online:
-            raise HostDownError(dst)
-        if self.partitioned(src, dst):
-            raise HostDownError(dst)
-        route = self.route(src, dst)
+        route = self._route(*self._open_hosts(src, dst))
         latency = route.sample_latency(self.rng)
         cap = route.sample_cap(self.rng)
         started = self.sim.now

@@ -64,9 +64,10 @@ from repro.kvstore.errors import KvError
 from repro.net import HostDownError, NetworkError, RemoteError, RpcTimeoutError
 from repro.resilience.retry import ResilientCaller
 from repro.sim import Interrupt
-from repro.vstore.errors import VStoreError
+from repro.vstore.errors import ObjectNotFoundError, VStoreError
 from repro.vstore.node import MSG_PING, object_key
 from repro.vstore.objects import LOCATION_REMOTE, ObjectMeta
+from repro.vstore.striping import object_of
 
 __all__ = ["Repairer", "RepairAction"]
 
@@ -133,9 +134,13 @@ class Repairer:
         self._again = False
         self._timer = None
         self._backstop_due = False
+        #: Holder -> stored names this node's deletes could not drop
+        #: there (the holder was down); each sweep retries them first.
+        self._missed: dict[str, set[str]] = {}
         vstore.chimera.on_node_left.append(self.trigger)
         vstore.chimera.on_node_joined.append(self._on_joined)
         vstore.on_failover = [*vstore.on_failover, self.trigger]
+        vstore.on_missed_drop = [*vstore.on_missed_drop, self._on_missed_drop]
         if caller is not None and caller.breakers is not None:
             caller.breakers.on_open.append(self.trigger)
 
@@ -189,6 +194,37 @@ class Repairer:
             breakers.record_success(peer.name, self.sim.now)
         self.trigger()
 
+    def _on_missed_drop(self, holder: str, stored: str) -> None:
+        """A delete could not reach ``holder``: drop its copy of
+        ``stored`` at a later sweep.  No trigger: the holder is down,
+        and its return triggers one."""
+        self._missed.setdefault(holder, set()).add(stored)
+
+    def _redrop_missed(self):
+        """Process: drop the copies this node's deletes missed on
+        holders that were down.
+
+        A copy stays when its object has metadata again: it was stored
+        anew under the same name, and that copy is no orphan.  A holder
+        still unreachable keeps its names for the next sweep.
+        """
+        vstore = self.vstore
+        for holder in sorted(self._missed):
+            names = self._missed[holder]
+            for stored in sorted(names):
+                try:
+                    yield from vstore._lookup_meta(object_of(stored))
+                except ObjectNotFoundError:
+                    try:
+                        yield from vstore._drop(holder, stored, None)
+                    except NetworkError:
+                        break  # still down: the rest wait too
+                except (NetworkError, KvError):
+                    continue
+                names.discard(stored)
+            if not names:
+                del self._missed[holder]
+
     def _arm_backstop(self) -> None:
         """Schedule the backstop sweep a period from now: once per
         backstop sweep, so triggered sweeps never postpone it."""
@@ -214,6 +250,8 @@ class Repairer:
                 backstop = self._backstop_due
                 self._again = self._backstop_due = False
                 try:
+                    if self._missed:
+                        yield from self._redrop_missed()
                     yield from self.scan_once(triggered=not backstop)
                 except (NetworkError, KvError, VStoreError):
                     # Transient churn mid-sweep; the next trigger or the

@@ -227,6 +227,17 @@ class Initialize(Event):
         sim._schedule(self, priority=PRIORITY_URGENT)
 
 
+class _Started:
+    """The outcome a process's first step resumes with: success, None."""
+
+    __slots__ = ()
+    _ok = True
+    _value = None
+
+
+_STARTED = _Started()
+
+
 class Process(Event):
     """A running simulation process wrapping a generator.
 
@@ -234,6 +245,10 @@ class Process(Event):
     each and resumes with the event's value when it triggers.  A process
     is itself an event that succeeds with the generator's return value,
     so processes compose (a process can ``yield`` another process).
+
+    A process that returns while nobody waits on it is processed at
+    once: it costs no done event.  A failure always goes through the
+    heap, so an unconsumed one still raises out of :meth:`Simulator.run`.
     """
 
     __slots__ = ("_generator", "_target")
@@ -313,7 +328,15 @@ class Process(Event):
             except StopIteration as stop:
                 self._target = None
                 sim._active_process = None
-                self.succeed(stop.value)
+                if self.callbacks:
+                    self.succeed(stop.value)
+                else:
+                    # Nobody waits: the process is processed at once
+                    # and puts no done event on the heap.  A later
+                    # waiter finds it processed and resumes at once.
+                    self._ok = True
+                    self._value = stop.value
+                    self.callbacks = None
                 return
             except BaseException as exc:
                 self._target = None
@@ -617,6 +640,24 @@ class Simulator:
         seq = self._event_seq
         self._event_seq = seq + 1
         heapq.heappush(self._queue, (when, (PRIORITY_NORMAL << ORDER_SHIFT) | seq, event))
+
+    def _start_now(self, generator: Generator) -> Process:
+        """Start a process from ``generator`` and run its first step
+        inline, without an :class:`Initialize` event.
+
+        The order is the one :meth:`process` gives whenever the caller
+        is the last thing a normal-priority event's callback does: no
+        urgent event at this instant is left on the heap then, so the
+        urgent ``Initialize`` would have popped next anyway.
+        """
+        proc = Process.__new__(Process)
+        Event.__init__(proc, self)
+        proc._generator = generator
+        proc._target = None
+        active = self._active_process
+        proc._resume(_STARTED)
+        self._active_process = active
+        return proc
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""

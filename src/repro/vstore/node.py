@@ -128,6 +128,10 @@ class VStoreNode:
     #: shared empty tuple until a subscriber replaces it with a list, so
     #: a node nobody watches allocates nothing.
     on_failover: "tuple | list[Callable[[str], None]]" = ()
+    #: Called with ``(holder, stored name)`` when a delete cannot reach
+    #: a holder to drop its copy or chunk (the holder is down).  The
+    #: same shared empty tuple until a subscriber replaces it.
+    on_missed_drop: "tuple | list[Callable[[str, str], None]]" = ()
 
     def __init__(
         self,
@@ -837,16 +841,22 @@ class VStoreNode:
         """
         tel, span = self._span("vstore.delete", ctx, object=name)
         meta, _ = yield from self._lookup_meta(name, ctx=span)
-        yield from self._scatter(
-            [self._drop(node, stored, span) for node, stored in meta.copies()]
+        copies = meta.copies()
+        outcomes = yield from self._scatter(
+            [self._drop(node, stored, span) for node, stored in copies]
         )
+        for (node, stored), outcome in zip(copies, outcomes):
+            if isinstance(outcome, (HostDownError, RpcTimeoutError)):
+                for callback in self.on_missed_drop:
+                    callback(node, stored)
         yield from self.kv.delete(object_key(name), ctx=span)
         if span is not None:
             tel.end(span)
 
     def _drop(self, holder: str, stored: str, span):
         """Process: delete ``holder``'s copy of ``stored``.  Best effort:
-        a holder that does not answer is not retried."""
+        a holder that does not answer is reported to ``on_missed_drop``
+        subscribers, which may retry it."""
         if holder == LOCATION_REMOTE:
             if self.cloud is not None:
                 self.cloud.s3.delete_object(stored)

@@ -28,14 +28,17 @@ XENSOCKET_EVENT_BUDGET = 8
 SYNC_ROUND_TRIP_EVENTS = 3
 #: The same on an idle endpoint, which also arms its deadline sweep.
 FIRST_CALL_EVENTS = 4
-#: A generator-handler echo adds its one serving process's start and end.
-GENERATOR_ROUND_TRIP_EVENTS = 5
+#: A generator-handler echo: its serving process starts inside the
+#: request's arrival and ends unwatched, so it adds nothing.
+GENERATOR_ROUND_TRIP_EVENTS = 3
 #: A ``kv.get`` forwarded once: the origin's process start, processing
 #: delay and end (3, as for a get served by the owner itself) plus the
 #: hop, which is a generator round trip with the owner's processing
-#: delay inside it (6).
-KV_GET_ONE_HOP_EVENTS = 9
-KV_GET_HOP_EVENTS = 6
+#: delay inside it (4).
+KV_GET_ONE_HOP_EVENTS = 7
+KV_GET_HOP_EVENTS = 4
+#: A process nobody waits on that returns: its start, and no done event.
+UNWATCHED_PROCESS_EVENTS = 1
 
 #: A flush of a dirty disk store: the flusher's tick and its charge.
 DIRTY_FLUSH_EVENTS = 2
@@ -184,6 +187,20 @@ class TestRpcRoundTripEvents:
         assert len(sim._queue) == 1
 
 
+def test_an_unwatched_process_costs_its_start():
+    sim = Simulator()
+
+    def returns_at_once():
+        return "done"
+        yield  # a process that never waits
+
+    before = sim._event_seq
+    proc = sim.process(returns_at_once())
+    sim.run()
+    assert sim._event_seq - before == UNWATCHED_PROCESS_EVENTS
+    assert proc.processed and proc.value == "done"
+
+
 def test_forwarded_kv_get_hop():
     sim, _net, nodes = build_overlay(4)
     stores = [DhtKeyValueStore(node, cache_enabled=False) for node in nodes]
@@ -218,9 +235,9 @@ class TestSingleCopyObjectEvents:
     @pytest.mark.parametrize(
         "placement, store_events, delete_events",
         [
-            (None, 20, 25),  # the writer's own mandatory bin
-            (("named-node", "netbook1"), 31, 22),  # a peer's voluntary bin
-            (("remote-cloud", None), 35, 22),  # the remote cloud
+            (None, 18, 21),  # the writer's own mandatory bin
+            (("named-node", "netbook1"), 27, 18),  # a peer's voluntary bin
+            (("remote-cloud", None), 33, 18),  # the remote cloud
         ],
     )
     def test_store_and_delete(self, placement, store_events, delete_events):

@@ -26,6 +26,7 @@ from repro.cluster.invariants import Violation, check_invariants, live_objects
 from repro.net import RpcEndpoint
 from repro.resilience.repair import PING_TIMEOUT_S
 from repro.vstore.objects import LOCATION_REMOTE
+from repro.vstore.striping import object_of
 
 #: A crash is suspected within four monitor periods (three missed
 #: publishes, then a check); the sweeps it triggers then finish within
@@ -148,3 +149,46 @@ def test_the_checker_names_each_breach():
         ("under-k", "copies.bin"),
         ("orphan", "stray.bin"),
     }
+
+
+def test_a_delete_missed_while_down_leaves_no_payload():
+    """A holder that is down while its object is deleted loses its copy
+    once it is back: the deleter's repairer retries the missed drop."""
+    c4h = Cloud4Home(ClusterConfig(seed=7, resilience=True, storage="wal"))
+    c4h.start()
+    c4h.run(c4h.devices[0].client.store_file("gone.bin", 1.0))
+    assert "desktop" in live_objects(c4h)["gone.bin"].holders
+    chaos = ChaosSchedule(c4h)
+    chaos.crash(1.0, "desktop").revive(60.0, "desktop")
+    chaos.start()
+    c4h.sim.run(until=c4h.sim.now + 10.0)
+    c4h.run(c4h.devices[1].client.delete_object("gone.bin"))
+    c4h.sim.run(until=c4h.sim.now + 600.0)
+    assert check_invariants(c4h) == []
+    assert not c4h.device("desktop").vstore.holds("gone.bin")
+    assert [e.kind for e in chaos.events] == ["crash", "revive"]
+
+
+def test_deletes_during_an_outage_leave_no_payload_after_revive():
+    c4h = durable_home(seed=61)
+    victim = busiest_holders(c4h, 1)[0]
+    held = sorted(
+        name for name, meta in live_objects(c4h).items() if victim in meta.holders
+    )[:3]
+    inventory = c4h.device(victim).vstore.inventory()
+    copies = [
+        s for kind in ("mandatory", "voluntary") for s in inventory[kind] if object_of(s) in held
+    ]
+    chaos = ChaosSchedule(c4h)
+    chaos.crash(10.0, victim).revive(160.0, victim)
+    t0 = c4h.sim.now
+    chaos.start()
+    seen = breach_lifetimes(c4h, chaos, until=t0 + 60.0)
+    deleter = next(d for d in c4h.devices if d.name != victim)
+    for name in held:
+        c4h.run(deleter.client.delete_object(name))
+    seen.update(breach_lifetimes(c4h, chaos, until=t0 + 250.0))
+    assert check_invariants(c4h) == []
+    assert all(last - first <= BOUND_S for first, last in seen.values())
+    assert copies and not any(c4h.device(victim).vstore.holds(s) for s in copies)
+    assert [e.kind for e in chaos.events] == ["crash", "revive"]

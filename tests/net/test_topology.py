@@ -143,6 +143,64 @@ class TestControlMessages:
         assert len(set(round(d, 9) for d in deliveries)) > 1
 
 
+class TestSendErrors:
+    """``Network.send`` resolves each host once; its errors stay typed."""
+
+    @pytest.mark.parametrize("src, dst", [("ghost", "b"), ("a", "ghost")])
+    def test_unknown_host_raises_no_route(self, src, dst):
+        sim, net = build_two_hosts()
+        before = sim._event_seq
+        with pytest.raises(NoRouteError, match="ghost"):
+            net.send(src, dst, "hello")
+        with pytest.raises(NoRouteError, match="ghost"):
+            net.transfer(src, dst, 1e3)
+        assert sim._event_seq == before
+
+    def test_missing_group_route_raises_no_route(self):
+        _, net = make_net()
+        net.add_host("a", group="home")
+        net.add_host("c", group="cloud")
+        with pytest.raises(NoRouteError):
+            net.send("a", "c", "hello")
+
+    def test_partitioned_peer_raises_host_down_both_ways(self):
+        sim, net = build_two_hosts()
+        net.partition(["a"], ["b"])
+        for src, dst in (("a", "b"), ("b", "a")):
+            with pytest.raises(HostDownError) as err:
+                net.send(src, dst, "hello")
+            assert err.value.host == dst
+        net.heal_partition()
+        net.send("a", "b", "hello")
+        sim.run()
+        assert net.messages_delivered == 1
+
+    def test_offline_peer_raises_host_down(self):
+        _, net = build_two_hosts()
+        net.take_offline("b")
+        with pytest.raises(HostDownError) as err:
+            net.send("a", "b", "hello")
+        assert err.value.host == "b"
+
+    def test_host_pair_route_beats_group_route(self):
+        sim, net = build_two_hosts(latency=0.001)
+        net.connect_hosts("a", "b", Route(Link(sim, 5e6), base_latency=0.5))
+        arrivals = {}
+
+        def receive(host):
+            message = yield net.hosts[host].receive()
+            arrivals[message.payload] = message.delivered_at - message.sent_at
+
+        sim.process(receive("b"))
+        sim.process(receive("a"))
+        sim.run(until=0.0)
+        net.send("a", "b", "pair")
+        net.send("b", "a", "group")
+        sim.run()
+        assert arrivals["pair"] >= 0.5
+        assert arrivals["group"] < 0.01
+
+
 class TestTransfers:
     def test_transfer_duration_reflects_bandwidth(self):
         sim, net = build_two_hosts(latency=0.0, bandwidth=2e6)
