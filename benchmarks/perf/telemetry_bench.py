@@ -106,8 +106,8 @@ def bench_telemetry(sizes=SIZES_MB, repeats: int = 3) -> dict:
     off_wall = min(off_walls)
     on_wall = min(on_walls)
     ns = guard_cost_ns()
-    # Every span corresponds to one begin-site guard; ends, RPC-body
-    # span injections, and never-fired sites roughly double the count.
+    # Every span corresponds to one begin-site guard; ends and
+    # never-fired sites roughly double the count.
     guard_sites = spans * 2
     return {
         "sizes_mb": list(sizes),

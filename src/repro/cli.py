@@ -23,7 +23,7 @@ import argparse
 from typing import Optional
 
 from repro import __version__
-from repro.cluster import Cloud4Home, ClusterConfig, MetricsCollector
+from repro.cluster import Cloud4Home, ClusterConfig
 
 __all__ = ["main", "build_parser"]
 
@@ -266,26 +266,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_demo(args) -> int:
-    c4h = Cloud4Home(ClusterConfig(seed=args.seed))
+    from repro.telemetry import metrics_report
+
+    c4h = Cloud4Home(ClusterConfig(seed=args.seed, telemetry=True))
     c4h.start(monitors=False)
-    metrics = MetricsCollector(c4h)
     device = c4h.devices[0]
     print(f"deployment: {[d.name for d in c4h.devices]} + S3/EC2")
     for name, size in [("photo.jpg", 2.0), ("album.mp3", 6.0)]:
-        result = c4h.run(
-            metrics.timed(
-                "store", device.name, device.client.store_file(name, size)
-            )
-        )
+        result = c4h.run(device.client.store_file(name, size))
         print(f"stored {name} -> {result.meta.location} ({result.total_s:.2f}s)")
-    fetch = c4h.run(
-        metrics.timed(
-            "fetch", "desktop", c4h.device("desktop").client.fetch_object("photo.jpg")
-        )
-    )
+    fetch = c4h.run(c4h.device("desktop").client.fetch_object("photo.jpg"))
     print(f"fetched photo.jpg from {fetch.served_from} ({fetch.total_s:.2f}s)")
     print()
-    print(metrics.report())
+    print(metrics_report(c4h.collect_metrics()))
     return 0
 
 

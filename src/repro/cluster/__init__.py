@@ -10,7 +10,6 @@ Public surface:
 
 from repro.cluster.builder import Cloud4Home, Device, PROFILES
 from repro.cluster.chaos import ChaosEvent, ChaosSchedule
-from repro.cluster.metrics import MetricsCollector, OperationRecord
 from repro.cluster.presets import (
     figure7_pair,
     large_home,
@@ -50,8 +49,6 @@ __all__ = [
     "FederationDirectory",
     "ChaosSchedule",
     "ChaosEvent",
-    "MetricsCollector",
-    "OperationRecord",
     "paper_testbed",
     "figure7_pair",
     "minimal_pair",

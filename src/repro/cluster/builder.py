@@ -149,22 +149,21 @@ class Cloud4Home:
             self.network = network
             self.sim = network.sim
             self.rng = RandomSource(self.config.seed).fork(home_group)
-        want_windowed = self.config.windowed_metrics or self.config.slo
-        want_telemetry = self.config.telemetry or want_windowed
-        if want_telemetry and self.sim.telemetry is None:
+        slo = self.config.slo
+        if (self.config.telemetry or slo) and self.sim.telemetry is None:
             # Federated homes on a shared fabric inherit the simulator's
             # already-attached plane instead of replacing it, so one
             # span/metric store covers the whole federation.
-            windowed = self._window_policy() if want_windowed else None
+            windowed = self._window_policy() if slo else None
             # With SLOs on, spans are kept only as far back as the
             # flight recorders can dump them.
             max_spans = (
                 self.config.slo_tuning.recorder_capacity * len(self.config.devices)
-                if self.config.slo
+                if slo
                 else None
             )
             Telemetry(self.sim, max_spans=max_spans, windowed=windowed).attach()
-        elif want_windowed and self.sim.telemetry.windowed is None:
+        elif slo and self.sim.telemetry.windowed is None:
             # Joining a federation whose plane predates this home's
             # windowed request: upgrade the shared plane in place.
             self.sim.telemetry.windowed = self._window_policy()
@@ -487,20 +486,16 @@ class Cloud4Home:
     def _window_policy(self) -> WindowPolicy:
         """The windowed-rollup shape for this home's telemetry plane.
 
-        ``windowed_metrics=True`` feeds a rollup for every span name.
-        ``slo=True`` alone scopes the per-span feed to the metrics the
-        engine and health board actually judge — every other span then
-        costs one set-membership test instead of a ring write, which is
-        what keeps the active layer inside its overhead budget
+        The per-span feed is scoped to the metrics the SLO engine and
+        health board actually judge — every other span then costs one
+        set-membership test instead of a ring write, which is what
+        keeps the active layer inside its overhead budget
         (``benchmarks/perf/slo_bench.py``).
         """
         tuning = self.config.slo_tuning
-        names = None
-        if not self.config.windowed_metrics:
-            names = frozenset(
-                {spec.metric for spec in self._slo_specs()}
-                | {tuning.health_latency_metric}
-            )
+        names = frozenset(
+            {spec.metric for spec in self._slo_specs()} | {tuning.health_latency_metric}
+        )
         return WindowPolicy(
             window_s=tuning.window_s, sub_windows=tuning.sub_windows, names=names
         )
@@ -545,12 +540,26 @@ class Cloud4Home:
         return self.sim.telemetry
 
     def collect_metrics(self) -> MetricsRegistry:
-        """Ingest every device's KV stats into the metrics registry and
-        return it.  Safe to call repeatedly — counters are set to the
-        stores' lifetime totals, not incremented."""
+        """Fold the deployment's state readings into the metrics registry
+        and return it.
+
+        Sets each device's KV totals (``kv.*``, from its stats), its
+        average core load since boot (``device.load``), and each home
+        link's share of capacity used since time zero
+        (``link.utilization``, node = link name).  Safe to call
+        repeatedly: every reading is set, not incremented.
+        """
+        metrics = self.metrics
         for device in self.devices:
-            self.metrics.ingest_kvstats(device.name, device.kv.stats)
-        return self.metrics
+            metrics.ingest_kvstats(device.name, device.kv.stats)
+            metrics.gauge("device.load", node=device.name).set(
+                device.hypervisor.average_load()
+            )
+        elapsed = self.sim.now
+        for link in (self.lan_link, self.uplink, self.downlink):
+            used = link.bytes_delivered / (link.bandwidth * elapsed) if elapsed > 0 else 0.0
+            metrics.gauge("link.utilization", node=link.name).set(min(1.0, used))
+        return metrics
 
     # -- lifecycle --------------------------------------------------------------
 

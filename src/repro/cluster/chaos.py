@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.cluster.builder import Cloud4Home, Device
-from repro.net import Link
+from repro.net import HostDownError, Link, RemoteError, RpcTimeoutError
 from repro.sim import RandomSource
 
 __all__ = ["ChaosSchedule", "ChaosEvent", "RandomChaos"]
@@ -181,6 +181,13 @@ class ChaosSchedule:
         return self.cluster.device(name)
 
     def _do_crash(self, name: str):
+        detail = self._take_down(name)
+        self.events.append(ChaosEvent(self.sim.now, "crash", name, detail))
+        return
+        yield  # pragma: no cover - generator marker
+
+    def _take_down(self, name: str) -> str:
+        """Crash ``name`` abruptly; returns what its storage lost."""
         device = self._device(name)
         device.monitor.stop()
         if device.repairer is not None:
@@ -191,18 +198,12 @@ class ChaosSchedule:
             device.flusher.stop()
         device.chimera.fail_abruptly()
         self.cluster.network.take_offline(name)
-        detail = ""
-        if device.storage is not None:
-            report = device.storage.crash()
-            device.kv.lose_memory()
-            device.vstore.lose_memory()
-            detail = (
-                f"lost {report['lost_records']} records, "
-                f"{report['lost_ops']} unsynced ops"
-            )
-        self.events.append(ChaosEvent(self.sim.now, "crash", name, detail))
-        return
-        yield  # pragma: no cover - generator marker
+        if device.storage is None:
+            return ""
+        report = device.storage.crash()
+        device.kv.lose_memory()
+        device.vstore.lose_memory()
+        return f"lost {report['lost_records']} records, {report['lost_ops']} unsynced ops"
 
     def _do_leave(self, name: str):
         device = self._device(name)
@@ -217,39 +218,51 @@ class ChaosSchedule:
 
     def _do_revive(self, name: str, bootstrap: Optional[str]):
         device = self._device(name)
-        if device.chimera.joined and self.cluster.network.hosts[name].online:
+        hosts = self.cluster.network.hosts
+        if device.chimera.joined and hosts[name].online:
             # Reviving a node that never went down must be a typed
             # no-op, not a double-join that corrupts overlay state.
             self.events.append(
                 ChaosEvent(self.sim.now, "revive-skip", name, "already online")
             )
             return
-        self.cluster.network.bring_online(name)
-        if bootstrap is None:
-            bootstrap = next(
-                (
-                    d.name
-                    for d in self.cluster.devices
-                    if d.name != name and d.chimera.joined
-                ),
-                None,
+        # The named bootstrap first, then every online member in device
+        # order: a join that fails moves on to the next candidate.
+        candidates = [bootstrap] if bootstrap is not None else []
+        candidates += [
+            d.name
+            for d in self.cluster.devices
+            if d.name not in (name, bootstrap) and d.chimera.joined and hosts[d.name].online
+        ]
+        if not candidates:
+            raise ValueError(
+                f"cannot revive {name!r}: no joined device is "
+                "available to bootstrap from"
             )
-            if bootstrap is None:
-                # A bare next() here would raise StopIteration, which
-                # PEP 479 turns into an opaque RuntimeError inside this
-                # generator — name the actual problem instead.
-                raise ValueError(
-                    f"cannot revive {name!r}: no joined device is "
-                    "available to bootstrap from"
-                )
-        detail = f"via {bootstrap}"
+        self.cluster.network.bring_online(name)
+        replayed = ""
         if device.storage is not None:
             # Replay the durable state (charging the backend's replay
             # cost) *before* rejoining, like a real boot sequence.
             report = yield from device.kv.recover()
             device.vstore.recover()
-            detail += f", replayed {report.records} records"
-        yield from device.chimera.join(bootstrap=bootstrap)
+            replayed = f", replayed {report.records} records"
+        for via in candidates:
+            try:
+                yield from device.chimera.join(bootstrap=via)
+                break
+            except (HostDownError, RpcTimeoutError, RemoteError):
+                continue
+        else:
+            # Nobody let it in: it stays down rather than abort the run.
+            self._take_down(name)
+            self.events.append(
+                ChaosEvent(
+                    self.sim.now, "revive-failed", name, f"tried {', '.join(candidates)}"
+                )
+            )
+            return
+        detail = f"via {via}{replayed}"
         yield from device.monitor.publish_once()
         device.monitor.start(publish_immediately=False)
         if device.storage is not None:

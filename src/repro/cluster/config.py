@@ -158,10 +158,9 @@ class StripingConfig:
 class SloConfig:
     """Tuning for the active observability layer.
 
-    Only read when ``ClusterConfig.slo`` (or ``windowed_metrics``) is
-    on.  Window geometry applies to every windowed rollup the
-    telemetry plane mints; the SLO engine evaluates once per
-    ``eval_period_s`` of simulated time.
+    Only read when ``ClusterConfig.slo`` is on.  Window geometry
+    applies to every windowed rollup the telemetry plane mints; the SLO
+    engine evaluates once per ``eval_period_s`` of simulated time.
     """
 
     #: Sliding-window span for every windowed instrument, seconds.
@@ -265,18 +264,13 @@ class ClusterConfig:
     striping: bool = False
     #: Tuning knobs for erasure-coded striping.
     striping_tuning: StripingConfig = field(default_factory=StripingConfig)
-    #: Windowed metrics rollups (repro.telemetry.timeseries): every
-    #: finished span additionally feeds a sliding-window histogram and
-    #: success-ratio per (name, node).  Implies ``telemetry``.  Off by
-    #: default: with it off no windowed instrument is ever allocated
-    #: and simulated results are byte-identical.
-    windowed_metrics: bool = False
     #: The active observability layer (repro.telemetry.slo / health /
     #: recorder): declarative SLOs evaluated periodically over the
-    #: windowed rollups with firing/resolved alerts, a per-node health
-    #: scoreboard, and per-node flight recorders.  Implies ``telemetry``
-    #: and ``windowed_metrics``.  Off by default: nothing is built and
-    #: simulated results are byte-identical.  Enabled, the evaluator
+    #: windowed rollups (repro.telemetry.timeseries) of the span names
+    #: they judge, with firing/resolved alerts, a per-node health
+    #: scoreboard, and per-node flight recorders.  Implies
+    #: ``telemetry``.  Off by default: nothing is built and no windowed
+    #: instrument is allocated, and simulated results are byte-identical.  Enabled, the evaluator
     #: tick is pure observation (no shared randomness, no simulated
     #: resources), so workload results stay identical too — asserted in
     #: ``benchmarks/perf/slo_bench.py``.

@@ -12,15 +12,18 @@ a (k, m) stripe, or a cloud-resident object):
   or the cloud, outlives its object's metadata.
 
 An object is live while any online node holds its ``object:*``
-metadata record, as owner or replica; the newest version wins.  A
-store places payloads before it publishes the metadata, so check
-between operations, not during one.
+metadata record, as owner or replica, that no online node's tombstone
+for the key covers (a replica holder that missed a delete keeps a
+stale record); the newest such version wins.  A store places payloads
+before it publishes the metadata, so check between operations, not
+during one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.kvstore.sync import record_digest, tombstone_covers, tombstone_digest
 from repro.vstore.node import object_key
 from repro.vstore.objects import LOCATION_REMOTE, ObjectMeta
 from repro.vstore.striping import object_of
@@ -43,15 +46,26 @@ class Violation:
 
 
 def live_objects(c4h) -> dict[str, ObjectMeta]:
-    """Object name -> newest metadata held by any online node."""
+    """Object name -> newest undeleted metadata held by any online node."""
+    hosts = c4h.network.hosts
+    online = [device for device in c4h.devices if hosts[device.name].online]
+    #: key -> the latest delete any online node recorded for it.
+    tombs: dict[str, dict] = {}
+    for device in online:
+        for key_hex, tomb in (device.kv.tombstones or {}).items():
+            held = tombs.get(key_hex)
+            if held is None or held["at"] < tomb["at"]:
+                tombs[key_hex] = tomb
     newest: dict[str, tuple] = {}
-    online = c4h.network.hosts
-    for device in c4h.devices:
-        if not online[device.name].online:
-            continue
+    for device in online:
         for table in (device.kv.primary, device.kv.replicas):
             for record in table.values():
                 if not record.name.startswith(_OBJECT_PREFIX):
+                    continue
+                tomb = tombs.get(record.key_hex)
+                if tomb is not None and tombstone_covers(
+                    tombstone_digest(tomb), record_digest(record)
+                ):
                     continue
                 stamp = (record.version, record.latest.updated_at)
                 held = newest.get(record.name)

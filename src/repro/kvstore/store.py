@@ -435,12 +435,12 @@ class DhtKeyValueStore:
                 else None
             )
             next_body = {**body, "path": body["path"] + [chimera.name]}
-            if fwd is not None:
-                next_body["span"] = fwd.ctx_wire()
             if size is None:
                 size = payload_size(body["value"])
             try:
-                reply = yield chimera.endpoint.call(hop.name, MSG_PUT, next_body, size=size)
+                reply = yield chimera.endpoint.call(
+                    hop.name, MSG_PUT, next_body, size=size, ctx=fwd
+                )
             except (HostDownError, RpcTimeoutError) as exc:
                 if fwd is not None:
                     tel.fail(fwd, exc)
@@ -513,10 +513,8 @@ class DhtKeyValueStore:
                 else None
             )
             next_body = {**body, "path": body["path"] + [chimera.name]}
-            if fwd is not None:
-                next_body["span"] = fwd.ctx_wire()
             try:
-                reply = yield chimera.endpoint.call(hop.name, MSG_GET, next_body)
+                reply = yield chimera.endpoint.call(hop.name, MSG_GET, next_body, ctx=fwd)
             except (HostDownError, RpcTimeoutError) as exc:
                 if fwd is not None:
                     tel.fail(fwd, exc)
@@ -577,10 +575,8 @@ class DhtKeyValueStore:
                 else None
             )
             next_body = {**body, "path": body["path"] + [self.name]}
-            if fwd is not None:
-                next_body["span"] = fwd.ctx_wire()
             try:
-                reply = yield self.endpoint.call(hop.name, MSG_DELETE, next_body)
+                reply = yield self.endpoint.call(hop.name, MSG_DELETE, next_body, ctx=fwd)
             except (HostDownError, RpcTimeoutError) as exc:
                 if fwd is not None:
                     tel.fail(fwd, exc)
@@ -737,10 +733,9 @@ class DhtKeyValueStore:
     ):
         """Process: run a local entry point under a ``kv.handle_*`` span.
 
-        The span parents from the forwarding hop's wire context (the
-        ``"span"`` key carried in the request body when telemetry is
-        on), keeping the cross-node span tree connected.  ``kwargs``
-        go to ``inner``.
+        The span parents from the forwarding hop's span (the request's
+        ``ctx``), keeping the cross-node span tree connected.
+        ``kwargs`` go to ``inner``.
         """
         tel = self.chimera.sim.telemetry
         if tel is None:
@@ -750,7 +745,7 @@ class DhtKeyValueStore:
             name,
             layer="kvstore",
             node=self.name,
-            parent=request.body.get("span"),
+            parent=request.ctx,
             src=request.src,
         )
         try:
@@ -920,11 +915,9 @@ class DhtKeyValueStore:
         peers = self.chimera.nearest_peers(self.chimera.id, fanout)
         for peer in peers:
             body = {"requester": self.name, "digests": digests}
-            if span is not None:
-                body["span"] = span.ctx_wire()
             try:
                 reply = yield self.endpoint.call(
-                    peer.name, MSG_SYNC, body, size=payload_size(digests)
+                    peer.name, MSG_SYNC, body, size=payload_size(digests), ctx=span
                 )
             except (HostDownError, RpcTimeoutError, RemoteError):
                 continue
@@ -948,14 +941,13 @@ class DhtKeyValueStore:
                     "records": push_records,
                     "tombstones": push_tombs,
                 }
-                if span is not None:
-                    push_body["span"] = span.ctx_wire()
                 try:
                     yield self.endpoint.call(
                         peer.name,
                         MSG_SYNC_PUSH,
                         push_body,
                         size=payload_size(push_records),
+                        ctx=span,
                     )
                     summary["pushed"] += len(push_records) + len(push_tombs)
                 except (HostDownError, RpcTimeoutError, RemoteError):

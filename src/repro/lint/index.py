@@ -45,12 +45,6 @@ __all__ = [
     "Registration",
 ]
 
-#: The telemetry context key threaded through request bodies when spans
-#: are on; handlers read it via ``_handled``/``.get("span")`` and it is
-#: exempt from dead-field analysis.
-SPAN_FIELD = "span"
-
-
 @dataclass(frozen=True)
 class BodySchema:
     """What a call site puts on the wire."""

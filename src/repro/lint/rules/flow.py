@@ -30,13 +30,13 @@ __all__ = ["RngProvenanceRule", "UnguardedFeatureRule"]
 
 #: feature key -> ClusterConfig attribute names that gate it.  A guard
 #: mentioning *any* of the listed flags satisfies the feature (windowed
-#: time-series serve both the windowed-metrics and SLO planes).
+#: time-series serve the SLO plane).
 _FEATURE_FLAGS = {
     "striping": ("striping",),
     "resilience": ("resilience",),
     "storage": ("storage",),
     "slo": ("slo",),
-    "windowed": ("windowed_metrics", "slo"),
+    "windowed": ("slo",),
 }
 
 #: feature key -> source path prefixes of the modules implementing it;

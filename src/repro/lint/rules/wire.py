@@ -23,7 +23,7 @@ disable absence proofs: WIRE502 never fires against them.
 
 from __future__ import annotations
 
-from repro.lint.index import SPAN_FIELD, ProjectIndex
+from repro.lint.index import ProjectIndex
 from repro.lint.registry import ProjectRule, register_rule
 
 __all__ = [
@@ -128,7 +128,6 @@ class DeadWireFieldRule(ProjectRule):
             read = set()
             for _, summary in handlers:
                 read |= summary.read_fields
-            read.add(SPAN_FIELD)  # telemetry context rides every body
             # A field is dead only if *every* caller ships it; a field
             # sent by just some callers may be a legitimate optional.
             shipped = set(calls[0].schema.fields)

@@ -95,6 +95,10 @@ class Request:
     size: int = 64
     kind: str = "request"  # "request" | "notify" | "response"
     error: Optional[str] = None
+    #: The caller's telemetry span, by reference (None when telemetry
+    #: is off): a handler parents its own span from ``request.ctx``.
+    #: Like ``src`` and ``req_id`` it is header, not declared size.
+    ctx: Any = None
 
 
 def _fail_call(result: Event, exc: Exception) -> None:
@@ -178,9 +182,12 @@ class RpcEndpoint:
         body: Any = None,
         timeout: Optional[float] = None,
         size: int = 64,
+        ctx: Any = None,
     ) -> Event:
         """Send a request; the returned event yields the response body.
 
+        ``ctx`` is the caller's span, carried in the request's header
+        (:attr:`Request.ctx`) so the handler's span parents from it.
         Fails with :class:`HostDownError` (destination offline at send
         time), :class:`RpcTimeoutError`, or :class:`RemoteError`.
         """
@@ -190,7 +197,8 @@ class RpcEndpoint:
         req_id = next(self._req_ids)
         name = self.name
         try:
-            self.network.send(name, dst, Request(name, msg_type, body, req_id, size), size)
+            request = Request(name, msg_type, body, req_id, size, "request", None, ctx)
+            self.network.send(name, dst, request, size)
         except HostDownError as exc:
             result.fail(exc)
             return result

@@ -362,10 +362,8 @@ class ChimeraNode:
         yield self.sim.timeout(self.hop_processing_s)
         while True:
             body = {"key": key.hex, "hops": 1}
-            if span is not None:
-                body["span"] = span.ctx_wire()
             try:
-                reply = yield self.endpoint.call(hop.name, MSG_ROUTE, body)
+                reply = yield self.endpoint.call(hop.name, MSG_ROUTE, body, ctx=span)
                 self.routes_resolved += 1
                 if span is not None:
                     tel.end(span, owner=reply["owner"]["name"])
@@ -419,7 +417,7 @@ class ChimeraNode:
                 "overlay.hop",
                 layer="overlay",
                 node=self.name,
-                parent=request.body.get("span"),
+                parent=request.ctx,
                 hops=hops,
             )
             if tel is not None
@@ -429,10 +427,8 @@ class ChimeraNode:
         hop = self.next_hop(key)
         while hop is not None:
             body = {"key": key.hex, "hops": hops + 1}
-            if span is not None:
-                body["span"] = span.ctx_wire()
             try:
-                reply = yield self.endpoint.call(hop.name, MSG_ROUTE, body)
+                reply = yield self.endpoint.call(hop.name, MSG_ROUTE, body, ctx=span)
                 if span is not None:
                     tel.end(span)
                 return reply

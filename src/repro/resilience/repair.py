@@ -576,14 +576,11 @@ class Repairer:
             if breakers is not None and breakers.is_open(holder, self.sim.now):
                 continue  # recently failing; don't burn a probe on it
             names = [name for _, name in group]
-            body = {"names": names}
-            if span is not None:
-                body["span"] = span.ctx_wire()
             try:
                 # A deliberate bare call: failure of the probe *is* the
                 # signal, so retrying it would only slow the sweep down.
                 reply = yield self.vstore.endpoint.call(
-                    holder, MSG_PING, body, timeout=PING_TIMEOUT_S
+                    holder, MSG_PING, {"names": names}, timeout=PING_TIMEOUT_S, ctx=span
                 )
             except (HostDownError, RpcTimeoutError, RemoteError):
                 if breakers is not None:

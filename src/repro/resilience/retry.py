@@ -124,6 +124,7 @@ class ResilientCaller:
         body: Any = None,
         timeout: Optional[float] = None,
         size: int = 64,
+        ctx: Any = None,
     ):
         """Process: :meth:`RpcEndpoint.call` with retries and deadlines.
 
@@ -157,7 +158,7 @@ class ResilientCaller:
             self._count("resilience.retry.attempts")
             try:
                 reply = yield self.endpoint.call(
-                    dst, msg_type, body, timeout=per_call, size=size
+                    dst, msg_type, body, timeout=per_call, size=size, ctx=ctx
                 )
             except (HostDownError, RpcTimeoutError) as exc:
                 last_exc = exc

@@ -65,7 +65,7 @@ from repro.telemetry.slo import (
     SloSpec,
     default_slo_specs,
 )
-from repro.telemetry.spans import Span, SpanContext, Telemetry, wire_ctx
+from repro.telemetry.spans import Span, SpanContext, Telemetry
 from repro.telemetry.timeseries import (
     WindowedHistogram,
     WindowedRate,
@@ -78,7 +78,6 @@ __all__ = [
     "Telemetry",
     "Span",
     "SpanContext",
-    "wire_ctx",
     "MetricsRegistry",
     "Counter",
     "Gauge",

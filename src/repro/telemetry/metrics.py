@@ -8,11 +8,10 @@ cluster-wide instruments).  Histograms use fixed bucket boundaries and
 report p50/p95/p99 by bucket interpolation, so memory stays constant no
 matter how many observations arrive.
 
-The registry also supersedes the ad-hoc per-layer stats structs:
-:meth:`MetricsRegistry.ingest_kvstats` maps a
-:meth:`repro.kvstore.KvStats.snapshot` export onto registry instruments
-(the compatibility shim — `KvStats` keeps working unchanged for
-existing callers while the metrics plane reads it uniformly).
+`KvStats` stays the KV layer's hot-path counter struct (no per-node
+registry instruments on a 10,000-node overlay);
+:meth:`MetricsRegistry.ingest_kvstats` is its read view, mapping a
+:meth:`repro.kvstore.KvStats.snapshot` export onto registry instruments.
 """
 
 from __future__ import annotations
@@ -198,8 +197,7 @@ class MetricsRegistry:
         self._gauges: dict[tuple[str, str], Gauge] = {}
         self._histograms: dict[tuple[str, str], Histogram] = {}
         # Windowed rollups (see repro.telemetry.timeseries), keyed the
-        # same way; created on demand so runs without windowed_metrics
-        # pay nothing.
+        # same way; created on demand so runs without SLOs pay nothing.
         self._windowed_histograms: dict = {}
         self._windowed_rates: dict = {}
         self._windowed_ratios: dict = {}
@@ -320,16 +318,16 @@ class MetricsRegistry:
             if inode == node
         ]
 
-    # -- KvStats compatibility shim ----------------------------------------
+    # -- KvStats read view -------------------------------------------------
 
     def ingest_kvstats(self, node: str, stats) -> None:
         """Map one node's ``KvStats.snapshot()`` onto registry instruments.
 
         Counters become registry counters (set to the current running
         totals), the exact lookup mean becomes a gauge, and the windowed
-        lookup quantiles become gauges under ``kv.lookup.*`` — so code
-        that still mutates :class:`~repro.kvstore.DhtKeyValueStore`
-        stats directly shows up in the unified metrics plane.
+        lookup quantiles become gauges under ``kv.lookup.*`` — so the
+        :class:`~repro.kvstore.DhtKeyValueStore` hot-path counters show
+        up in the unified metrics plane.
         """
         snapshot = stats.snapshot()
         for key, value in snapshot["counters"].items():

@@ -13,13 +13,14 @@ Design constraints (see docs/OBSERVABILITY.md):
   they read ``sim.telemetry`` (``None`` unless a :class:`Telemetry` was
   attached) and skip all span work behind a single ``is not None``
   check.  Disabled runs execute byte-identical simulated behaviour —
-  instrumentation adds *no* simulated time and adds *no* keys to RPC
-  bodies when off.
+  instrumentation adds *no* simulated time and never touches RPC
+  bodies or declared message sizes.
 * **Explicit context propagation.**  The simulator interleaves many
   generator processes, so there is no ambient "current span"; parent
   context travels as an explicit ``ctx`` argument through ``yield
-  from`` chains and as a small ``{"t": trace_id, "s": span_id}`` dict
-  inside RPC bodies when a request hops to another node.
+  from`` chains and, when a request hops to another node, as the
+  caller's span in the RPC envelope (``call(..., ctx=span)``, read
+  back as ``Request.ctx``).
 * **Deterministic ids.**  Span ids come from a private counter in
   operation order; the simulation itself is deterministic, so two runs
   of the same scenario produce identical span trees (the fast path
@@ -36,21 +37,7 @@ from typing import Any, Optional
 
 from repro.telemetry.metrics import MetricsRegistry
 
-__all__ = ["Span", "SpanContext", "Telemetry", "wire_ctx"]
-
-
-def wire_ctx(ctx) -> Optional[dict]:
-    """The compact RPC-body dict for any context form.
-
-    Accepts a :class:`Span`, a :class:`SpanContext`, an already-wire
-    dict, or None — the same forms :meth:`Telemetry.begin` takes as
-    ``parent`` — so layers can re-propagate whatever they were handed.
-    """
-    if ctx is None:
-        return None
-    if isinstance(ctx, dict):
-        return ctx
-    return {"t": ctx.trace_id, "s": ctx.span_id}
+__all__ = ["Span", "SpanContext", "Telemetry"]
 
 
 @dataclass(frozen=True)
@@ -59,16 +46,6 @@ class SpanContext:
 
     trace_id: int
     span_id: int
-
-    def wire(self) -> dict:
-        """Compact dict form carried inside RPC bodies."""
-        return {"t": self.trace_id, "s": self.span_id}
-
-    @classmethod
-    def from_wire(cls, data: Optional[dict]) -> Optional["SpanContext"]:
-        if data is None:
-            return None
-        return cls(trace_id=data["t"], span_id=data["s"])
 
 
 @dataclass
@@ -99,10 +76,6 @@ class Span:
 
     def context(self) -> SpanContext:
         return SpanContext(self.trace_id, self.span_id)
-
-    def ctx_wire(self) -> dict:
-        """Wire form for RPC bodies (see :meth:`SpanContext.wire`)."""
-        return {"t": self.trace_id, "s": self.span_id}
 
     def as_dict(self) -> dict:
         return {
@@ -234,14 +207,14 @@ class Telemetry:
         name: str,
         layer: str,
         node: str,
-        parent: "Span | SpanContext | dict | None" = None,
+        parent: "Span | SpanContext | None" = None,
         **attrs: Any,
     ) -> Span:
         """Open a span at the current simulated time.
 
-        ``parent`` may be another :class:`Span`, a :class:`SpanContext`,
-        the compact wire dict an RPC body carries, or ``None`` — in
-        which case this span roots a brand-new trace.
+        ``parent`` may be another :class:`Span` (an RPC handler's is
+        the caller's, from ``Request.ctx``), a :class:`SpanContext`, or
+        ``None`` — in which case this span roots a brand-new trace.
         """
         span_id = next(self._ids)
         trace_id, parent_id = self._resolve_parent(parent, span_id)
@@ -263,7 +236,7 @@ class Telemetry:
         name: str,
         layer: str,
         node: str,
-        parent: "Span | SpanContext | dict | None" = None,
+        parent: "Span | SpanContext | None" = None,
         status: str = "ok",
         **attrs: Any,
     ) -> Span:
@@ -298,9 +271,7 @@ class Telemetry:
     def _resolve_parent(parent, span_id: int) -> tuple[int, Optional[int]]:
         if parent is None:
             return span_id, None
-        if isinstance(parent, (Span, SpanContext)):
-            return parent.trace_id, parent.span_id
-        return parent["t"], parent["s"]  # wire dict from an RPC body
+        return parent.trace_id, parent.span_id
 
     @property
     def spans(self) -> list[Span]:

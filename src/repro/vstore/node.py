@@ -249,7 +249,9 @@ class VStoreNode:
         if self.metrics is not None and amount:
             self.metrics.counter(metric, node=self.name).inc(amount)
 
-    def _call(self, dst: str, msg_type: str, body, timeout: float, size: int = 64):
+    def _call(
+        self, dst: str, msg_type: str, body, timeout: float, size: int = 64, ctx=None
+    ):
         """Process: one peer RPC, through the resilient caller when set.
 
         Without a caller this is exactly ``endpoint.call`` — same event,
@@ -258,11 +260,13 @@ class VStoreNode:
         if self.caller is not None:
             return (
                 yield from self.caller.call(
-                    dst, msg_type, body, timeout=timeout, size=size
+                    dst, msg_type, body, timeout=timeout, size=size, ctx=ctx
                 )
             )
         return (
-            yield self.endpoint.call(dst, msg_type, body, timeout=timeout, size=size)
+            yield self.endpoint.call(
+                dst, msg_type, body, timeout=timeout, size=size, ctx=ctx
+            )
         )
 
     # -- object lifecycle -----------------------------------------------------
@@ -516,10 +520,10 @@ class VStoreNode:
             return (yield from self._receive(stored, size_mb, src, ctx))
         tel, span = self._span("vstore.store_peer", ctx, peer=target, object=stored)
         body = {"name": stored, "size_mb": size_mb, "src": src}
-        if span is not None:
-            body["span"] = span.ctx_wire()
         try:
-            yield from self._call(target, MSG_STORE_VOLUNTARY, body, timeout=120.0)
+            yield from self._call(
+                target, MSG_STORE_VOLUNTARY, body, timeout=120.0, ctx=span
+            )
         except (NetworkError, VStoreError) as exc:
             if span is not None:
                 tel.fail(span, exc)
@@ -581,9 +585,7 @@ class VStoreNode:
                 yield self.sim.timeout(chunk_mb / self.disk_mb_s)
             else:
                 body = {"name": cname, "to": self.name}
-                if cspan is not None:
-                    body["span"] = cspan.ctx_wire()
-                yield from self._call(holder, MSG_FETCH, body, timeout=600.0)
+                yield from self._call(holder, MSG_FETCH, body, timeout=600.0, ctx=cspan)
         except Exception as exc:
             if cspan is not None:
                 tel.fail(cspan, exc)
@@ -803,10 +805,8 @@ class VStoreNode:
         last_exc = None
         for src in sources:
             body = {"name": meta.name, "to": self.name}
-            if span is not None:
-                body["span"] = span.ctx_wire()
             try:
-                yield from self._call(src, MSG_FETCH, body, timeout=600.0)
+                yield from self._call(src, MSG_FETCH, body, timeout=600.0, ctx=span)
             except (HostDownError, RpcTimeoutError, RemoteError) as exc:
                 last_exc = exc
                 if failover:
@@ -863,10 +863,7 @@ class VStoreNode:
         elif holder == self.name:
             self._remove_local(stored)
         else:
-            body = {"name": stored}
-            if span is not None:
-                body["span"] = span.ctx_wire()
-            yield self.endpoint.call(holder, MSG_DELETE, body)
+            yield self.endpoint.call(holder, MSG_DELETE, {"name": stored}, ctx=span)
 
     def _lookup_meta(self, name: str, ctx=None):
         t0 = self.sim.now
@@ -1020,10 +1017,8 @@ class VStoreNode:
                 "services": list(qualified_services),
                 "reply_to": self.name if return_output else None,
             }
-            if span is not None:
-                body["span"] = span.ctx_wire()
             reply = yield from self._call(
-                target, MSG_PROCESS_REMOTE, body, timeout=3600.0
+                target, MSG_PROCESS_REMOTE, body, timeout=3600.0, ctx=span
             )
             move_s = reply["move_s"]
             execute_s = reply["execute_s"]
@@ -1285,9 +1280,7 @@ class VStoreNode:
 
     def _handle_store_voluntary(self, request: Request):
         body = request.body
-        tel, span = self._span(
-            "vstore.serve_store", body.get("span"), src=body["src"]
-        )
+        tel, span = self._span("vstore.serve_store", request.ctx, src=body["src"])
         try:
             yield from self._receive(body["name"], body["size_mb"], body["src"], span)
         except (NetworkError, VStoreError) as exc:
@@ -1301,7 +1294,7 @@ class VStoreNode:
     def _handle_fetch(self, request: Request):
         body = request.body
         name = body["name"]
-        tel, span = self._span("vstore.serve_fetch", body.get("span"), object=name)
+        tel, span = self._span("vstore.serve_fetch", request.ctx, object=name)
         if name in self.mandatory:
             size_mb = self.mandatory.size_of(name)
         elif name in self.voluntary:
@@ -1324,7 +1317,7 @@ class VStoreNode:
         body = request.body
         services = body["services"]
         tel, span = self._span(
-            "vstore.serve_process", body.get("span"), services="+".join(services)
+            "vstore.serve_process", request.ctx, services="+".join(services)
         )
         for qs in services:
             if qs not in self.registry.local:

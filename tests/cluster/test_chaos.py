@@ -184,6 +184,49 @@ class TestChaosSchedule:
         with pytest.raises(ValueError, match="no joined device"):
             next(gen)
 
+    def test_revive_falls_back_when_the_named_bootstrap_is_down(self):
+        """Regression: a revive whose named bootstrap was down let the
+        join's HostDownError escape and abort the whole simulation."""
+        c4h = fresh_cluster(731)
+        chaos = (
+            ChaosSchedule(c4h)
+            .crash(after=1.0, device_name="netbook3")
+            .crash(after=1.0, device_name="netbook4")
+            .revive(after=5.0, device_name="netbook3", bootstrap="netbook4")
+        )
+        chaos.start()
+        c4h.sim.run(until=c4h.sim.now + 10.0)
+        revive = chaos.events[-1]
+        assert (revive.kind, revive.target) == ("revive", "netbook3")
+        # The next candidate is the first online member in device order.
+        assert revive.detail == "via netbook0"
+        assert c4h.device("netbook3").chimera.joined
+        assert c4h.network.hosts["netbook3"].online
+
+    def test_revive_with_every_bootstrap_down_is_recorded_not_raised(self):
+        config = ClusterConfig(
+            devices=[DeviceConfig(name="a"), DeviceConfig(name="b")], seed=732
+        )
+        c4h = Cloud4Home(config)
+        c4h.start(monitors=False)
+        chaos = (
+            ChaosSchedule(c4h)
+            .crash(after=1.0, device_name="a")
+            .crash(after=1.0, device_name="b")
+            .revive(after=5.0, device_name="b", bootstrap="a")
+        )
+        chaos.start()
+        c4h.sim.run(until=c4h.sim.now + 10.0)
+        assert [(e.kind, e.target) for e in chaos.events] == [
+            ("crash", "a"),
+            ("crash", "b"),
+            ("revive-failed", "b"),
+        ]
+        assert chaos.events[-1].detail == "tried a"
+        # The device stays down, as it was before the attempt.
+        assert not c4h.device("b").chimera.joined
+        assert not c4h.network.hosts["b"].online
+
     def test_leave_rehomes_owned_records(self):
         c4h = fresh_cluster(721)
         writer = c4h.devices[0]

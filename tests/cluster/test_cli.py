@@ -46,7 +46,10 @@ class TestCommands:
         assert main(["demo", "--seed", "3"]) == 0
         out = capsys.readouterr().out
         assert "stored photo.jpg" in out
-        assert "cluster metrics" in out
+        assert "== metrics ==" in out
+        assert "client.fetch@desktop" in out
+        assert "link.utilization@home-lan" in out
+        assert "device.load@desktop" in out
 
     def test_surveillance(self, capsys):
         assert main(["surveillance", "--image-mb", "0.25"]) == 0

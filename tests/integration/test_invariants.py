@@ -25,6 +25,7 @@ from repro.cluster import (
 from repro.cluster.invariants import Violation, check_invariants, live_objects
 from repro.net import RpcEndpoint
 from repro.resilience.repair import PING_TIMEOUT_S
+from repro.vstore.node import object_key
 from repro.vstore.objects import LOCATION_REMOTE
 from repro.vstore.striping import object_of
 
@@ -192,3 +193,26 @@ def test_deletes_during_an_outage_leave_no_payload_after_revive():
     assert all(last - first <= BOUND_S for first, last in seen.values())
     assert copies and not any(c4h.device(victim).vstore.holds(s) for s in copies)
     assert [e.kind for e in chaos.events] == ["crash", "revive"]
+
+
+def test_a_stale_replica_of_a_deleted_object_is_not_live():
+    """A KV replica holder that was offline during a delete keeps the
+    old ``object:*`` record (its replica-delete notice was lost); the
+    owner's tombstone covers it, so the object is not live and the copy
+    the same holder missed dropping is an orphan."""
+    c4h = Cloud4Home(ClusterConfig(seed=7, storage="wal"))
+    c4h.start(monitors=False)
+    c4h.run(c4h.devices[0].client.store_file("gone.bin", 1.0))
+    key_hex = c4h.devices[0].kv.key_for(object_key("gone.bin")).hex
+    holders = [d for d in c4h.devices if key_hex in d.kv.replicas]
+    assert holders
+    stale = holders[0]
+    c4h.network.take_offline(stale.name)
+    deleter = next(d for d in c4h.devices if d is not stale)
+    c4h.run(deleter.client.delete_object("gone.bin"))
+    c4h.network.bring_online(stale.name)
+    assert key_hex in stale.kv.replicas  # the missed notice
+    assert any(key_hex in (d.kv.tombstones or {}) for d in c4h.devices)
+    assert "gone.bin" not in live_objects(c4h)
+    assert stale.vstore.holds("gone.bin")  # its payload drop was missed too
+    assert check_invariants(c4h) == [Violation("orphan", "gone.bin", f"on {stale.name}")]

@@ -128,10 +128,10 @@ class TestBodySchemas:
             prelude=(
                 "        body = {'key': 1}\n"
                 "        if extra:\n"
-                "            body['span'] = extra\n"
+                "            body['limit'] = extra\n"
             ),
         )
-        assert sorted(schema.fields) == ["key", "span"]
+        assert sorted(schema.fields) == ["key", "limit"]
         assert not schema.is_open
 
     def test_computed_body_is_open(self):
@@ -198,13 +198,13 @@ class TestHandlerSummaries:
             "    def _handle_x(self, request):\n"
             "        return self._handled('x', request, self._x_local)\n"
             "    def _handled(self, name, request, inner):\n"
-            "        span = request.body.get('span')\n"
-            "        return inner(request.body, span)\n"
-            "    def _x_local(self, body, span):\n"
+            "        limit = request.body.get('limit')\n"
+            "        return inner(request.body, limit)\n"
+            "    def _x_local(self, body, limit):\n"
             "        return body['key']\n"
         )
         assert sorted(summary.required) == ["key"]
-        assert sorted(summary.optional) == ["span"]
+        assert sorted(summary.optional) == ["limit"]
         assert not summary.reads_all
 
     def test_body_passed_to_unknown_callee_reads_everything(self):

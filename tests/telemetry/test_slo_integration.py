@@ -28,7 +28,7 @@ from repro.telemetry import validate_recorder_dump
 
 def _windowed_run() -> str:
     """A small slo-enabled workload's full windowed state, as JSON."""
-    config = ClusterConfig(seed=11, slo=True, windowed_metrics=True)
+    config = ClusterConfig(seed=11, slo=True)
     c4h = Cloud4Home(config)
     c4h.start(monitors=False)
     writer, reader = c4h.devices[0], c4h.devices[1]

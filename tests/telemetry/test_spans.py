@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import Simulator
-from repro.telemetry import Span, SpanContext, Telemetry, wire_ctx
+from repro.telemetry import Span, Telemetry
 
 
 def make() -> tuple[Simulator, Telemetry]:
@@ -47,13 +47,12 @@ class TestBeginEnd:
         ids = [tel.begin(f"op{i}", layer="l", node="n").span_id for i in range(3)]
         assert ids == [1, 2, 3]
 
-    def test_parent_forms_span_context_and_wire(self):
+    def test_parent_forms_span_and_context(self):
         _, tel = make()
         root = tel.begin("root", layer="l", node="n")
         via_span = tel.begin("a", layer="l", node="n", parent=root)
         via_ctx = tel.begin("b", layer="l", node="n", parent=root.context())
-        via_wire = tel.begin("c", layer="l", node="n", parent=root.ctx_wire())
-        for child in (via_span, via_ctx, via_wire):
+        for child in (via_span, via_ctx):
             assert child.trace_id == root.trace_id
             assert child.parent_id == root.span_id
 
@@ -167,19 +166,6 @@ class TestQuerying:
 
 
 class TestWireCtx:
-    def test_all_context_forms(self):
-        _, tel = make()
-        span = tel.begin("op", layer="l", node="n")
-        wire = {"t": span.trace_id, "s": span.span_id}
-        assert wire_ctx(None) is None
-        assert wire_ctx(wire) == wire
-        assert wire_ctx(span) == wire
-        assert wire_ctx(span.context()) == wire
-        assert SpanContext.from_wire(wire) == SpanContext(
-            span.trace_id, span.span_id
-        )
-        assert SpanContext.from_wire(None) is None
-
     def test_span_dict_round_trip(self):
         span = Span(
             trace_id=3,

@@ -63,7 +63,6 @@ class TestDocumentedEntryPoints:
         from repro.cluster import (  # noqa: F401
             ChaosSchedule,
             Federation,
-            MetricsCollector,
             figure7_pair,
             large_home,
             minimal_pair,
