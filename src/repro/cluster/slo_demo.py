@@ -22,7 +22,7 @@ keeps every fetch *succeeding* through the outage (that is PR 4's
 availability claim, benchmarked in ``resilience_bench``), but a
 quarter of the working set is being served degraded — one failed
 holder away from loss — until the repairers promote and re-replicate.
-The windowed ratio drops below target within a window of the kills
+The clean-fetch ratio drops below target within a window of the kills
 and recovers only after the repair log shows the promotions, which is
 exactly the firing → resolved sequence the engine must produce.
 """
@@ -49,8 +49,9 @@ __all__ = ["availability_chaos_scenario", "AVAILABILITY_SLO_ID", "CLEAN_FETCH_ME
 N_NODES = 8
 VICTIMS = ("node1", "node2")
 AVAILABILITY_SLO_ID = "fetch-availability"
-#: The windowed ratio the scenario feeds: ok = fetch succeeded and was
-#: served by its primary holder (no failover, no cloud backstop).
+#: The windowed histogram the scenario feeds with each fetch's elapsed
+#: time; ok = fetch succeeded and was served by its primary holder (no
+#: failover, no cloud backstop).
 CLEAN_FETCH_METRIC = "fetch.clean"
 
 WINDOW_S = 10.0
@@ -96,13 +97,14 @@ def _build(seed: int, dump_dir: Optional[str]) -> Cloud4Home:
     return c4h
 
 
-def _one_fetch(c4h: Cloud4Home, survivor, name: str, ratio):
-    """Process: one fetch, marked into the clean ratio on completion."""
+def _one_fetch(c4h: Cloud4Home, survivor, name: str, rollup):
+    """Process: one fetch, observed into the clean rollup on completion."""
     sim = c4h.sim
+    started = sim.now
     try:
         result = yield from survivor.client.fetch_object(name)
     except (NetworkError, VStoreError, KvError):
-        ratio.mark(now=sim.now, ok=False)
+        rollup.observe(sim.now - started, now=sim.now, ok=False)
     else:
         # Clean = served from this node's own disk (as primary or as a
         # replica holder) or by the recorded primary.  A serve that had
@@ -113,10 +115,10 @@ def _one_fetch(c4h: Cloud4Home, survivor, name: str, ratio):
             survivor.name,
             result.meta.location,
         )
-        ratio.mark(now=sim.now, ok=clean)
+        rollup.observe(sim.now - started, now=sim.now, ok=clean)
 
 
-def _fetch_loop(c4h: Cloud4Home, survivor, names: list[str], ratio, stop_at: float):
+def _fetch_loop(c4h: Cloud4Home, survivor, names: list[str], rollup, stop_at: float):
     """Process: open-loop round-robin fetch injection.
 
     Each fetch runs as its own process so one straggler (e.g. an RPC
@@ -127,7 +129,7 @@ def _fetch_loop(c4h: Cloud4Home, survivor, names: list[str], ratio, stop_at: flo
     sim = c4h.sim
     i = 0
     while sim.now < stop_at:
-        sim.process(_one_fetch(c4h, survivor, names[i % len(names)], ratio))
+        sim.process(_one_fetch(c4h, survivor, names[i % len(names)], rollup))
         i += 1
         yield sim.timeout(FETCH_GAP_S)
 
@@ -165,11 +167,11 @@ def availability_chaos_scenario(
         names.append(name)
 
     t0 = c4h.sim.now
-    ratio = c4h.metrics.windowed_ratio(
+    rollup = c4h.metrics.windowed_histogram(
         CLEAN_FETCH_METRIC, node=survivor.name,
         window_s=WINDOW_S, sub_windows=SUB_WINDOWS,
     )
-    c4h.sim.process(_fetch_loop(c4h, survivor, names, ratio, t0 + horizon_s))
+    c4h.sim.process(_fetch_loop(c4h, survivor, names, rollup, t0 + horizon_s))
     chaos = (
         ChaosSchedule(c4h)
         .crash(after=0.5, device_name=VICTIMS[0])

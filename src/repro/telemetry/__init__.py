@@ -15,14 +15,15 @@ The telemetry plane has three pieces:
 The *active* observability layer builds on those (see
 docs/OBSERVABILITY.md, "Windows, SLOs, and the flight recorder"):
 
-* :mod:`repro.telemetry.timeseries` — sliding-window instruments keyed
-  by simulated time (:class:`WindowedHistogram`, :class:`WindowedRate`,
-  :class:`WindowedRatio`), rolled up per (name, node) in the registry.
+* :mod:`repro.telemetry.timeseries` — the one sliding-window
+  instrument keyed by simulated time, :class:`WindowedHistogram`
+  (latency quantiles plus an ok/total success ratio), rolled up per
+  (name, node) in the registry.
 * :mod:`repro.telemetry.slo` — declarative :class:`SloSpec` objectives
-  judged by an :class:`SloEngine` with firing/resolved hysteresis,
-  emitting typed :class:`AlertEvent`\\ s.
+  (``latency`` or ``ratio``) judged by an :class:`SloEngine` with
+  firing/resolved hysteresis, emitting typed :class:`AlertEvent`\\ s.
 * :mod:`repro.telemetry.health` — per-node :class:`HealthScore` fusion
-  behind the narrow :class:`HealthView` read surface.
+  on a :class:`HealthBoard`.
 * :mod:`repro.telemetry.recorder` — bounded per-node
   :class:`FlightRecorder` rings dumped to schema-validated JSON
   artifacts on alerts and chaos failures.
@@ -43,7 +44,7 @@ from repro.telemetry.export import (
     spans_from_dump,
     validate_chrome_trace,
 )
-from repro.telemetry.health import HealthBoard, HealthScore, HealthView
+from repro.telemetry.health import HealthBoard, HealthScore
 from repro.telemetry.memprobe import memory_probe
 from repro.telemetry.metrics import (
     DEFAULT_BUCKETS,
@@ -68,8 +69,6 @@ from repro.telemetry.slo import (
 from repro.telemetry.spans import Span, SpanContext, Telemetry
 from repro.telemetry.timeseries import (
     WindowedHistogram,
-    WindowedRate,
-    WindowedRatio,
     WindowPolicy,
     merge_window_histograms,
 )
@@ -85,15 +84,12 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "WindowPolicy",
     "WindowedHistogram",
-    "WindowedRate",
-    "WindowedRatio",
     "merge_window_histograms",
     "SloSpec",
     "AlertEvent",
     "SloEngine",
     "SloEvaluator",
     "default_slo_specs",
-    "HealthView",
     "HealthScore",
     "HealthBoard",
     "FlightRecorder",

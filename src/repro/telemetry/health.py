@@ -9,7 +9,7 @@ scale?"  It fuses five independent signals, each normalised to [0, 1]
   (default ``kv.get``) against a target; degrades smoothly as the p99
   exceeds the target.
 * ``success`` — the node's windowed ok/total ratio across *all* of its
-  span rollups.
+  windowed rollups (span-fed and hand-fed alike).
 * ``breakers`` — the fraction of the node's per-peer circuit breakers
   currently open (peers it cannot reach).
 * ``repairs`` — recent repair actions logged by the node's
@@ -20,10 +20,6 @@ scale?"  It fuses five independent signals, each normalised to [0, 1]
   freshness TTL; a silent monitor is a suspect node.
 
 The composite score is the weighted mean of the available components.
-Consumers should depend on the narrow :class:`HealthView` surface —
-``score`` / ``healthy`` / ``nodes`` — which is what the
-``DecisionEngine`` integration (next PR) will take, not the full
-board.
 
 Everything is read-side only and keyed by simulated time: scoring a
 node mutates nothing but lazy window rotation, so two runs of the same
@@ -35,23 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-__all__ = ["HealthView", "HealthScore", "HealthBoard"]
-
-
-class HealthView:
-    """The narrow read surface placement code may depend on.
-
-    :class:`HealthBoard` implements it; tests may substitute a stub.
-    """
-
-    def score(self, node: str, now: float) -> float:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def healthy(self, node: str, now: float, threshold: float = 0.5) -> bool:
-        return self.score(node, now) >= threshold
-
-    def nodes(self) -> list[str]:  # pragma: no cover - interface
-        raise NotImplementedError
+__all__ = ["HealthScore", "HealthBoard"]
 
 
 @dataclass(frozen=True)
@@ -82,7 +62,7 @@ DEFAULT_WEIGHTS = {
 }
 
 
-class HealthBoard(HealthView):
+class HealthBoard:
     """Queryable per-node health scoreboard.
 
     Construct with the shared :class:`~repro.telemetry.MetricsRegistry`
@@ -149,12 +129,8 @@ class HealthBoard(HealthView):
 
     def _success_component(self, node: str, now: float) -> Optional[float]:
         ok = n = 0
-        # Dedicated ratio instruments plus the span-fed windowed
-        # histograms (whose per-observation ok flag tracks success).
-        for wr in self.metrics.windowed_ratios_on(
-            node
-        ) + self.metrics.windowed_histograms_on(node):
-            part_ok, part_n = wr.window_totals(now)
+        for wh in self.metrics.windowed_histograms_on(node):
+            part_ok, part_n = wh.window_totals(now)
             ok += part_ok
             n += part_n
         if n == 0:
@@ -218,6 +194,9 @@ class HealthBoard(HealthView):
 
     def score(self, node: str, now: float) -> float:
         return self.score_detail(node, now).score
+
+    def healthy(self, node: str, now: float, threshold: float = 0.5) -> bool:
+        return self.score(node, now) >= threshold
 
     def scoreboard(self, now: float) -> dict[str, HealthScore]:
         """Every known node's :class:`HealthScore`, keyed by node."""

@@ -199,8 +199,6 @@ class MetricsRegistry:
         # Windowed rollups (see repro.telemetry.timeseries), keyed the
         # same way; created on demand so runs without SLOs pay nothing.
         self._windowed_histograms: dict = {}
-        self._windowed_rates: dict = {}
-        self._windowed_ratios: dict = {}
 
     # -- instrument accessors (get-or-create) ------------------------------
 
@@ -248,50 +246,12 @@ class MetricsRegistry:
             )
         return instrument
 
-    def windowed_rate(
-        self, name: str, node: str = "", window_s: float = 60.0, sub_windows: int = 6
-    ):
-        """Get-or-create a sliding-window event-rate rollup."""
-        from repro.telemetry.timeseries import WindowedRate
-
-        key = (name, node)
-        instrument = self._windowed_rates.get(key)
-        if instrument is None:
-            instrument = self._windowed_rates[key] = WindowedRate(
-                name, node, window_s=window_s, sub_windows=sub_windows
-            )
-        return instrument
-
-    def windowed_ratio(
-        self, name: str, node: str = "", window_s: float = 60.0, sub_windows: int = 6
-    ):
-        """Get-or-create a sliding-window success-ratio rollup."""
-        from repro.telemetry.timeseries import WindowedRatio
-
-        key = (name, node)
-        instrument = self._windowed_ratios.get(key)
-        if instrument is None:
-            instrument = self._windowed_ratios[key] = WindowedRatio(
-                name, node, window_s=window_s, sub_windows=sub_windows
-            )
-        return instrument
-
     def windowed_histograms_for(self, name: str) -> list:
         """Every node's windowed histogram under ``name`` (sorted by node)."""
         return [
             inst
             for (n, _node), inst in sorted(self._windowed_histograms.items())
             if n == name
-        ]
-
-    def windowed_rates_for(self, name: str) -> list:
-        return [
-            inst for (n, _node), inst in sorted(self._windowed_rates.items()) if n == name
-        ]
-
-    def windowed_ratios_for(self, name: str) -> list:
-        return [
-            inst for (n, _node), inst in sorted(self._windowed_ratios.items()) if n == name
         ]
 
     def counter_items(self) -> list:
@@ -301,14 +261,6 @@ class MetricsRegistry:
     def peek_windowed_histogram(self, name: str, node: str = ""):
         """The windowed histogram under (name, node), or None (no create)."""
         return self._windowed_histograms.get((name, node))
-
-    def windowed_ratios_on(self, node: str) -> list:
-        """Every windowed ratio living on ``node`` (sorted by name)."""
-        return [
-            inst
-            for (_name, inode), inst in sorted(self._windowed_ratios.items())
-            if inode == node
-        ]
 
     def windowed_histograms_on(self, node: str) -> list:
         """Every windowed histogram living on ``node`` (sorted by name)."""
@@ -342,35 +294,26 @@ class MetricsRegistry:
 
     # -- export ------------------------------------------------------------
 
-    def snapshot(self) -> dict:
-        """JSON-ready nested export: name -> node -> instrument dict."""
-        out: dict[str, dict] = {}
+    def _stores(self):
         # Windowed rollups share names with their cumulative twins
         # (``kv.get`` the run-long histogram vs ``kv.get`` the last 60 s),
-        # so they export under a ``.window*`` suffix.
-        stores = (
+        # so they export under a ``.window`` suffix.
+        return (
             (self._counters, ""),
             (self._gauges, ""),
             (self._histograms, ""),
             (self._windowed_histograms, ".window"),
-            (self._windowed_rates, ".window.rate"),
-            (self._windowed_ratios, ".window.ratio"),
         )
-        for store, suffix in stores:
+
+    def snapshot(self) -> dict:
+        """JSON-ready nested export: name -> node -> instrument dict."""
+        out: dict[str, dict] = {}
+        for store, suffix in self._stores():
             for (name, node), instrument in sorted(store.items()):
                 out.setdefault(name + suffix, {})[node] = instrument.as_dict()
         return out
 
     def names(self) -> list[str]:
-        keys = set()
-        stores = (
-            (self._counters, ""),
-            (self._gauges, ""),
-            (self._histograms, ""),
-            (self._windowed_histograms, ".window"),
-            (self._windowed_rates, ".window.rate"),
-            (self._windowed_ratios, ".window.ratio"),
+        return sorted(
+            {name + suffix for store, suffix in self._stores() for name, _node in store}
         )
-        for store, suffix in stores:
-            keys.update(name + suffix for name, _node in store)
-        return sorted(keys)

@@ -27,7 +27,7 @@ sequences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.telemetry.timeseries import merge_window_histograms
@@ -43,18 +43,16 @@ _LATENCY_OBJECTIVES = ("p50", "p95", "p99", "p999", "mean", "max")
 class SloSpec:
     """One service-level objective over a windowed instrument.
 
-    ``metric`` names the span whose windowed rollups are judged
-    (``kv.get``, ``fetch``); ``kind`` picks the instrument family:
+    ``metric`` names the windowed rollups judged (a span name such as
+    ``kv.get``, or a hand-fed signal such as ``fetch.clean``); both
+    kinds read the same
+    :class:`~repro.telemetry.timeseries.WindowedHistogram` rollups:
 
     * ``latency`` — ``objective`` (a quantile or ``mean``/``max``) of
-      the merged :class:`~repro.telemetry.timeseries.WindowedHistogram`
-      must satisfy ``op threshold`` (threshold in seconds).
-    * ``ratio`` — the ok/total success ratio of the merged
-      :class:`~repro.telemetry.timeseries.WindowedRatio` must satisfy
-      ``op threshold``.
-    * ``rate`` — the merged events-per-second of the
-      :class:`~repro.telemetry.timeseries.WindowedRate` must satisfy
-      ``op threshold``.
+      the merged window histogram must satisfy ``op threshold``
+      (threshold in seconds).
+    * ``ratio`` — the ok/total success ratio of the rollups'
+      per-observation ok flags must satisfy ``op threshold``.
 
     ``per_node=True`` evaluates (and alerts) each node's rollup
     separately instead of the cluster-wide merge.
@@ -62,7 +60,7 @@ class SloSpec:
 
     id: str
     metric: str
-    kind: str = "latency"  # latency | ratio | rate
+    kind: str = "latency"  # latency | ratio
     objective: str = "p99"  # for kind="latency"
     op: str = "<="  # <= | >=
     threshold: float = 1.0
@@ -73,7 +71,7 @@ class SloSpec:
     description: str = ""
 
     def __post_init__(self) -> None:
-        if self.kind not in ("latency", "ratio", "rate"):
+        if self.kind not in ("latency", "ratio"):
             raise ValueError(f"unknown SLO kind: {self.kind!r}")
         if self.op not in ("<=", ">="):
             raise ValueError(f"unknown SLO op: {self.op!r} (use '<=' or '>=')")
@@ -93,10 +91,8 @@ class SloSpec:
     def describe(self) -> str:
         if self.description:
             return self.description
-        what = f"{self.metric} {self.objective}" if self.kind == "latency" else (
-            f"{self.metric} success ratio" if self.kind == "ratio" else f"{self.metric} rate"
-        )
-        return f"{what} {self.op} {self.threshold}"
+        what = self.objective if self.kind == "latency" else "success ratio"
+        return f"{self.metric} {what} {self.op} {self.threshold}"
 
 
 @dataclass(frozen=True)
@@ -194,58 +190,32 @@ class SloEngine:
         return emitted
 
     def _readings(self, spec: SloSpec, now: float):
-        """(node, value) pairs to judge — [] when under min_samples."""
-        if spec.kind == "latency":
-            instruments = self.metrics.windowed_histograms_for(spec.metric)
-            groups = (
-                [(wh.node, [wh]) for wh in instruments]
-                if spec.per_node
-                else [("", instruments)]
-            )
-            for node, group in groups:
-                merged = merge_window_histograms(group, now)
-                if merged.count < spec.min_samples:
-                    continue
-                if spec.objective == "mean":
-                    yield node, merged.mean
-                elif spec.objective == "max":
-                    yield node, merged.vmax
-                else:
-                    yield node, merged.quantile(_QUANTILES[spec.objective])
-        elif spec.kind == "ratio":
-            # Both sources speak window_totals(): dedicated ratio
-            # instruments (fed by hand, e.g. the chaos scenario's
-            # clean-fetch signal) and span-fed windowed histograms,
-            # whose per-observation ok flag makes every span name a
-            # success ratio for free.
-            instruments = self.metrics.windowed_ratios_for(
-                spec.metric
-            ) + self.metrics.windowed_histograms_for(spec.metric)
-            groups = (
-                [(wr.node, [wr]) for wr in instruments]
-                if spec.per_node
-                else [("", instruments)]
-            )
-            for node, group in groups:
+        """(node, value) pairs to judge — none for a group under min_samples."""
+        instruments = self.metrics.windowed_histograms_for(spec.metric)
+        groups = (
+            [(wh.node, [wh]) for wh in instruments]
+            if spec.per_node
+            else [("", instruments)]
+        )
+        for node, group in groups:
+            if spec.kind == "ratio":
                 ok = n = 0
-                for wr in group:
-                    part_ok, part_n = wr.window_totals(now)
+                for wh in group:
+                    part_ok, part_n = wh.window_totals(now)
                     ok += part_ok
                     n += part_n
-                if n < spec.min_samples:
-                    continue
-                yield node, ok / n
-        else:  # rate
-            instruments = self.metrics.windowed_rates_for(spec.metric)
-            groups = (
-                [(wr.node, [wr]) for wr in instruments]
-                if spec.per_node
-                else [("", instruments)]
-            )
-            for node, group in groups:
-                if not group:
-                    continue
-                yield node, sum(wr.rate(now) for wr in group)
+                if n >= spec.min_samples:
+                    yield node, ok / n
+                continue
+            merged = merge_window_histograms(group, now)
+            if merged.count < spec.min_samples:
+                continue
+            if spec.objective == "mean":
+                yield node, merged.mean
+            elif spec.objective == "max":
+                yield node, merged.vmax
+            else:
+                yield node, merged.quantile(_QUANTILES[spec.objective])
 
     def _judge(self, spec: SloSpec, node: str, value: float, now: float):
         state = self._states.setdefault((spec.id, node), _SloState())

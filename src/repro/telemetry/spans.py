@@ -113,7 +113,10 @@ class Telemetry:
     Attach one to a simulator (``Telemetry(sim).attach()`` or
     ``ClusterConfig(telemetry=True)``) and every instrumented layer
     starts emitting spans; leave it off and the layers' guards make the
-    whole plane a no-op.
+    whole plane a no-op.  Every finished span feeds a latency histogram
+    named after the span under node ``span.node`` in :attr:`metrics`
+    (plus a ``<name>.errors`` counter when it fails): the bridge between
+    the trace plane and the metrics plane.
 
     Parameters
     ----------
@@ -125,11 +128,6 @@ class Telemetry:
         Unbounded by default — report runs are short; long soak runs
         should bound this (a cluster with SLOs on bounds it to its
         flight recorders' horizon).
-    record_span_metrics:
-        When True (default), every finished span feeds a latency
-        histogram named after the span under node ``span.node`` in
-        :attr:`metrics` — the bridge between the trace plane and the
-        metrics plane.
     windowed:
         Optional :class:`~repro.telemetry.timeseries.WindowPolicy`.
         When set, every finished span *also* feeds a per-``(name,
@@ -145,28 +143,17 @@ class Telemetry:
         self,
         sim,
         max_spans: Optional[int] = None,
-        record_span_metrics: bool = True,
         windowed=None,
     ) -> None:
         if max_spans is not None and max_spans <= 0:
             raise ValueError("max_spans must be positive")
         self.sim = sim
         self.max_spans = max_spans
-        self.record_span_metrics = record_span_metrics
         self.windowed = windowed
         self._spans: deque[Span] = deque(maxlen=max_spans)
         self.dropped = 0
         self.metrics = MetricsRegistry()
         self._ids = itertools.count(1)
-        #: Callables invoked with every *finished* span (ends, fails,
-        #: and instant events).  Guarded: a raising subscriber is
-        #: dropped, never the simulation.  Nothing in the stock stack
-        #: subscribes on the hot path — the flight recorder reads the
-        #: retained span list at dump time instead.
-        self._subscribers: list = []
-        #: (name, node) -> WindowedHistogram — skips the registry's
-        #: get-or-create on the per-span hot path.
-        self._windowed_cache: dict = {}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -178,27 +165,6 @@ class Telemetry:
     def detach(self) -> None:
         if getattr(self.sim, "telemetry", None) is self:
             self.sim.telemetry = None
-
-    # -- subscribers -------------------------------------------------------
-
-    def subscribe(self, fn) -> None:
-        """Call ``fn(span)`` for every finished span from now on."""
-        self._subscribers.append(fn)
-
-    def unsubscribe(self, fn) -> None:
-        if fn in self._subscribers:
-            self._subscribers.remove(fn)
-
-    def _notify(self, span: Span) -> None:
-        if not self._subscribers:
-            return
-        for fn in list(self._subscribers):
-            try:
-                fn(span)
-            except Exception:
-                # A broken subscriber must never take down the
-                # simulation; evict it.
-                self.unsubscribe(fn)
 
     # -- span emission -----------------------------------------------------
 
@@ -263,8 +229,6 @@ class Telemetry:
             attrs=attrs,
         )
         self._retain(span)
-        if self._subscribers:
-            self._notify(span)
         return span
 
     @staticmethod
@@ -289,26 +253,23 @@ class Telemetry:
         span.status = status
         if attrs:
             span.attrs.update(attrs)
-        if self.record_span_metrics:
-            self.metrics.histogram(span.name, node=span.node).observe(
-                span.end - span.start
-            )
-            if status != "ok":
-                self.metrics.counter(f"{span.name}.errors", node=span.node).inc()
+        metrics = self.metrics
+        metrics.histogram(span.name, node=span.node).observe(span.end - span.start)
+        if status != "ok":
+            metrics.counter(f"{span.name}.errors", node=span.node).inc()
         policy = self.windowed
         if policy is not None and (policy.names is None or span.name in policy.names):
-            key = (span.name, span.node)
-            rollup = self._windowed_cache.get(key)
+            # The registry's own map, read directly: get-or-create costs
+            # a call and an import on this per-span path.
+            rollup = metrics._windowed_histograms.get((span.name, span.node))
             if rollup is None:
-                rollup = self._windowed_cache[key] = self.metrics.windowed_histogram(
+                rollup = metrics.windowed_histogram(
                     span.name,
                     node=span.node,
                     window_s=policy.window_s,
                     sub_windows=policy.sub_windows,
                 )
             rollup.observe(span.end - span.start, now=span.end, ok=(status == "ok"))
-        if self._subscribers:
-            self._notify(span)
         return span
 
     def fail(self, span: Span, exc: BaseException, **attrs: Any) -> Span:

@@ -1,11 +1,13 @@
-"""Sliding-window instruments keyed by simulated time.
+"""The sliding-window instrument, keyed by simulated time.
 
 The cumulative instruments in :mod:`repro.telemetry.metrics` answer
-"what happened over the whole run"; these answer "what happened over
-the last *W* seconds of simulated time" — the view an SLO engine or an
-adaptive placement policy actually needs.
+"what happened over the whole run"; :class:`WindowedHistogram` answers
+"what happened over the last *W* seconds of simulated time" — the view
+an SLO engine or an adaptive placement policy actually needs.  Its
+per-observation ``ok`` flag makes the same ring a success ratio, so it
+is the plane's only windowed instrument.
 
-Each instrument is a ring of ``sub_windows`` fixed-size sub-windows of
+It is a ring of ``sub_windows`` fixed-size sub-windows of
 ``window_s / sub_windows`` simulated seconds each.  Sub-window edges
 are aligned to the simulation epoch (t = 0.0): the sub-window covering
 time ``t`` has absolute index ``int(t // sub_window_s)``, so rotation
@@ -18,7 +20,7 @@ tagged with the absolute sub-window index it holds data for; expired
 slots are simply excluded from reads by tag comparison and reset only
 when the ring next writes into them.  Advancing the ring is therefore
 O(1) regardless of how much simulated time passed since the last
-touch.  Every observe / mark / read call carries an explicit ``now``
+touch.  Every observe / read call carries an explicit ``now``
 (or falls back to the newest time the instrument has seen).  A window
 summary is the merge of all live sub-windows, so a reading covers at
 most ``window_s`` and at least ``window_s - sub_window_s`` seconds of
@@ -43,8 +45,6 @@ from repro.telemetry.metrics import DEFAULT_BUCKETS, Histogram
 __all__ = [
     "WindowPolicy",
     "WindowedHistogram",
-    "WindowedRate",
-    "WindowedRatio",
     "merge_window_histograms",
 ]
 
@@ -76,98 +76,7 @@ class WindowPolicy:
             object.__setattr__(self, "names", frozenset(self.names))
 
 
-class _WindowRing:
-    """Shared epoch-aligned lazy-rotation machinery."""
-
-    __slots__ = (
-        "name",
-        "node",
-        "window_s",
-        "sub_windows",
-        "sub_window_s",
-        "_head",
-        "_seen",
-        "_tags",
-    )
-
-    def __init__(
-        self, name: str, node: str = "", window_s: float = 60.0, sub_windows: int = 6
-    ) -> None:
-        if window_s <= 0:
-            raise ValueError("window_s must be positive")
-        if sub_windows < 1:
-            raise ValueError("sub_windows must be >= 1")
-        self.name = name
-        self.node = node
-        self.window_s = float(window_s)
-        self.sub_windows = int(sub_windows)
-        self.sub_window_s = self.window_s / self.sub_windows
-        #: Absolute index of the newest sub-window the ring has advanced
-        #: to; slot ``i % sub_windows`` holds absolute sub-window ``i``.
-        self._head = 0
-        #: Newest simulated time this instrument has been touched with —
-        #: the fallback clock for reads that pass ``now=None``.
-        self._seen = 0.0
-        #: Per-slot absolute sub-window index the slot's data belongs
-        #: to (-1 = never written).  A slot is *live* iff its tag is
-        #: within ``sub_windows`` of the head; anything older is dead
-        #: weight that the next write into the slot resets.
-        self._tags = [-1] * self.sub_windows
-
-    def _slot_index(self, now: float) -> int:
-        return int(now // self.sub_window_s)
-
-    def _advance(self, now: float) -> None:
-        """Rotate the ring forward to the sub-window covering ``now``.
-
-        O(1): only the head index moves; expired slots stay untouched
-        (their stale tags exclude them from reads).
-        """
-        if now > self._seen:
-            self._seen = now
-        target = self._slot_index(now)
-        if target > self._head:
-            self._head = target
-
-    def _touch(self, now: float) -> Optional[int]:
-        """Advance and return the writable slot for ``now``.
-
-        Resets the slot first if it still holds an older sub-window.
-        Returns None when ``now`` predates the live window entirely
-        (the write would land in history the ring no longer covers).
-        """
-        # _advance() inlined: this runs twice per finished span.
-        if now > self._seen:
-            self._seen = now
-        index = int(now // self.sub_window_s)
-        head = self._head
-        if index > head:
-            self._head = index
-        elif index <= head - self.sub_windows:
-            return None
-        slot = index % self.sub_windows
-        if self._tags[slot] != index:
-            self._reset_slot(slot)
-            self._tags[slot] = index
-        return slot
-
-    def _live_floor(self) -> int:
-        """Oldest absolute sub-window index still inside the window."""
-        return self._head - self.sub_windows + 1
-
-    def _resolve_now(self, now: Optional[float]) -> float:
-        return self._seen if now is None else now
-
-    def _window_start(self) -> float:
-        """Simulated time the oldest live sub-window begins at."""
-        return max(0.0, self._live_floor() * self.sub_window_s)
-
-    # Subclasses own the slot storage.
-    def _reset_slot(self, slot: int) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class WindowedHistogram(_WindowRing):
+class WindowedHistogram:
     """A ring of fixed-bucket histograms; the window merge is a Histogram.
 
     ``observe(value, now, ok=...)`` lands the value in the sub-window
@@ -176,14 +85,25 @@ class WindowedHistogram(_WindowRing):
     exact same interpolation as the cumulative plane.
 
     Each observation also carries an ``ok`` flag, so the instrument
-    doubles as a success-ratio window (:meth:`window_totals`) — one
-    ring write per finished span covers both the latency SLO and the
-    availability SLO, instead of maintaining a twin
-    :class:`WindowedRatio` per (name, node).
+    doubles as a success-ratio window (:meth:`window_totals`): one ring
+    write per finished span (or per hand-fed signal, such as the chaos
+    scenario's clean-fetch mark) covers both the latency SLO and the
+    availability SLO.  An empty window reads as ratio 1.0 ("no
+    evidence of failure") in :meth:`summary`, which also exports the
+    sample count so the SLO engine can require a minimum population
+    before judging it.
     """
 
     __slots__ = (
+        "name",
+        "node",
+        "window_s",
+        "sub_windows",
+        "sub_window_s",
         "bounds",
+        "_head",
+        "_seen",
+        "_tags",
         "_width",
         "_counts",
         "_count",
@@ -201,15 +121,33 @@ class WindowedHistogram(_WindowRing):
         sub_windows: int = 6,
         buckets: Optional[Sequence[float]] = None,
     ) -> None:
-        super().__init__(name, node, window_s, sub_windows)
+        if window_s <= 0:
+            raise ValueError("window_s must be positive")
+        if sub_windows < 1:
+            raise ValueError("sub_windows must be >= 1")
         if buckets is None:
             bounds = DEFAULT_BUCKETS  # known-good; skip re-validation
         else:
             bounds = tuple(buckets)
             if not bounds or list(bounds) != sorted(bounds):
                 raise ValueError("bucket bounds must be non-empty and ascending")
+        self.name = name
+        self.node = node
+        self.window_s = float(window_s)
+        self.sub_windows = n = int(sub_windows)
+        self.sub_window_s = self.window_s / n
         self.bounds = bounds
-        n = self.sub_windows
+        #: Absolute index of the newest sub-window the ring has advanced
+        #: to; slot ``i % sub_windows`` holds absolute sub-window ``i``.
+        self._head = 0
+        #: Newest simulated time this instrument has been touched with —
+        #: the fallback clock for reads that pass ``now=None``.
+        self._seen = 0.0
+        #: Per-slot absolute sub-window index the slot's data belongs
+        #: to (-1 = never written).  A slot is *live* iff its tag is
+        #: within ``sub_windows`` of the head; anything older is dead
+        #: weight that the next write into the slot resets.
+        self._tags = [-1] * n
         self._width = len(bounds) + 1  # +1 overflow bucket
         #: Bucket-count rows are allocated on first write to a slot —
         #: instruments are minted per (span name, node), and most of a
@@ -221,23 +159,51 @@ class WindowedHistogram(_WindowRing):
         self._vmin = [float("inf")] * n
         self._vmax = [float("-inf")] * n
 
-    def _reset_slot(self, slot: int) -> None:
-        counts = self._counts[slot]
-        if counts is None:
-            self._counts[slot] = [0] * self._width
-        else:
-            for i in range(len(counts)):
-                counts[i] = 0
-        self._count[slot] = 0
-        self._ok[slot] = 0
-        self._total[slot] = 0.0
-        self._vmin[slot] = float("inf")
-        self._vmax[slot] = float("-inf")
+    def _advance(self, now: Optional[float]) -> int:
+        """Rotate the ring forward to ``now``; return the live floor.
+
+        O(1): only the head index moves; expired slots stay untouched
+        (their stale tags exclude them from reads).  The floor is the
+        oldest absolute sub-window index still inside the window.
+        """
+        if now is None:
+            now = self._seen
+        elif now > self._seen:
+            self._seen = now
+        target = int(now // self.sub_window_s)
+        if target > self._head:
+            self._head = target
+        return self._head - self.sub_windows + 1
 
     def observe(self, value: float, now: float, ok: bool = True) -> None:
-        slot = self._touch(now)
-        if slot is None:
+        """Land ``value`` in the sub-window covering ``now``.
+
+        A write stamped before the live window is dropped; a write into
+        a slot still holding an older sub-window resets the slot first.
+        """
+        # Rotation inlined: this runs once per finished span.
+        if now > self._seen:
+            self._seen = now
+        index = int(now // self.sub_window_s)
+        head = self._head
+        if index > head:
+            self._head = index
+        elif index <= head - self.sub_windows:
             return
+        slot = index % self.sub_windows
+        if self._tags[slot] != index:
+            self._tags[slot] = index
+            counts = self._counts[slot]
+            if counts is None:
+                self._counts[slot] = [0] * self._width
+            else:
+                for i in range(len(counts)):
+                    counts[i] = 0
+            self._count[slot] = 0
+            self._ok[slot] = 0
+            self._total[slot] = 0.0
+            self._vmin[slot] = float("inf")
+            self._vmax[slot] = float("-inf")
         self._counts[slot][bisect.bisect_left(self.bounds, value)] += 1
         self._count[slot] += 1
         if ok:
@@ -250,8 +216,7 @@ class WindowedHistogram(_WindowRing):
 
     def window_totals(self, now: Optional[float] = None) -> tuple[int, int]:
         """(ok, total) observations over the live window."""
-        self._advance(self._resolve_now(now))
-        floor = self._live_floor()
+        floor = self._advance(now)
         ok = n = 0
         for slot in range(self.sub_windows):
             if self._tags[slot] >= floor:
@@ -259,12 +224,10 @@ class WindowedHistogram(_WindowRing):
                 n += self._count[slot]
         return ok, n
 
-    def window(self, now: Optional[float] = None) -> Histogram:
-        """The live window merged into one plain :class:`Histogram`."""
-        self._advance(self._resolve_now(now))
-        merged = Histogram(self.name, self.node, self.bounds)
+    def _merge_into(self, merged: Histogram, now: Optional[float]) -> None:
+        """Add every live sub-window into ``merged``."""
+        floor = self._advance(now)
         counts = merged.counts
-        floor = self._live_floor()
         for slot in range(self.sub_windows):
             if self._tags[slot] < floor or not self._count[slot]:
                 continue
@@ -276,138 +239,22 @@ class WindowedHistogram(_WindowRing):
                 merged.vmin = self._vmin[slot]
             if self._vmax[slot] > merged.vmax:
                 merged.vmax = self._vmax[slot]
+
+    def window(self, now: Optional[float] = None) -> Histogram:
+        """The live window merged into one plain :class:`Histogram`."""
+        merged = Histogram(self.name, self.node, self.bounds)
+        self._merge_into(merged, now)
         return merged
 
     def summary(self, now: Optional[float] = None) -> dict:
-        merged = self.window(now)
+        out = self.window(now).summary()
         ok, n = self.window_totals(now)
-        out = merged.summary()
         out["type"] = "windowed_histogram"
         out["window_s"] = self.window_s
         out["sub_windows"] = self.sub_windows
         out["ok"] = ok
         out["ratio"] = ok / n if n else 1.0
         return out
-
-    def as_dict(self) -> dict:
-        return self.summary()
-
-
-class WindowedRate(_WindowRing):
-    """Events per simulated second over the sliding window."""
-
-    __slots__ = ("_events",)
-
-    def __init__(
-        self, name: str, node: str = "", window_s: float = 60.0, sub_windows: int = 6
-    ) -> None:
-        super().__init__(name, node, window_s, sub_windows)
-        self._events = [0.0] * self.sub_windows
-
-    def _reset_slot(self, slot: int) -> None:
-        self._events[slot] = 0.0
-
-    def inc(self, now: float, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("rates only count up within a sub-window")
-        slot = self._touch(now)
-        if slot is not None:
-            self._events[slot] += amount
-
-    def _live_total(self) -> float:
-        floor = self._live_floor()
-        return sum(
-            self._events[slot]
-            for slot in range(self.sub_windows)
-            if self._tags[slot] >= floor
-        )
-
-    def window_total(self, now: Optional[float] = None) -> float:
-        self._advance(self._resolve_now(now))
-        return self._live_total()
-
-    def rate(self, now: Optional[float] = None) -> float:
-        """Events per second over the covered portion of the window.
-
-        Early in a run the ring covers less than ``window_s`` seconds;
-        the denominator is the actually-covered span so short runs do
-        not under-report.
-        """
-        now = self._resolve_now(now)
-        self._advance(now)
-        covered = now - self._window_start()
-        if covered <= 0.0:
-            return 0.0
-        return self._live_total() / covered
-
-    def summary(self, now: Optional[float] = None) -> dict:
-        now = self._resolve_now(now)
-        return {
-            "type": "windowed_rate",
-            "window_s": self.window_s,
-            "sub_windows": self.sub_windows,
-            "total": self.window_total(now),
-            "rate_per_s": self.rate(now),
-        }
-
-    def as_dict(self) -> dict:
-        return self.summary()
-
-
-class WindowedRatio(_WindowRing):
-    """Success ratio (ok / total) over the sliding window.
-
-    An empty window reads as ratio 1.0 — "no evidence of failure" —
-    but exports its sample count so consumers (the SLO engine) can
-    require a minimum population before judging it.
-    """
-
-    __slots__ = ("_ok", "_n")
-
-    def __init__(
-        self, name: str, node: str = "", window_s: float = 60.0, sub_windows: int = 6
-    ) -> None:
-        super().__init__(name, node, window_s, sub_windows)
-        self._ok = [0] * self.sub_windows
-        self._n = [0] * self.sub_windows
-
-    def _reset_slot(self, slot: int) -> None:
-        self._ok[slot] = 0
-        self._n[slot] = 0
-
-    def mark(self, now: float, ok: bool = True) -> None:
-        slot = self._touch(now)
-        if slot is None:
-            return
-        self._n[slot] += 1
-        if ok:
-            self._ok[slot] += 1
-
-    def window_totals(self, now: Optional[float] = None) -> tuple[int, int]:
-        """(ok, total) over the live window."""
-        self._advance(self._resolve_now(now))
-        floor = self._live_floor()
-        ok = n = 0
-        for slot in range(self.sub_windows):
-            if self._tags[slot] >= floor:
-                ok += self._ok[slot]
-                n += self._n[slot]
-        return ok, n
-
-    def ratio(self, now: Optional[float] = None) -> float:
-        ok, n = self.window_totals(now)
-        return ok / n if n else 1.0
-
-    def summary(self, now: Optional[float] = None) -> dict:
-        ok, n = self.window_totals(self._resolve_now(now))
-        return {
-            "type": "windowed_ratio",
-            "window_s": self.window_s,
-            "sub_windows": self.sub_windows,
-            "ok": ok,
-            "total": n,
-            "ratio": ok / n if n else 1.0,
-        }
 
     def as_dict(self) -> dict:
         return self.summary()
@@ -428,13 +275,5 @@ def merge_window_histograms(
     for wh in instruments:
         if wh.bounds != merged.bounds:
             raise ValueError("cannot merge windowed histograms with different buckets")
-        part = wh.window(now)
-        for i, n in enumerate(part.counts):
-            merged.counts[i] += n
-        merged.count += part.count
-        merged.total += part.total
-        if part.vmin < merged.vmin:
-            merged.vmin = part.vmin
-        if part.vmax > merged.vmax:
-            merged.vmax = part.vmax
+        wh._merge_into(merged, now)
     return merged

@@ -243,6 +243,21 @@ class TestMetricsReport:
         assert "client.fetch@a: n=1" in text
         assert "p95=500.00ms" in text
 
+    def test_renders_one_of_every_registry_instrument(self):
+        reg = MetricsRegistry()
+        reg.counter("kv.puts", node="a").inc(4)
+        reg.gauge("kv.lookup.mean_s", node="a").set(0.002)
+        reg.histogram("client.fetch", node="a").observe(0.5)
+        reg.windowed_histogram("fetch.clean", node="a").observe(0.25, now=1.0, ok=False)
+        kinds = {
+            data["type"] for nodes in reg.snapshot().values() for data in nodes.values()
+        }
+        assert kinds == {"counter", "gauge", "histogram", "windowed_histogram"}
+        text = metrics_report(reg)
+        assert "kv.puts@a: 4" in text
+        assert "client.fetch@a: n=1" in text
+        assert "fetch.clean.window@a: n=1 mean=250.00ms" in text
+
     def test_limit_truncates_names(self):
         reg = MetricsRegistry()
         reg.counter("a").inc()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.telemetry import HealthBoard, HealthView, MetricsRegistry
+from repro.telemetry import HealthBoard, MetricsRegistry
 
 GEOM = dict(window_s=10.0, sub_windows=5)
 
@@ -57,10 +57,11 @@ class TestComponents:
         # p99 ~ 4x the target -> ~0.25 credit.
         assert hb._latency_component("n0", 1.0) == pytest.approx(0.25, abs=0.1)
 
-    def test_success_pools_ratios_and_histogram_ok_flags(self):
+    def test_success_pools_every_rollups_ok_flags(self):
+        # A hand-fed signal and a span-fed rollup on the same node.
         hb = board()
-        hb.metrics.windowed_ratio("fetch.clean", node="n0", **GEOM).mark(
-            now=1.0, ok=False
+        hb.metrics.windowed_histogram("fetch.clean", node="n0", **GEOM).observe(
+            0.5, now=1.0, ok=False
         )
         hb.metrics.windowed_histogram("kv.get", node="n0", **GEOM).observe(
             0.1, now=1.0, ok=True
@@ -105,7 +106,8 @@ class TestFusion:
     def test_healthy_threshold_and_view_interface(self):
         hb = board()
         hb.attach_node("n0", breakers=StubBreakers(["a", "b"], ["a", "b"]))
-        assert isinstance(hb, HealthView)
+        assert hb.nodes() == ["n0"]
+        assert hb.score("n0", now=1.0) == 0.0
         assert not hb.healthy("n0", now=1.0, threshold=0.5)
         assert hb.healthy("n0", now=1.0, threshold=0.0)
 

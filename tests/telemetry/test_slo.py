@@ -10,6 +10,7 @@ from repro.telemetry import (
     SloEvaluator,
     SloSpec,
     Telemetry,
+    WindowPolicy,
     default_slo_specs,
 )
 
@@ -34,6 +35,8 @@ class TestSloSpec:
     def test_validation(self):
         with pytest.raises(ValueError, match="kind"):
             SloSpec(id="x", metric="m", kind="nope")
+        with pytest.raises(ValueError, match="kind"):
+            SloSpec(id="x", metric="m", kind="rate")
         with pytest.raises(ValueError, match="op"):
             SloSpec(id="x", metric="m", op="<")
         with pytest.raises(ValueError, match="objective"):
@@ -65,9 +68,9 @@ class TestHysteresis:
         engine = SloEngine(
             metrics, [ratio_spec(breach_windows=2, clear_windows=2)]
         )
-        wr = metrics.windowed_ratio("fetch.clean", **GEOM)
+        wh = metrics.windowed_histogram("fetch.clean", **GEOM)
         for _ in range(3):
-            wr.mark(now=1.0, ok=False)
+            wh.observe(0.1, now=1.0, ok=False)
         # First breach arms the streak, the second fires.
         assert engine.evaluate(1.0) == []
         (fired,) = engine.evaluate(2.0)
@@ -77,7 +80,7 @@ class TestHysteresis:
         assert engine.firing() == [("avail", "")]
         # Old evidence expires; healthy marks must pass twice to clear.
         for _ in range(3):
-            wr.mark(now=20.0, ok=True)
+            wh.observe(0.1, now=20.0, ok=True)
         assert engine.evaluate(20.0) == []
         (resolved,) = engine.evaluate(21.0)
         assert resolved.state == "resolved" and resolved.value == 1.0
@@ -90,9 +93,9 @@ class TestHysteresis:
     def test_min_samples_skips_evaluation_entirely(self):
         metrics = MetricsRegistry()
         engine = SloEngine(metrics, [ratio_spec(min_samples=5)])
-        wr = metrics.windowed_ratio("fetch.clean", **GEOM)
-        wr.mark(now=1.0, ok=False)
-        wr.mark(now=1.0, ok=False)
+        wh = metrics.windowed_histogram("fetch.clean", **GEOM)
+        wh.observe(0.1, now=1.0, ok=False)
+        wh.observe(0.1, now=1.0, ok=False)
         # 2 < min_samples: no evidence either way, streaks untouched.
         assert engine.evaluate(1.0) == []
         assert engine.firing() == []
@@ -100,8 +103,8 @@ class TestHysteresis:
     def test_expired_window_neither_fires_nor_clears(self):
         metrics = MetricsRegistry()
         engine = SloEngine(metrics, [ratio_spec()])
-        wr = metrics.windowed_ratio("fetch.clean", **GEOM)
-        wr.mark(now=1.0, ok=False)
+        wh = metrics.windowed_histogram("fetch.clean", **GEOM)
+        wh.observe(0.1, now=1.0, ok=False)
         (fired,) = engine.evaluate(1.0)
         assert fired.state == "firing"
         # All evidence expired: the alert stays latched, not resolved.
@@ -143,30 +146,31 @@ class TestReadings:
         (fired,) = engine.evaluate(1.0)
         assert fired.node == "" and fired.value == pytest.approx(5.0)
 
-    def test_ratio_reads_both_instrument_families(self):
-        # Dedicated ratio instruments and span-fed windowed histograms
-        # (per-observation ok flags) pool into one ok/total reading.
+    def test_ratio_pools_every_node_rollup(self):
+        # Hand-fed rollups speak the same ok flags as span-fed ones.
         metrics = MetricsRegistry()
         engine = SloEngine(metrics, [ratio_spec(threshold=0.75)])
-        metrics.windowed_ratio("fetch.clean", node="a", **GEOM).mark(now=1.0)
+        metrics.windowed_histogram("fetch.clean", node="a", **GEOM).observe(
+            0.1, now=1.0
+        )
         metrics.windowed_histogram("fetch.clean", node="b", **GEOM).observe(
             0.1, now=1.0, ok=False
         )
         (fired,) = engine.evaluate(1.0)
         assert fired.value == pytest.approx(0.5)
 
-    def test_rate_sums_across_nodes(self):
-        metrics = MetricsRegistry()
-        spec = SloSpec(
-            id="err-rate", metric="errors", kind="rate",
-            op="<=", threshold=0.5,
-        )
-        engine = SloEngine(metrics, [spec])
-        wr = metrics.windowed_rate("errors", node="a", **GEOM)
-        for t in (0.5, 1.0, 1.5):
-            wr.inc(now=t)
-        (fired,) = engine.evaluate(2.0)
-        assert fired.state == "firing" and fired.value > 0.5
+    def test_per_node_ratio_reads_each_node_once_per_evaluation(self):
+        sim = Simulator()
+        tel = Telemetry(sim, windowed=WindowPolicy(**GEOM)).attach()
+        for node in ("a", "b"):
+            tel.end(tel.begin("client.fetch", layer="client", node=node), status="error")
+        spec = ratio_spec(metric="client.fetch", per_node=True, breach_windows=2)
+        engine = SloEngine(tel.metrics, [spec])
+        assert list(engine._readings(spec, 1.0)) == [("a", 0.0), ("b", 0.0)]
+        # One breach per node arms its streak; the second fires.
+        assert engine.evaluate(1.0) == []
+        fired = engine.evaluate(2.0)
+        assert [(a.node, a.state) for a in fired] == [("a", "firing"), ("b", "firing")]
 
 
 class TestAlertPlumbing:
@@ -177,7 +181,7 @@ class TestAlertPlumbing:
         engine = SloEngine(metrics, [ratio_spec()], telemetry=tel)
         seen = []
         engine.on_alert(seen.append)
-        metrics.windowed_ratio("fetch.clean", **GEOM).mark(now=1.0, ok=False)
+        metrics.windowed_histogram("fetch.clean", **GEOM).observe(0.1, now=1.0, ok=False)
         (fired,) = engine.evaluate(1.0)
         assert seen == [fired]
         assert metrics.counter("slo.alerts.firing").value == 1
@@ -193,8 +197,8 @@ class TestAlertPlumbing:
         def broken(alert):
             raise RuntimeError("boom")
         engine.on_alert(broken)
-        wr = metrics.windowed_ratio("fetch.clean", **GEOM)
-        wr.mark(now=1.0, ok=False)
+        wh = metrics.windowed_histogram("fetch.clean", **GEOM)
+        wh.observe(0.1, now=1.0, ok=False)
         (fired,) = engine.evaluate(1.0)  # must not raise
         assert fired.state == "firing"
         assert engine._on_alert == []

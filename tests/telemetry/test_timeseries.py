@@ -5,8 +5,6 @@ import pytest
 from repro.telemetry import (
     WindowPolicy,
     WindowedHistogram,
-    WindowedRate,
-    WindowedRatio,
     merge_window_histograms,
 )
 
@@ -110,48 +108,36 @@ class TestWindowedHistogram:
             WindowedHistogram("m", buckets=[])
 
 
-class TestWindowedRate:
-    def test_rate_over_covered_span(self):
-        wr = WindowedRate("m", **GEOM)
-        wr.inc(now=1.0)
-        wr.inc(now=3.0)
-        # Ring covers [0, 4): 2 events over 4 seconds.
-        assert wr.rate(now=4.0) == pytest.approx(0.5)
-        assert wr.window_total(now=4.0) == pytest.approx(2.0)
-
-    def test_expiry_drops_old_events(self):
-        wr = WindowedRate("m", **GEOM)
-        wr.inc(now=1.0)
-        wr.inc(now=15.0)
-        assert wr.window_total(now=15.0) == pytest.approx(1.0)
-
-    def test_negative_amount_rejected(self):
-        wr = WindowedRate("m", **GEOM)
-        with pytest.raises(ValueError):
-            wr.inc(now=1.0, amount=-1.0)
-
-
 class TestWindowedRatio:
+    """A WindowedHistogram read as a success ratio through its ok flags."""
+
     def test_ratio_and_totals(self):
-        wr = WindowedRatio("m", **GEOM)
-        wr.mark(now=1.0)
-        wr.mark(now=1.0, ok=False)
-        wr.mark(now=3.0)
-        assert wr.window_totals(now=3.0) == (2, 3)
-        assert wr.ratio(now=3.0) == pytest.approx(2 / 3)
+        wh = WindowedHistogram("m", **GEOM)
+        wh.observe(0.1, now=1.0)
+        wh.observe(0.1, now=1.0, ok=False)
+        wh.observe(0.1, now=3.0)
+        assert wh.window_totals(now=3.0) == (2, 3)
+        assert wh.summary(now=3.0)["ratio"] == pytest.approx(2 / 3)
 
     def test_empty_window_reads_one(self):
-        wr = WindowedRatio("m", **GEOM)
-        assert wr.ratio(now=5.0) == 1.0
-        wr.mark(now=1.0, ok=False)
-        assert wr.ratio(now=50.0) == 1.0  # evidence expired
+        wh = WindowedHistogram("m", **GEOM)
+        assert wh.summary(now=5.0)["ratio"] == 1.0
+        wh.observe(0.1, now=1.0, ok=False)
+        out = wh.summary(now=50.0)  # evidence expired
+        assert out["ratio"] == 1.0 and out["count"] == 0
+
+    def test_expiry_drops_old_marks(self):
+        wh = WindowedHistogram("m", **GEOM)
+        wh.observe(0.1, now=1.0, ok=False)
+        wh.observe(0.1, now=15.0)
+        assert wh.window_totals(now=15.0) == (1, 1)
 
     def test_summary(self):
-        wr = WindowedRatio("m", **GEOM)
-        wr.mark(now=1.0, ok=False)
-        out = wr.summary(now=1.0)
-        assert out["type"] == "windowed_ratio"
-        assert out["ok"] == 0 and out["total"] == 1
+        wh = WindowedHistogram("m", **GEOM)
+        wh.observe(0.1, now=1.0, ok=False)
+        out = wh.summary(now=1.0)
+        assert out["type"] == "windowed_histogram"
+        assert out["ok"] == 0 and out["count"] == 1
         assert out["ratio"] == 0.0
 
 

@@ -23,6 +23,10 @@ PACKAGES = [
     "repro.workloads",
     "repro.resilience",
     "repro.lint",
+    "repro.telemetry",
+    "repro.storage",
+    "repro.load",
+    "repro.parallel",
 ]
 
 
