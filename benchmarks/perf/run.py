@@ -49,19 +49,22 @@ with the open-loop load driver and A/Bs the O(N²) protocol join against
 ``fast_join``; ``--check`` requires ≥2× on that A/B at the largest
 node count and holds the 10,000-node curve's peak RSS under a
 ceiling.  It is the slow suite — skip it with ``--no-scale`` when
-iterating on the others.  Every suite payload records its own
-:func:`repro.telemetry.memory_probe` snapshot, taken after the suite
-with the peak RSS reset before it (``peak_rss_mb`` is null where the
-peak cannot be reset), so memory regressions surface next to time
-regressions.
+iterating on the others.  Every suite runs in a process forked for it
+alone, and its payload records that process's
+:func:`repro.telemetry.memory_probe` snapshot, taken after the suite:
+its ``peak_rss_mb`` is the suite's own (from the runner's resident set
+at fork time, as for a pooled ``repro.parallel`` job), so memory
+regressions surface next to time regressions.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import platform
 import sys
+import traceback
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -101,12 +104,15 @@ THRESHOLDS = {"table1_sweep": 1.3}
 #: Protocol join vs fast_join at the largest A/B node count.
 SCALE_MIN_JOIN_SPEEDUP = 2.0
 
-#: Peak RSS (MB) ceiling of the 10,000-node load curve: 182.6 MB as
-#: measured with each node's peer view kept as an id -> name dict over
-#: its cached sorted ids (198.9 MB with a red-black tree beside them,
-#: 254.6 MB with idle queues and routing rows allocated up front too),
-#: plus 10%.
-SCALE_MAX_PEAK_RSS_MB = 200.9
+#: Peak RSS (MB) ceiling of the 10,000-node load curve: 156.8 MB as
+#: measured with class-level RPC handler tables, a one-list leaf set and
+#: one interned object per id (182.3 MB with a per-endpoint dict of
+#: bound handlers, a member set beside each leaf ring and a digit tuple
+#: per id; 182.6 MB with each node's peer view kept as an id -> name
+#: dict over its cached sorted ids, 198.9 MB with a red-black tree
+#: beside them, 254.6 MB with idle queues and routing rows allocated up
+#: front too), plus 10%.
+SCALE_MAX_PEAK_RSS_MB = 172.4
 
 PARALLEL_THRESHOLDS = {
     "table1_parallel": 2.0,
@@ -238,33 +244,39 @@ GATES = {
 }
 
 
-def _reset_peak_rss() -> bool:
-    """Reset this process's peak RSS (``VmHWM``) to its current RSS.
-
-    Writing ``5`` to ``/proc/self/clear_refs`` does this on Linux;
-    returns False where it cannot be done.
-    """
-    try:
-        with open("/proc/self/clear_refs", "w", encoding="ascii") as fh:
-            fh.write("5")
-    except OSError:
-        return False
-    return True
-
-
 def _measure_suite(run) -> tuple:
-    """Run one suite; returns ``(results, memory)``.
+    """Run one suite in a forked child; returns ``(results, memory)``.
 
-    ``memory["peak_rss_mb"]`` is this suite's own high-water mark in
-    this process (pool workers are not included), or None when the
-    peak could not be reset first — a lifetime peak would be wrong.
+    The child's peak RSS is the suite's own high-water mark (pool
+    workers it starts are not included), with no earlier suite's peak
+    folded in.  A suite that raises fails the run with its traceback.
     """
-    isolated = _reset_peak_rss()
-    results = run()
-    memory = memory_probe(count_objects=False)
-    if not isolated or memory["rss_mb"] is None:
-        memory["peak_rss_mb"] = None
-    return results, memory
+    ctx = multiprocessing.get_context("fork")
+    receiver, sender = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_run_suite, args=(run, sender))
+    child.start()
+    sender.close()
+    try:
+        ok, payload = receiver.recv()
+    except EOFError:
+        ok, payload = False, f"suite process exited with code {child.exitcode}"
+    finally:
+        receiver.close()
+        child.join()
+    if not ok:
+        raise RuntimeError(f"suite failed in its child process:\n{payload}")
+    return payload
+
+
+def _run_suite(run, sender) -> None:
+    """The forked child's body: run the suite, send back its payload."""
+    try:
+        results = run()
+        sender.send((True, (results, memory_probe(count_objects=False))))
+    except BaseException:  # noqa: BLE001 - reported by the parent
+        sender.send((False, traceback.format_exc()))
+    finally:
+        sender.close()
 
 
 def _write_bench(

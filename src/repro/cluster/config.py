@@ -231,8 +231,9 @@ class ClusterConfig:
     #: Attach the :mod:`repro.telemetry` plane (causal spans + metrics
     #: registry) to the deployment's simulator.  Off by default: with
     #: telemetry disabled every instrumented layer skips emission behind
-    #: a single ``is not None`` check, RPC bodies carry no span context,
-    #: and simulated results are byte-identical to a build without the
+    #: a single ``is not None`` check, each RPC's ``Request.ctx`` header
+    #: stays None (no body carries span context, on or off), and
+    #: simulated results are byte-identical to a build without the
     #: subsystem.
     telemetry: bool = False
     #: Scatter-gather placement decisions: ``chimeraGetDecision`` issues

@@ -47,6 +47,13 @@ MSG_ALERT_DELIVER = "fed.alert-deliver"
 class FederationDirectory:
     """The cloud-hosted rendezvous service for federated homes."""
 
+    RPC_HANDLERS = {
+        MSG_PUBLISH: "_handle_publish",
+        MSG_LOOKUP: "_handle_lookup",
+        MSG_SUBSCRIBE: "_handle_subscribe",
+        MSG_ALERT: "_handle_alert",
+    }
+
     def __init__(self, network: Network, host_name: str = "federation-hub") -> None:
         self.network = network
         host = network.add_host(host_name, group="cloud")
@@ -57,14 +64,8 @@ class FederationDirectory:
         #: Gateway device names subscribed to alerts, by home label.
         self.subscribers: dict[str, str] = {}
         self.alerts_relayed = 0
-        self._register_handlers()
+        self.endpoint.serve(self)
         self.endpoint.start()
-
-    def _register_handlers(self) -> None:
-        self.endpoint.register(MSG_PUBLISH, self._handle_publish)
-        self.endpoint.register(MSG_LOOKUP, self._handle_lookup)
-        self.endpoint.register(MSG_SUBSCRIBE, self._handle_subscribe)
-        self.endpoint.register(MSG_ALERT, self._handle_alert)
 
     def _handle_publish(self, request: Request) -> dict:
         entry = dict(request.body)

@@ -182,6 +182,19 @@ class DhtKeyValueStore:
         storage layer existed.
     """
 
+    RPC_HANDLERS = {
+        MSG_PUT: "_handle_put",
+        MSG_GET: "_handle_get",
+        MSG_DELETE: "_handle_delete",
+        MSG_REPLICA: "_handle_replica",
+        MSG_REPLICA_DELETE: "_handle_replica_delete",
+        MSG_CACHE_UPDATE: "_handle_cache_update",
+        MSG_CACHE_INVALIDATE: "_handle_cache_invalidate",
+        MSG_TRANSFER: "_handle_transfer",
+        MSG_SYNC: "_handle_sync",
+        MSG_SYNC_PUSH: "_handle_sync_push",
+    }
+
     def __init__(
         self,
         chimera: ChimeraNode,
@@ -220,7 +233,7 @@ class DhtKeyValueStore:
         #: Owner-side map: key -> names of nodes holding cached copies.
         self.cache_holders: dict[str, set[str]] = {}
         self.stats = KvStats()
-        self._register_handlers()
+        self.endpoint.serve(self)
         chimera.on_node_joined.append(self._on_node_joined)
         chimera.on_node_left.append(self._on_node_left)
 
@@ -714,19 +727,6 @@ class DhtKeyValueStore:
                 self.replicas.pop(record.key_hex, None)
 
     # -- RPC handlers ---------------------------------------------------------
-
-    def _register_handlers(self) -> None:
-        ep = self.endpoint
-        ep.register(MSG_PUT, self._handle_put)
-        ep.register(MSG_GET, self._handle_get)
-        ep.register(MSG_DELETE, self._handle_delete)
-        ep.register(MSG_REPLICA, self._handle_replica)
-        ep.register(MSG_REPLICA_DELETE, self._handle_replica_delete)
-        ep.register(MSG_CACHE_UPDATE, self._handle_cache_update)
-        ep.register(MSG_CACHE_INVALIDATE, self._handle_cache_invalidate)
-        ep.register(MSG_TRANSFER, self._handle_transfer)
-        ep.register(MSG_SYNC, self._handle_sync)
-        ep.register(MSG_SYNC_PUSH, self._handle_sync_push)
 
     def _handled(
         self, name: str, request: Request, inner, source_key: str = "", **kwargs

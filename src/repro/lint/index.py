@@ -16,8 +16,9 @@ cache (no file is re-read or re-parsed) in four extractions:
   A spread of an unknown value makes the schema *open*: the sender may
   ship fields the index cannot name, so absence is never provable.
 - **Handler registrations** — ``register(MSG_X, self._handle_x)``
-  (also lambdas and local functions), attributed to the enclosing
-  class so per-device-class divergence is visible.
+  (also lambdas and local functions) and each entry of a class-body
+  ``RPC_HANDLERS = {MSG_X: "_handle_x"}`` table, attributed to the
+  enclosing class so per-device-class divergence is visible.
 - **Handler field reads** — ``request.body["f"]`` (required) vs
   ``request.body.get("f")`` (optional), followed transitively through
   helpers: ``self._helper(body, span)`` merges the helper's reads, and
@@ -43,6 +44,7 @@ __all__ = [
     "HandlerSummary",
     "ProjectIndex",
     "Registration",
+    "handler_table",
 ]
 
 @dataclass(frozen=True)
@@ -113,6 +115,25 @@ class HandlerSummary:
 def _module_to_path(module: str) -> str:
     """``repro.vstore.node`` -> ``src/repro/vstore/node.py``."""
     return "src/" + module.replace(".", "/") + ".py"
+
+
+def handler_table(cls: ast.ClassDef) -> list:
+    """``(msg expr, method expr)`` per entry of ``cls``'s class-body
+    ``RPC_HANDLERS = {...}`` dict literal (empty without one)."""
+    for stmt in cls.body:
+        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+            target, value = stmt.targets[0], stmt.value
+        elif isinstance(stmt, ast.AnnAssign):
+            target, value = stmt.target, stmt.value
+        else:
+            continue
+        if (
+            isinstance(target, ast.Name)
+            and target.id == "RPC_HANDLERS"
+            and isinstance(value, ast.Dict)
+        ):
+            return [(k, v) for k, v in zip(value.keys, value.values) if k is not None]
+    return []
 
 
 def _func_params(node) -> list:
@@ -233,6 +254,9 @@ class ProjectIndex:
 
     def _collect_sites(self, ctx: FileContext) -> None:
         for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.ClassDef):
+                self._extract_table(ctx, node)
+                continue
             if not isinstance(node, ast.Call) or not isinstance(
                 node.func, ast.Attribute
             ):
@@ -286,6 +310,21 @@ class ProjectIndex:
             return
         self.dynamic_calls.append((ctx.path, node.lineno))
 
+    def _extract_table(self, ctx: FileContext, cls: ast.ClassDef) -> None:
+        """Each ``MSG_X: "_handle_x"`` entry of a class-body
+        ``RPC_HANDLERS`` dict registers that method of the class."""
+        for msg_expr, method in handler_table(cls):
+            msg = self._resolve_str(ctx, msg_expr)
+            if msg is None:
+                continue
+            summary = None
+            if isinstance(method, ast.Constant) and isinstance(method.value, str):
+                name = method.value
+                summary = self._method_summary(ctx.path, cls.name, name)
+            else:
+                name = "<dynamic>"
+            self._record_registration(ctx, msg_expr, msg, cls.name, name, summary)
+
     def _extract_registration(self, ctx: FileContext, node: ast.Call) -> None:
         if len(node.args) != 2:
             return
@@ -313,6 +352,9 @@ class ProjectIndex:
         elif isinstance(handler, ast.Lambda):
             name = "<lambda>"
             summary = self._summarize(ctx.path, cls, handler, is_handler=True)
+        self._record_registration(ctx, node, msg, cls, name, summary)
+
+    def _record_registration(self, ctx, node, msg, cls, name, summary) -> None:
         if summary is None:
             # Unresolvable handler: assume it may read anything.
             summary = HandlerSummary(

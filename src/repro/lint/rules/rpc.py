@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import ast
 
+from repro.lint.index import handler_table
 from repro.lint.registry import Rule, register_rule
 
 __all__ = ["HandlerExceptionRule"]
@@ -43,8 +44,10 @@ class HandlerExceptionRule(Rule):
     """RPC301: registered handlers raise repro-hierarchy errors only.
 
     A method counts as a handler when the class registers it via
-    ``endpoint.register(MSG_X, self._handle_y)`` or when it follows the
-    ``_handle_*`` naming convention used across the stack.
+    ``endpoint.register(MSG_X, self._handle_y)`` or names it in a
+    class-body ``RPC_HANDLERS = {MSG_X: "_handle_y"}`` table, or when
+    it follows the ``_handle_*`` naming convention used across the
+    stack.
     """
 
     code = "RPC301"
@@ -67,8 +70,13 @@ class HandlerExceptionRule(Rule):
         self.generic_visit(node)
 
     def _registered_handlers(self, cls: ast.ClassDef) -> set[str]:
-        """Method names passed as ``self.<m>`` to a ``.register()`` call."""
-        names: set[str] = set()
+        """Method names passed as ``self.<m>`` to a ``.register()`` call
+        or named in the class's ``RPC_HANDLERS`` table."""
+        names: set[str] = {
+            method.value
+            for _msg, method in handler_table(cls)
+            if isinstance(method, ast.Constant) and isinstance(method.value, str)
+        }
         for node in ast.walk(cls):
             if not (
                 isinstance(node, ast.Call)

@@ -12,6 +12,23 @@ Handlers may be plain functions (fast, synchronous with respect to
 simulated time) or generator functions (full simulation processes that
 can themselves wait on transfers, other RPCs, etc.).
 
+Registration
+------------
+There are two forms:
+
+* A protocol class declares its handlers once, at class level, as
+  ``RPC_HANDLERS = {MSG_X: "_handle_x", ...}`` and calls
+  :meth:`RpcEndpoint.serve` with the instance.  Endpoints that serve
+  the same classes in the same order share one ``{msg_type: (slot,
+  method name)}`` table, so a node holds only a tuple of its protocol
+  objects, whatever the number of message types.  The method is looked
+  up by name at dispatch, so a handler replaced on the class or on the
+  instance after ``serve`` is the one that runs.
+* :meth:`RpcEndpoint.register` binds one message type to any callable
+  (a closure, a lambda in a test).  Its dict is allocated on first use.
+
+Whichever form bound a message type last wins.
+
 Event budget
 ------------
 A round trip costs three kernel events, whatever the handler: the
@@ -129,6 +146,10 @@ class RpcEndpoint:
     #: LAN latencies; callers on slow paths pass their own.
     DEFAULT_TIMEOUT = 30.0
 
+    #: Classes served, in serve order -> {msg_type: (slot, method name)},
+    #: shared by every endpoint serving those classes in that order.
+    _tables: dict[tuple[type, ...], dict[str, tuple[int, str]]] = {(): {}}
+
     def __init__(self, network: Network, host: Host) -> None:
         self.network = network
         self.host = host
@@ -136,7 +157,12 @@ class RpcEndpoint:
         #: (this is read twice per message on the send path).
         self.name = host.name
         self.sim: Simulator = network.sim
-        self._handlers: dict[str, Callable[[Request], Any]] = {}
+        #: Protocol objects given to :meth:`serve`, in serve order, and
+        #: the shared dispatch table for their classes.
+        self._owners: tuple = ()
+        self._table: dict[str, tuple[int, str]] = self._tables[()]
+        #: msg_type -> callable from :meth:`register`; None until used.
+        self._adhoc: Optional[dict[str, Callable[[Request], Any]]] = None
         #: req_id -> (result, dst, msg_type, timeout) per call in flight.
         self._pending: dict[int, tuple[Event, str, str, float]] = {}
         #: (deadline_at, req_id) of calls in flight, settled ones
@@ -157,9 +183,35 @@ class RpcEndpoint:
         A handler that returns a generator (a generator function, say)
         runs as a simulation process; its return value becomes the
         response body.  Re-registering a type replaces the previous
-        handler.
+        handler, whichever form bound it.
         """
-        self._handlers[msg_type] = handler
+        if self._adhoc is None:
+            self._adhoc = {}
+        self._adhoc[msg_type] = handler
+
+    def serve(self, owner: Any) -> None:
+        """Serve every message type in ``type(owner).RPC_HANDLERS``.
+
+        ``RPC_HANDLERS`` maps a message type to the name of an
+        ``owner`` method; the method is looked up by name per request.
+        A type served here replaces any earlier binding of it.
+        """
+        owners = self._owners + (owner,)
+        key = tuple(type(o) for o in owners)
+        table = self._tables.get(key)
+        if table is None:
+            cls = key[-1]
+            table = dict(self._table)
+            for msg_type, method in cls.RPC_HANDLERS.items():
+                if not callable(getattr(cls, method, None)):
+                    raise TypeError(f"{cls.__name__}.{method} is not a method")
+                table[msg_type] = (len(owners) - 1, method)
+            self._tables[key] = table
+        self._owners = owners
+        self._table = table
+        if self._adhoc:
+            for msg_type in type(owner).RPC_HANDLERS:
+                self._adhoc.pop(msg_type, None)
 
     def start(self) -> None:
         """Start dispatching inbound messages (idempotent)."""
@@ -265,10 +317,16 @@ class RpcEndpoint:
             while deadlines and deadlines[0][1] not in pending:
                 heapq.heappop(deadlines)
             return
-        handler = self._handlers.get(request.msg_type)
+        msg_type = request.msg_type
+        adhoc = self._adhoc
+        handler = None if adhoc is None else adhoc.get(msg_type)
         if handler is None:
-            self._respond(request, None, f"no handler for {request.msg_type!r}")
-            return
+            entry = self._table.get(msg_type)
+            if entry is None:
+                self._respond(request, None, f"no handler for {msg_type!r}")
+                return
+            slot, method = entry
+            handler = getattr(self._owners[slot], method)
         try:
             value = handler(request)
         except Exception as exc:  # noqa: BLE001 - forwarded to caller

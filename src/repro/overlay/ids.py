@@ -12,10 +12,11 @@ Performance notes
 :meth:`NodeId.from_hex` intern their results through an LRU cache —
 object names are re-hashed constantly on the DHT request path (every
 hop re-parses the key), and SHA-1 plus object construction dominated
-lookup cost before interning.  Each id also carries a precomputed
-hex-digit tuple so per-routing-decision digit extraction is a plain
-index, and :meth:`shared_prefix_len` is computed from the XOR
-bit-length instead of a digit-by-digit loop.
+lookup cost before interning.  ``from_name`` resolves its hash through
+the ``from_hex`` cache, so a name and its hex text give one object
+while both are cached.  An id holds its value and its hex text only:
+:meth:`NodeId.digit` shifts the value, and :meth:`shared_prefix_len`
+is computed from the XOR bit-length instead of a digit-by-digit loop.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ class NodeId:
     Immutable and hashable; compares by numeric value.
     """
 
-    __slots__ = ("value", "_digits", "_hex")
+    __slots__ = ("value", "_hex")
 
     def __init__(self, value: int) -> None:
         if not 0 <= value < ID_SPACE:
@@ -50,13 +51,6 @@ class NodeId:
             )
         value = int(value)
         object.__setattr__(self, "value", value)
-        # Per-id hex-digit table, most significant first: routing reads
-        # digits on every hop, so extract them once at construction.
-        object.__setattr__(
-            self,
-            "_digits",
-            tuple((value >> ((ID_DIGITS - 1 - i) * 4)) & 0xF for i in range(ID_DIGITS)),
-        )
         # hex is read for dict keys / wire payloads on the request path;
         # with interning the format() runs once per distinct id.
         object.__setattr__(self, "_hex", format(value, f"0{ID_DIGITS}x"))
@@ -94,11 +88,11 @@ class NodeId:
         """The base-16 digit at ``index`` (0 is the most significant)."""
         if not 0 <= index < ID_DIGITS:
             raise IndexError(f"digit index {index} outside [0, {ID_DIGITS})")
-        return self._digits[index]
+        return (self.value >> ((ID_DIGITS - 1 - index) << 2)) & 0xF
 
     def digits(self) -> Iterable[int]:
         """All digits, most significant first."""
-        return iter(self._digits)
+        return (self.digit(index) for index in range(ID_DIGITS))
 
     # -- metrics -------------------------------------------------------------
 
@@ -156,7 +150,8 @@ class NodeId:
 @lru_cache(maxsize=65536)
 def _cached_from_name(name: str) -> NodeId:
     digest = hashlib.sha1(name.encode()).digest()
-    return NodeId(int.from_bytes(digest[:8], "big") >> (64 - ID_BITS))
+    value = int.from_bytes(digest[:8], "big") >> (64 - ID_BITS)
+    return _cached_from_hex(format(value, f"0{ID_DIGITS}x"))
 
 
 @lru_cache(maxsize=65536)

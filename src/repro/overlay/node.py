@@ -109,6 +109,14 @@ class ChimeraNode:
     #: Default route-cache entry cap (LRU eviction past this size).
     ROUTE_CACHE_MAX = 4096
 
+    RPC_HANDLERS = {
+        MSG_JOIN: "_handle_join",
+        MSG_ROUTE: "_handle_route",
+        MSG_NODE_JOINED: "_handle_node_joined",
+        MSG_NODE_LEFT: "_handle_node_left",
+        MSG_PING: "_handle_ping",
+    }
+
     def __init__(
         self,
         network: Network,
@@ -146,7 +154,7 @@ class ChimeraNode:
         self.view_version = 0
         self._ids_cache: tuple[NodeId, ...] = ()
         self._ids_cache_version = -1
-        self._register_handlers()
+        self.endpoint.serve(self)
 
     @property
     def name(self) -> str:
@@ -379,12 +387,8 @@ class ChimeraNode:
 
     # -- handlers -----------------------------------------------------------------
 
-    def _register_handlers(self) -> None:
-        self.endpoint.register(MSG_JOIN, self._handle_join)
-        self.endpoint.register(MSG_ROUTE, self._handle_route)
-        self.endpoint.register(MSG_NODE_JOINED, self._handle_node_joined)
-        self.endpoint.register(MSG_NODE_LEFT, self._handle_node_left)
-        self.endpoint.register(MSG_PING, lambda req: "pong")
+    def _handle_ping(self, request: Request) -> str:
+        return "pong"
 
     def _handle_join(self, request: Request):
         joiner = PeerInfo.from_wire(request.body["joiner"])

@@ -28,6 +28,8 @@ MSG_EXCHANGE = "chimera.stabilize"
 class Stabilizer:
     """Periodic liveness checking and view exchange for one node."""
 
+    RPC_HANDLERS = {MSG_EXCHANGE: "_handle_exchange"}
+
     def __init__(
         self,
         node: ChimeraNode,
@@ -50,7 +52,7 @@ class Stabilizer:
         #: lets a *revived* node beat stale gossiped tombstones.
         self._last_alive: dict[NodeId, float] = {}
         self._process = None
-        node.endpoint.register(MSG_EXCHANGE, self._handle_exchange)
+        node.endpoint.serve(self)
         node.on_node_joined.append(self._on_peer_joined)
 
     def _on_peer_joined(self, peer: PeerInfo) -> None:

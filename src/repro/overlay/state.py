@@ -13,6 +13,7 @@ Tapestry and Pastry" (Section III-A).  Each node therefore keeps:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Optional
 
 from repro.overlay.ids import ID_DIGITS, NodeId
@@ -100,10 +101,11 @@ class RoutingTable:
 class LeafSet:
     """The numerically closest neighbours on each side of the owner.
 
-    Members are kept with a cached clockwise ring order (closest
-    first), rebuilt lazily after a membership change, so the ring
-    views below — read on every uncached routing decision — never
-    sort.  Clockwise distances from the owner are distinct, so the
+    The members are one list in clockwise ring order from the owner
+    (closest first), at most ``per_side`` on each side: a new member is
+    inserted in order and the list pruned at once, so the ring views
+    below, read on every uncached routing decision, never sort.
+    Clockwise distances from the owner are distinct, so the
     counter-clockwise order is exactly the clockwise order reversed.
     """
 
@@ -112,62 +114,49 @@ class LeafSet:
             raise ValueError("per_side must be positive")
         self.owner = owner
         self.per_side = per_side
-        self._members: set[NodeId] = set()
-        self._ring: Optional[list[NodeId]] = None
+        self._ring: list[NodeId] = []
 
     def __len__(self) -> int:
-        return len(self._members)
+        return len(self._ring)
 
     def __contains__(self, node: NodeId) -> bool:
-        return node in self._members
+        return self._find(node)[1]
 
     def members(self) -> set[NodeId]:
-        return set(self._members)
+        return set(self._ring)
 
     def add(self, node: NodeId) -> None:
-        if node == self.owner or node in self._members:
-            return
-        self._members.add(node)
-        self._ring = None
-        self._prune()
+        index, present = self._find(node)
+        if not present and node != self.owner:
+            self._ring.insert(index, node)
+            self._prune()
 
     def update(self, nodes: Iterable[NodeId]) -> None:
-        merged = self._members.union(nodes)
+        merged = set(self._ring).union(nodes)
         merged.discard(self.owner)
-        if len(merged) != len(self._members):
-            self._members = merged
-            self._ring = None
+        if len(merged) != len(self._ring):
+            self._ring = sorted(merged, key=self.owner.clockwise_distance)
             self._prune()
 
     def remove(self, node: NodeId) -> bool:
-        if node in self._members:
-            self._members.remove(node)
-            self._ring = None
-            return True
-        return False
+        index, present = self._find(node)
+        if present:
+            del self._ring[index]
+        return present
 
     # -- ring-ordered views --------------------------------------------------
 
-    def _clockwise(self) -> list[NodeId]:
-        """Members ordered clockwise from the owner (cached)."""
-        ring = self._ring
-        if ring is None:
-            ring = self._ring = sorted(
-                self._members, key=self.owner.clockwise_distance
-            )
-        return ring
-
     def rights(self) -> list[NodeId]:
         """Members ordered clockwise from the owner (closest first)."""
-        return self._clockwise()[: self.per_side]
+        return self._ring[: self.per_side]
 
     def lefts(self) -> list[NodeId]:
         """Members ordered counter-clockwise from the owner."""
-        return self._clockwise()[: -self.per_side - 1 : -1]
+        return self._ring[: -self.per_side - 1 : -1]
 
     def neighbours(self) -> list[NodeId]:
         """Immediate left and right neighbours (0, 1, or 2 nodes)."""
-        ring = self._clockwise()
+        ring = self._ring
         return [ring[0], ring[-1]] if len(ring) > 1 else list(ring)
 
     def covers(self, key: NodeId) -> bool:
@@ -177,9 +166,9 @@ class LeafSet:
         vicinity, so the leaf set covers every key.
         """
         per_side = self.per_side
-        if len(self._members) < 2 * per_side:
+        ring = self._ring
+        if len(ring) < 2 * per_side:
             return True
-        ring = self._clockwise()
         # The farthest left and farthest right members bound the arc.
         return key.between(ring[-per_side], ring[per_side - 1])
 
@@ -189,7 +178,7 @@ class LeafSet:
         Ties break toward the smaller identifier so every node resolves
         ownership identically.
         """
-        candidates = [self.owner, *self._members]
+        candidates = [self.owner, *self._ring]
         return min(candidates, key=lambda n: (n.distance(key), n.value))
 
     # -- internal ------------------------------------------------------------
@@ -199,8 +188,12 @@ class LeafSet:
         # With <= 2*per_side members the two windows cover everything
         # and pruning is a no-op.
         per_side = self.per_side
-        if len(self._members) <= 2 * per_side:
-            return
-        ring = self._clockwise()
-        ring = self._ring = ring[:per_side] + ring[-per_side:]
-        self._members = set(ring)
+        if len(self._ring) > 2 * per_side:
+            del self._ring[per_side:-per_side]
+
+    def _find(self, node: NodeId) -> tuple[int, bool]:
+        """``node``'s index in the ring order, and whether it is there."""
+        ring = self._ring
+        distance = self.owner.clockwise_distance
+        index = bisect_left(ring, distance(node), key=distance)
+        return index, index < len(ring) and ring[index] == node

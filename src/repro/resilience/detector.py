@@ -49,6 +49,8 @@ class FailureDetector:
     """Evicts the peers whose held resource snapshot went stale and who
     do not answer a ping.  ``period_s`` is the monitor period."""
 
+    RPC_HANDLERS = {MSG_SUSPECT: "_handle_suspect"}
+
     def __init__(self, kv, peers: Iterable[str], period_s: float) -> None:
         self.kv = kv
         #: A snapshot this much older than now is stale.
@@ -66,7 +68,7 @@ class FailureDetector:
         #: Called with each evicted peer's name, whether this node or
         #: another one found it crashed.
         self.on_suspect: list[Callable[[str], None]] = []
-        kv.endpoint.register(MSG_SUSPECT, self._handle_suspect)
+        kv.endpoint.serve(self)
 
     @property
     def sim(self):

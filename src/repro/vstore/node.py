@@ -133,6 +133,14 @@ class VStoreNode:
     #: same shared empty tuple until a subscriber replaces it.
     on_missed_drop: "tuple | list[Callable[[str, str], None]]" = ()
 
+    RPC_HANDLERS = {
+        MSG_STORE_VOLUNTARY: "_handle_store_voluntary",
+        MSG_FETCH: "_handle_fetch",
+        MSG_PROCESS_REMOTE: "_handle_process_remote",
+        MSG_DELETE: "_handle_delete",
+        MSG_PING: "_handle_ping",
+    }
+
     def __init__(
         self,
         chimera: ChimeraNode,
@@ -202,7 +210,7 @@ class VStoreNode:
         self.metrics = metrics
         #: Objects created but not yet stored (CreateObject staging).
         self.staged: dict[str, ObjectMeta] = {}
-        self._register_handlers()
+        self.endpoint.serve(self)
 
     # -- identity ------------------------------------------------------------
 
@@ -1269,14 +1277,6 @@ class VStoreNode:
         return 1.5
 
     # -- RPC handlers ---------------------------------------------------------------
-
-    def _register_handlers(self) -> None:
-        ep = self.endpoint
-        ep.register(MSG_STORE_VOLUNTARY, self._handle_store_voluntary)
-        ep.register(MSG_FETCH, self._handle_fetch)
-        ep.register(MSG_PROCESS_REMOTE, self._handle_process_remote)
-        ep.register(MSG_DELETE, self._handle_delete)
-        ep.register(MSG_PING, self._handle_ping)
 
     def _handle_store_voluntary(self, request: Request):
         body = request.body

@@ -4,8 +4,11 @@ A 10k-node overlay builds four resources, a host inbox, a KV store and
 a routing table per device, and most of them never queue, never look
 anything up, or fill only a few routing rows.  These tests pin that
 those idle structures stay unallocated, that a routing table with
-rows allocated on first use answers like a dense one, and that a
-started 1,000-node overlay stays under a traced-bytes-per-node budget.
+rows allocated on first use answers like a dense one, that a started
+1,000-node overlay stays under a traced-bytes-per-node budget and a
+GC-tracked-objects-per-node budget, and that the endpoints of a
+default home serve their protocols from shared class-level handler
+tables.
 """
 
 import gc
@@ -15,17 +18,25 @@ from collections import deque
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import Cloud4Home, scale_overlay
+from repro.cluster import Cloud4Home, ClusterConfig, scale_overlay
 from repro.kvstore import KvStats
 from repro.overlay import ID_DIGITS, ID_SPACE, NodeId, RoutingTable
+from repro.overlay.ids import clear_id_caches
 from repro.sim import Resource, Simulator, Store
 
 #: Traced bytes per node of a started ``scale_overlay(1000, seed=0)``
-#: in a fresh interpreter: 11,999 B (CPython 3.11), plus a 10% margin.
-#: Keeping a red-black tree of each node's known peers beside its
-#: sorted-id tuple reads ~13,950; allocating every idle queue and
-#: routing row up front as well reads ~20,600.
-BYTES_PER_NODE_BUDGET = 13_200
+#: in a fresh interpreter: 9,578 B (CPython 3.11), plus a 10% margin.
+#: A per-endpoint dict of bound RPC handlers, a member set beside the
+#: leaf ring and a digit tuple per id read 12,015; keeping a red-black
+#: tree of each node's known peers beside its sorted-id tuple as well
+#: reads ~13,950; allocating every idle queue and routing row up front
+#: too reads ~20,600.
+BYTES_PER_NODE_BUDGET = 10_500
+
+#: GC-tracked objects per node of the same started overlay: 61.2, plus
+#: a small margin (82.2 with the per-endpoint handler dicts, leaf member
+#: sets and id digit tuples above).
+OBJECTS_PER_NODE_BUDGET = 63.0
 
 
 def queues(obj) -> list:
@@ -116,3 +127,26 @@ def test_started_overlay_stays_under_its_bytes_per_node_budget():
         tracemalloc.stop()
     assert len(c4h.devices) == n
     assert traced / n < BYTES_PER_NODE_BUDGET, f"{traced / n:.0f} B/node"
+
+
+def test_started_overlay_stays_under_its_objects_per_node_budget():
+    n = 1000
+    clear_id_caches()
+    gc.collect()
+    before = len(gc.get_objects())
+    c4h = Cloud4Home(scale_overlay(n, seed=0))
+    c4h.start(monitors=False, publish=False)
+    gc.collect()
+    per_node = (len(gc.get_objects()) - before) / n
+    assert len(c4h.devices) == n
+    assert per_node <= OBJECTS_PER_NODE_BUDGET, f"{per_node:.1f} objects/node"
+
+
+def test_default_home_endpoints_share_one_handler_table():
+    c4h = Cloud4Home(ClusterConfig(seed=3))
+    c4h.start()
+    endpoints = [d.chimera.endpoint for d in c4h.devices]
+    assert len({id(ep) for ep in endpoints}) == len(c4h.devices)
+    assert len({id(ep._table) for ep in endpoints}) == 1
+    for ep in endpoints:
+        assert ep._adhoc is None, ep.name

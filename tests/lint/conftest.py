@@ -40,4 +40,5 @@ def load_fixture(path: Path) -> tuple[str, str, list[str], list[str]]:
 
 
 def fixture_files(kind: str) -> list[Path]:
-    return sorted(FIXTURES.glob(f"*/{kind}.py"))
+    """``<CODE>/<kind>.py`` plus variants such as ``<kind>_table.py``."""
+    return sorted(FIXTURES.glob(f"*/{kind}*.py"))

@@ -11,7 +11,11 @@ SUPPRESSED = fixture_files("suppressed")
 
 
 def _ids(paths):
-    return [p.parent.name for p in paths]
+    """``<CODE>``, or ``<CODE>-<variant>`` for ``<kind>_<variant>.py``."""
+    return [
+        p.parent.name + ("-" + p.stem.split("_", 1)[1] if "_" in p.stem else "")
+        for p in paths
+    ]
 
 
 class TestFixtureCoverage:

@@ -148,3 +148,90 @@ class TestLifecycle:
         call_sync(sim, ep_a.call("b", "ping"))
         call_sync(sim, ep_a.call("b", "ping"))
         assert ep_b.requests_served == 2
+
+
+class _Echo:
+    RPC_HANDLERS = {"echo": "_handle_echo", "work": "_handle_work"}
+
+    def __init__(self, tag):
+        self.tag = tag
+
+    def _handle_echo(self, request):
+        return f"{self.tag}:{request.body}"
+
+    def _handle_work(self, request):
+        yield self.sim.timeout(1.0)
+        return f"{self.tag}:worked"
+
+
+class _Other:
+    RPC_HANDLERS = {"echo": "_handle_echo"}
+
+    def _handle_echo(self, request):
+        return "other"
+
+
+class TestHandlerTables:
+    def _serve(self, ep, owner):
+        owner.sim = ep.sim
+        ep.serve(owner)
+        return owner
+
+    def test_table_dispatch(self):
+        sim, _, ep_a, ep_b = build_pair()
+        self._serve(ep_b, _Echo("b"))
+        assert call_sync(sim, ep_a.call("b", "echo", 7)) == "b:7"
+        assert call_sync(sim, ep_a.call("b", "work")) == "b:worked"
+        assert ep_b._adhoc is None
+
+    def test_endpoints_serving_the_same_classes_share_one_table(self):
+        _, _, ep_a, ep_b = build_pair()
+        self._serve(ep_a, _Echo("a"))
+        self._serve(ep_b, _Echo("b"))
+        assert ep_a._table is ep_b._table
+        assert ep_a._owners[0] is not ep_b._owners[0]
+
+    def test_adhoc_registration_replaces_a_served_type(self):
+        sim, _, ep_a, ep_b = build_pair()
+        self._serve(ep_b, _Echo("b"))
+        ep_b.register("echo", lambda req: "adhoc")
+        assert call_sync(sim, ep_a.call("b", "echo")) == "adhoc"
+        # The rest of the table still serves.
+        assert call_sync(sim, ep_a.call("b", "work")) == "b:worked"
+
+    def test_serve_replaces_an_earlier_binding(self):
+        sim, _, ep_a, ep_b = build_pair()
+        ep_b.register("echo", lambda req: "adhoc")
+        self._serve(ep_b, _Echo("b"))
+        assert call_sync(sim, ep_a.call("b", "echo", 1)) == "b:1"
+        self._serve(ep_b, _Other())
+        assert call_sync(sim, ep_a.call("b", "echo")) == "other"
+        assert call_sync(sim, ep_a.call("b", "work")) == "b:worked"
+
+    def test_unknown_type_on_a_served_endpoint(self):
+        sim, _, ep_a, ep_b = build_pair()
+        self._serve(ep_b, _Echo("b"))
+        with pytest.raises(RemoteError, match="no handler for 'nope'"):
+            call_sync(sim, ep_a.call("b", "nope"))
+
+    def test_handler_is_resolved_by_name_at_dispatch(self, monkeypatch):
+        sim, _, ep_a, ep_b = build_pair()
+        owner = self._serve(ep_b, _Echo("b"))
+        original = _Echo._handle_echo
+
+        def wrapped(self, request):
+            return "wrapped " + original(self, request)
+
+        monkeypatch.setattr(_Echo, "_handle_echo", wrapped)
+        assert call_sync(sim, ep_a.call("b", "echo", 2)) == "wrapped b:2"
+        owner._handle_echo = lambda request: "instance"
+        assert call_sync(sim, ep_a.call("b", "echo")) == "instance"
+
+    def test_a_table_naming_a_missing_method_fails_at_serve(self):
+        _, _, _, ep_b = build_pair()
+
+        class Broken:
+            RPC_HANDLERS = {"echo": "_handle_missing"}
+
+        with pytest.raises(TypeError, match="_handle_missing"):
+            ep_b.serve(Broken())

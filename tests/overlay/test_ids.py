@@ -27,6 +27,12 @@ class TestConstruction:
         nid = NodeId.from_name("node-a")
         assert NodeId.from_hex(nid.hex) == nid
 
+    @given(st.text(max_size=24))
+    def test_name_and_its_hex_share_one_object(self, name):
+        nid = NodeId.from_name(name)
+        assert NodeId.from_hex(nid.hex) is nid
+        assert NodeId.from_name(name) is nid
+
     def test_from_hex_length_checked(self):
         with pytest.raises(ValueError):
             NodeId.from_hex("abc")
@@ -52,6 +58,12 @@ class TestDigits:
             nid.digit(10)
         with pytest.raises(IndexError):
             nid.digit(-1)
+
+    @given(ids)
+    def test_digits_agree_with_hex(self, a):
+        expected = [int(c, 16) for c in a.hex]
+        assert [a.digit(i) for i in range(ID_DIGITS)] == expected
+        assert list(a.digits()) == expected
 
     def test_shared_prefix_len(self):
         a = NodeId.from_hex("abcdef0123")

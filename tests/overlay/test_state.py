@@ -190,6 +190,10 @@ class _SortOracle:
             self.members, key=lambda n: n.clockwise_distance(self.owner)
         )[: self.per_side]
 
+    def neighbours(self):
+        ring = sorted(self.members, key=self.owner.clockwise_distance)
+        return ring[:1] + ring[1:][-1:]
+
     def covers(self, key):
         if len(self.members) < 2 * self.per_side:
             return True
@@ -217,7 +221,9 @@ leaf_ops = st.lists(
 
 
 class TestLeafSetRingCache:
-    """The cached clockwise order must never go stale."""
+    """The one clockwise-ordered member list must agree with a set
+    model that sorts by clockwise distance and keeps ``per_side`` on
+    each side, after every ``add``/``update``/``remove``."""
 
     @given(ids, st.integers(1, 4), leaf_ops, st.lists(ids, min_size=1, max_size=6))
     @settings(max_examples=200, deadline=None)
@@ -241,6 +247,8 @@ class TestLeafSetRingCache:
             assert len(ls) == len(oracle.members)
             assert ls.rights() == oracle.rights()
             assert ls.lefts() == oracle.lefts()
+            assert ls.neighbours() == oracle.neighbours()
             for probe in [*probes, *oracle.members]:
+                assert (probe in ls) == (probe in oracle.members)
                 assert ls.covers(probe) == oracle.covers(probe)
                 assert ls.closest(probe) == oracle.closest(probe)
