@@ -486,7 +486,7 @@ def cmd_chaos(args) -> int:
         replication_factor=3,
         slo=args.flightrec_dir is not None,
         slo_tuning=SloConfig(recorder_dump_dir=args.flightrec_dir),
-        storage="wal" if args.durability else "off",
+        storage="wal" if args.durability else "mem",
     )
     c4h = Cloud4Home(config)
     c4h.start()

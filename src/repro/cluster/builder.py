@@ -59,7 +59,7 @@ from repro.virt import (
     XenSocketChannel,
 )
 from repro.vstore import StripeCodec, StripingPolicy, VStoreClient, VStoreNode
-from repro.cluster.config import ClusterConfig, DeviceConfig
+from repro.cluster.config import STORAGE_KINDS, ClusterConfig, DeviceConfig
 
 __all__ = ["Device", "Cloud4Home", "PROFILES"]
 
@@ -102,7 +102,7 @@ class Device:
     #: monitor tick (resilience on only).
     detector: Optional[FailureDetector] = None
     #: Durable storage backend (None when ``ClusterConfig.storage`` is
-    #: ``"off"``) and its background flusher (``"disk"`` backend only).
+    #: ``"mem"``) and its background flusher (``"disk"`` backend only).
     storage: Optional[object] = None
     flusher: Optional[StorageFlusher] = None
 
@@ -140,6 +140,12 @@ class Cloud4Home:
         home_group: str = "home",
     ) -> None:
         self.config = config or ClusterConfig()
+        if self.config.storage not in STORAGE_KINDS:
+            raise ValueError(
+                f"ClusterConfig.storage must be one of "
+                f"{', '.join(map(repr, STORAGE_KINDS))}, "
+                f"not {self.config.storage!r}"
+            )
         self.home_group = home_group
         if network is None:
             self.sim = Simulator()
@@ -309,7 +315,7 @@ class Cloud4Home:
         )
         storage = None
         flusher = None
-        if self.config.storage != "off":
+        if self.config.storage != "mem":
             st = self.config.storage_tuning
             storage = make_store(
                 self.config.storage,

@@ -13,7 +13,8 @@ scripts that dynamism against a running deployment:
   uplink during rain) and later recovers;
 * **flap_link** — a link oscillates between degraded and healthy;
 * **partition / heal** — the fabric splits into sides that cannot
-  reach each other, then rejoins;
+  reach each other, then rejoins, and every node reconciles its KV
+  records with its ring neighbours;
 * **drop_messages** — control messages are silently lost with a given
   probability (the failure the sender cannot distinguish from
   slowness).
@@ -30,6 +31,7 @@ once, a device crashed forever) are guaranteed by construction.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -140,7 +142,7 @@ class ChaosSchedule:
         self, after: float, side_a: Sequence[str], side_b: Sequence[str]
     ) -> "ChaosSchedule":
         """Heal a previously injected partition."""
-        self._add(after, self._do_heal, list(side_a), list(side_b))
+        self._add(after, self._heal, list(side_a), list(side_b))
         return self
 
     def drop_messages(
@@ -187,7 +189,8 @@ class ChaosSchedule:
         yield  # pragma: no cover - generator marker
 
     def _take_down(self, name: str) -> str:
-        """Crash ``name`` abruptly; returns what its storage lost."""
+        """Crash ``name`` abruptly: its RAM is lost, and a durable
+        backend keeps what it synced.  Returns what the backend lost."""
         device = self._device(name)
         device.monitor.stop()
         if device.repairer is not None:
@@ -198,12 +201,16 @@ class ChaosSchedule:
             device.flusher.stop()
         device.chimera.fail_abruptly()
         self.cluster.network.take_offline(name)
-        if device.storage is None:
-            return ""
-        report = device.storage.crash()
+        detail = ""
+        if device.storage is not None:
+            report = device.storage.crash()
+            detail = (
+                f"lost {report['lost_records']} records, "
+                f"{report['lost_ops']} unsynced ops"
+            )
         device.kv.lose_memory()
         device.vstore.lose_memory()
-        return f"lost {report['lost_records']} records, {report['lost_ops']} unsynced ops"
+        return detail
 
     def _do_leave(self, name: str):
         device = self._device(name)
@@ -265,18 +272,8 @@ class ChaosSchedule:
         detail = f"via {via}{replayed}"
         yield from device.monitor.publish_once()
         device.monitor.start(publish_immediately=False)
-        if device.storage is not None:
-            # One anti-entropy round with the ring neighbours: pull
-            # writes missed while down, push records only we hold,
-            # apply deletes we slept through.
-            tuning = self.cluster.config.storage_tuning
-            summary = yield from device.kv.sync_with_peers(
-                fanout=tuning.anti_entropy_peers or None
-            )
-            detail += (
-                f", synced +{summary['pulled']}/-{summary['deleted']} "
-                f"(pushed {summary['pushed']})"
-            )
+        summary = yield from self._reconcile(device)
+        detail += f", {_synced(summary)}"
         if device.repairer is not None:
             # A revived node sweeps at once: the metadata it replayed and
             # synced may name holders that failed while it was down.
@@ -286,6 +283,17 @@ class ChaosSchedule:
             device.flusher.start()
         self.events.append(
             ChaosEvent(self.sim.now, "revive", name, detail)
+        )
+
+    def _reconcile(self, device: Device):
+        """Process: one anti-entropy round with the device's ring
+        neighbours: pull writes it missed, push records only it holds,
+        apply deletes it slept through.  Returns the round's summary."""
+        tuning = self.cluster.config.storage_tuning
+        return (
+            yield from device.kv.sync_with_peers(
+                fanout=tuning.anti_entropy_peers or None
+            )
         )
 
     def _do_degrade(self, link: Link, factor: float, duration: Optional[float]):
@@ -331,15 +339,22 @@ class ChaosSchedule:
         self.events.append(ChaosEvent(self.sim.now, "partition", target))
         if duration is not None:
             yield self.sim.timeout(duration)
-            self.cluster.network.heal_partition(side_a, side_b)
-            self.events.append(ChaosEvent(self.sim.now, "heal", target))
+            yield from self._heal(side_a, side_b)
 
-    def _do_heal(self, side_a: list[str], side_b: list[str]):
+    def _heal(self, side_a: list[str], side_b: list[str]):
+        """Rejoin the sides, then run one anti-entropy round on every
+        online, joined device in device order: a replica holder cut off
+        from a delete learns of it here."""
         target = f"{'+'.join(sorted(side_a))} | {'+'.join(sorted(side_b))}"
         self.cluster.network.heal_partition(side_a, side_b)
-        self.events.append(ChaosEvent(self.sim.now, "heal", target))
-        return
-        yield  # pragma: no cover - generator marker
+        event = ChaosEvent(self.sim.now, "heal", target)
+        self.events.append(event)
+        hosts = self.cluster.network.hosts
+        totals: Counter = Counter()
+        for device in self.cluster.devices:
+            if device.chimera.joined and hosts[device.name].online:
+                totals.update((yield from self._reconcile(device)))
+        event.detail = _synced(totals)
 
     def _do_drop(self, rate: float, duration: Optional[float]):
         network = self.cluster.network
@@ -354,6 +369,14 @@ class ChaosSchedule:
             self.events.append(
                 ChaosEvent(self.sim.now, "loss-end", "network", f"p={previous:g}")
             )
+
+
+def _synced(summary: dict) -> str:
+    """An anti-entropy summary as a chaos event detail."""
+    return (
+        f"synced +{summary['pulled']}/-{summary['deleted']} "
+        f"(pushed {summary['pushed']})"
+    )
 
 
 class RandomChaos:

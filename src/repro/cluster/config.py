@@ -25,6 +25,9 @@ __all__ = [
 
 MB = 1024 * 1024
 
+#: The settable values of ``ClusterConfig.storage``.
+STORAGE_KINDS = ("mem", "wal", "disk")
+
 
 @dataclass
 class LanConfig:
@@ -188,9 +191,9 @@ class SloConfig:
 class StorageConfig:
     """Tuning for the durable storage backends.
 
-    Only read when ``ClusterConfig.storage`` is not ``"off"``.  The
-    cost-model fields apply to the ``"disk"`` backend only; WAL
-    geometry applies to both ``"wal"`` and ``"disk"``.
+    The cost-model fields apply to the ``"disk"`` backend only; WAL
+    geometry applies to both ``"wal"`` and ``"disk"``; the anti-entropy
+    fanout applies to every node.
     """
 
     #: Fold the WAL into the compacted snapshot every N entries.
@@ -206,7 +209,7 @@ class StorageConfig:
     #: Multiplicative latency jitter on flush/replay costs.
     jitter: float = 0.10
     #: Ring neighbours contacted per anti-entropy round after a
-    #: recovery (0 = derive from the KV replication factor).
+    #: revive or a heal (0 = derive from the KV replication factor).
     anti_entropy_peers: int = 0
 
 
@@ -291,17 +294,15 @@ class ClusterConfig:
     #: Per-node route-cache entry cap (LRU).  Lower it for 10k-node
     #: runs where per-node memory dominates.
     route_cache_max: int = 4096
-    #: Durable storage backend per device (repro.storage): ``"off"``
-    #: (no backend object exists — byte-identical to a build without
-    #: the subsystem), ``"mem"`` (explicit volatile baseline: a crash
-    #: wipes everything and the node rejoins empty), ``"wal"``
-    #: (append-only journal with snapshot+compaction; every KV/bin
-    #: mutation is durable instantly and replayed on revive), or
-    #: ``"disk"`` (WAL plus a seeded disk cost model: interval fsync
-    #: via a background flusher, un-synced appends lost on crash,
-    #: replay latency charged through the event kernel).  Durable
-    #: backends also enable delete tombstones and the anti-entropy
-    #: rejoin round.
-    storage: str = "off"
+    #: What survives a crash (repro.storage).  Every node keeps delete
+    #: tombstones, loses its RAM on a crash and reconciles with its
+    #: ring neighbours on a revive or heal; this picks the backend:
+    #: ``"mem"`` (volatile, no backend object: the node rejoins
+    #: empty), ``"wal"`` (append-only journal with snapshot+compaction;
+    #: every KV/bin mutation is durable instantly and replayed on
+    #: revive), or ``"disk"`` (WAL plus a seeded disk cost model:
+    #: interval fsync via a background flusher, un-synced appends lost
+    #: on crash, replay latency charged through the event kernel).
+    storage: str = "mem"
     #: Tuning knobs for the storage backends and anti-entropy.
     storage_tuning: StorageConfig = field(default_factory=StorageConfig)

@@ -50,12 +50,12 @@ def live_objects(c4h) -> dict[str, ObjectMeta]:
     hosts = c4h.network.hosts
     online = [device for device in c4h.devices if hosts[device.name].online]
     #: key -> the latest delete any online node recorded for it.
-    tombs: dict[str, dict] = {}
+    tombs: dict[str, float] = {}
     for device in online:
-        for key_hex, tomb in (device.kv.tombstones or {}).items():
+        for key_hex, at in device.kv.tombstones.items():
             held = tombs.get(key_hex)
-            if held is None or held["at"] < tomb["at"]:
-                tombs[key_hex] = tomb
+            if held is None or held < at:
+                tombs[key_hex] = at
     newest: dict[str, tuple] = {}
     for device in online:
         for table in (device.kv.primary, device.kv.replicas):

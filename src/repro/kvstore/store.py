@@ -18,11 +18,13 @@ mechanisms:
 * **Key redistribution** — records move to a joining node that becomes
   their root, and a gracefully departing node hands all its records to
   their new owners before leaving.
-* **Durability & anti-entropy** (``storage`` backend attached) — every
-  primary/replica mutation is journaled through a
-  :class:`repro.storage.IStore` backend, deletes leave tombstones, and
-  a recovered node replays its WAL (:meth:`DhtKeyValueStore.recover`)
-  then reconciles with its ring neighbours
+* **Tombstones & anti-entropy** — a delete leaves a tombstone (the
+  key's delete time), so no node resurrects a deleted key.  A crash
+  clears every table (:meth:`DhtKeyValueStore.lose_memory`); a node
+  with a durable :class:`repro.storage.IStore` backend journals every
+  primary/replica/tombstone mutation and replays its WAL
+  (:meth:`DhtKeyValueStore.recover`).  A revived or healed node then
+  reconciles with its ring neighbours
   (:meth:`DhtKeyValueStore.sync_with_peers`): pull what was missed
   during the outage, push what peers lost, drop what was deleted.
   Soft state (:func:`~repro.kvstore.records.is_soft_state`: resource
@@ -173,13 +175,11 @@ class DhtKeyValueStore:
     processing_s:
         Local store processing cost per handled request.
     storage:
-        Optional :class:`repro.storage.IStore` backend.  When set, the
-        primary/replica tables are bound through it (so every mutation
-        of a record that is not soft state is journaled by durable
-        backends) and deletes leave tombstones
-        for anti-entropy; when None (the default) the tables are plain
-        dictionaries and behaviour is byte-identical to before the
-        storage layer existed.
+        Optional durable :class:`repro.storage.IStore` backend.  When
+        set, the primary/replica/tombstone tables are bound through it,
+        so every mutation of a record that is not soft state is
+        journaled; when None (a volatile node, the default) they are
+        plain dictionaries that a crash clears.
     """
 
     RPC_HANDLERS = {
@@ -217,10 +217,9 @@ class DhtKeyValueStore:
         if storage is None:
             self.primary: dict[str, Record] = {}
             self.replicas: dict[str, Record] = {}
-            #: key -> {"version": v, "at": t}; deletes leave tombstones
-            #: so a recovered node cannot resurrect a deleted key.
-            #: None when no backend is attached (feature off).
-            self.tombstones: Optional[dict] = None
+            #: key -> the simulated time it was deleted; deletes leave
+            #: tombstones so no node resurrects a deleted key.
+            self.tombstones: dict[str, float] = {}
         else:
             self.primary = storage.table(
                 "kv.primary", decode=Record.from_wire, volatile=is_soft_state
@@ -484,8 +483,7 @@ class DhtKeyValueStore:
         # Inserted *after* the version is applied so a durable backend
         # journals the post-write state, not an empty shell.
         self.primary[key_hex] = record
-        if self.tombstones is not None:
-            self.tombstones.pop(key_hex, None)
+        self.tombstones.pop(key_hex, None)
         # One wire form and one size (the journal's, when there is one)
         # serve the reply and both pushes.
         wire = record.wire()
@@ -604,15 +602,10 @@ class DhtKeyValueStore:
                 tel.end(fwd)
             self.cache.pop(key_hex, None)
             return reply
-        record = self.primary.get(key_hex)
-        if record is None:
+        if key_hex not in self.primary:
             raise KeyNotFoundError(key_hex)
         del self.primary[key_hex]
-        if self.tombstones is not None:
-            self.tombstones[key_hex] = {
-                "version": record.version,
-                "at": self.sim.now,
-            }
+        self.tombstones[key_hex] = self.sim.now
         self.cache.pop(key_hex, None)
         for peer in self._replica_targets(key_hex):
             self._safe_notify(peer.name, MSG_REPLICA_DELETE, {"key": key_hex})
@@ -780,27 +773,19 @@ class DhtKeyValueStore:
     def _handle_replica(self, request: Request) -> None:
         # The sender's size and wire form are the record's: a journal
         # takes both as they came, without building or encoding again.
-        storage = self.storage
         record = Record.from_wire(
-            request.body["record"],
-            request.size,
-            keep=storage is not None and storage.durable,
+            request.body["record"], request.size, keep=self.storage is not None
         )
-        if self.tombstones is not None:
-            tomb = self.tombstones.get(record.key_hex)
-            if tomb is not None:
-                if tomb["at"] >= record.latest.updated_at:
-                    return  # replica of a write our tombstone deleted
-                self.tombstones.pop(record.key_hex, None)
+        tomb = self.tombstones.get(record.key_hex)
+        if tomb is not None:
+            if tomb >= record.latest.updated_at:
+                return  # replica of a write our tombstone deleted
+            del self.tombstones[record.key_hex]
         self.replicas[record.key_hex] = record
 
     def _handle_replica_delete(self, request: Request) -> None:
-        removed = self.replicas.pop(request.body["key"], None)
-        if self.tombstones is not None:
-            self.tombstones[request.body["key"]] = {
-                "version": removed.version if removed is not None else 0,
-                "at": self.sim.now,
-            }
+        self.replicas.pop(request.body["key"], None)
+        self.tombstones[request.body["key"]] = self.sim.now
 
     def _handle_cache_update(self, request: Request) -> None:
         wire = request.body["record"]
@@ -815,13 +800,12 @@ class DhtKeyValueStore:
         for wire in request.body["records"]:
             record = Record.from_wire(wire)
             absorb = True
-            if self.tombstones is not None:
-                tomb = self.tombstones.get(record.key_hex)
-                if tomb is not None:
-                    if tomb["at"] >= record.latest.updated_at:
-                        absorb = False  # transferred copy is pre-delete
-                    else:
-                        self.tombstones.pop(record.key_hex, None)
+            tomb = self.tombstones.get(record.key_hex)
+            if tomb is not None:
+                if tomb >= record.latest.updated_at:
+                    absorb = False  # transferred copy is pre-delete
+                else:
+                    del self.tombstones[record.key_hex]
             if absorb:
                 existing = self.primary.get(record.key_hex)
                 if existing is None or existing.version <= record.version:
@@ -834,15 +818,14 @@ class DhtKeyValueStore:
     # -- durability: crash recovery and anti-entropy -------------------------
 
     def lose_memory(self) -> None:
-        """RAM loss on crash: wipe the volatile views of every table.
+        """RAM loss on crash: wipe every table and cache.
 
-        The backend's :meth:`~repro.storage.IStore.crash` wipes the
-        journaled tables without re-journaling the wipes; the caches
-        are plain volatile state and are cleared directly.
+        ``dict.clear`` empties a journaled table without journaling
+        the wipe: this is RAM vanishing, not deletes, and a durable
+        backend's replay restores what it kept.
         """
-        if self.storage is None:
-            self.primary.clear()
-            self.replicas.clear()
+        for table in (self.primary, self.replicas, self.tombstones):
+            dict.clear(table)
         self.cache.clear()
         self.cache_holders.clear()
 
@@ -888,8 +871,6 @@ class DhtKeyValueStore:
         :mod:`repro.kvstore.sync`).  Returns a summary dict.
         """
         summary = {"peers": 0, "pulled": 0, "pushed": 0, "deleted": 0}
-        if self.storage is None:
-            return summary
         if fanout is None:
             fanout = max(1, self.replication_factor + 1)
         tel = self.sim.telemetry
@@ -909,9 +890,8 @@ class DhtKeyValueStore:
             record = self.primary.get(key_hex) or self.replicas.get(key_hex)
             if not is_soft_state(record):
                 digests[key_hex] = record_digest(record)
-        if self.tombstones is not None:
-            for key_hex in sorted(self.tombstones):
-                digests[key_hex] = tombstone_digest(self.tombstones[key_hex])
+        for key_hex in sorted(self.tombstones):
+            digests[key_hex] = tombstone_digest(self.tombstones[key_hex])
         peers = self.chimera.nearest_peers(self.chimera.id, fanout)
         for peer in peers:
             body = {"requester": self.name, "digests": digests}
@@ -929,13 +909,13 @@ class DhtKeyValueStore:
                 if self._absorb_tombstone(key_hex, tomb):
                     summary["deleted"] += 1
             push_records: list[dict] = []
-            push_tombs: dict[str, dict] = {}
+            push_tombs: dict[str, float] = {}
             for key_hex in reply.get("want", ()):
                 record = self.primary.get(key_hex) or self.replicas.get(key_hex)
                 if record is not None:
                     push_records.append(record.wire())
-                elif self.tombstones is not None and key_hex in self.tombstones:
-                    push_tombs[key_hex] = dict(self.tombstones[key_hex])
+                elif key_hex in self.tombstones:
+                    push_tombs[key_hex] = self.tombstones[key_hex]
             if push_records or push_tombs:
                 push_body = {
                     "records": push_records,
@@ -977,13 +957,11 @@ class DhtKeyValueStore:
         digests = body["digests"]
         records_out: list[dict] = []
         want: list[str] = []
-        tombstoned: dict[str, dict] = {}
+        tombstoned: dict[str, float] = {}
         for key_hex in sorted(digests):
             remote = digests[key_hex]
             local = self.primary.get(key_hex) or self.replicas.get(key_hex)
-            local_tomb = (
-                self.tombstones.get(key_hex) if self.tombstones is not None else None
-            )
+            local_tomb = self.tombstones.get(key_hex)
             if remote.get("t"):
                 # The requester holds a tombstone for this key.
                 if local is not None and tombstone_covers(
@@ -993,18 +971,13 @@ class DhtKeyValueStore:
                     local = None
                 if local is not None:
                     records_out.append(local.wire())  # write post-dates delete
-                elif self.tombstones is not None and (
-                    local_tomb is None or local_tomb["at"] < remote["u"]
-                ):
-                    self.tombstones[key_hex] = {
-                        "version": remote.get("v", 0),
-                        "at": remote["u"],
-                    }
+                elif local_tomb is None or local_tomb < remote["u"]:
+                    self.tombstones[key_hex] = remote["u"]
                 continue
             if local_tomb is not None and tombstone_covers(
                 tombstone_digest(local_tomb), remote
             ):
-                tombstoned[key_hex] = dict(local_tomb)
+                tombstoned[key_hex] = local_tomb
                 continue
             if local is None:
                 want.append(key_hex)
@@ -1045,12 +1018,11 @@ class DhtKeyValueStore:
         """Accept a peer's record if it beats what we hold; file it as
         primary or replica according to our current ring position."""
         key_hex = record.key_hex
-        if self.tombstones is not None:
-            tomb = self.tombstones.get(key_hex)
-            if tomb is not None:
-                if tomb["at"] >= record.latest.updated_at:
-                    return False
-                self.tombstones.pop(key_hex, None)
+        tomb = self.tombstones.get(key_hex)
+        if tomb is not None:
+            if tomb >= record.latest.updated_at:
+                return False
+            del self.tombstones[key_hex]
         local = self.primary.get(key_hex) or self.replicas.get(key_hex)
         if local is not None and not record_beats_digest(
             record, record_digest(local)
@@ -1066,20 +1038,17 @@ class DhtKeyValueStore:
             self.primary.pop(key_hex, None)
         return True
 
-    def _absorb_tombstone(self, key_hex: str, tomb: dict) -> bool:
-        """Apply a peer's tombstone; returns True if a live copy died."""
+    def _absorb_tombstone(self, key_hex: str, at: float) -> bool:
+        """Apply a peer's tombstone (deleted ``at``); returns True if a
+        live copy died."""
         local = self.primary.get(key_hex) or self.replicas.get(key_hex)
-        if local is not None and tomb["at"] < local.latest.updated_at:
+        if local is not None and at < local.latest.updated_at:
             return False  # our copy post-dates the delete
         dropped = local is not None
         self._drop_local(key_hex)
-        if self.tombstones is not None:
-            existing = self.tombstones.get(key_hex)
-            if existing is None or existing["at"] < tomb["at"]:
-                self.tombstones[key_hex] = {
-                    "version": tomb.get("version", 0),
-                    "at": tomb["at"],
-                }
+        existing = self.tombstones.get(key_hex)
+        if existing is None or existing < at:
+            self.tombstones[key_hex] = at
         return dropped
 
     def _drop_local(self, key_hex: str) -> None:

@@ -52,9 +52,9 @@ def record_digest(record: Record) -> dict:
     }
 
 
-def tombstone_digest(tomb: dict) -> dict:
-    """Digest of a tombstone entry (``{"version": v, "at": t}``)."""
-    return {"t": True, "v": tomb.get("version", 0), "u": tomb["at"]}
+def tombstone_digest(at: float) -> dict:
+    """Digest of a tombstone: the key's delete time ``at``."""
+    return {"t": True, "u": at}
 
 
 def _rank(digest: dict) -> tuple:

@@ -315,8 +315,7 @@ class Repairer:
             if meta is not None:
                 metas.append((record.name, meta, stamp))
         held = yield from self._probe([meta for _, meta, _ in metas])
-        storage = self.vstore.storage
-        spare_waits = triggered and storage is not None and storage.durable
+        spare_waits = triggered and self.vstore.storage is not None
         for name, meta, stamp in metas:
             if self._healthy(meta, held):
                 continue

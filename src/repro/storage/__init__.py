@@ -1,11 +1,11 @@
 """Pluggable per-device storage backends (the durability layer).
 
-Every KV record and object-bin manifest a device holds lives in one
-:class:`IStore` backend.  Three implementations:
+A backend decides what a device keeps across a crash.  A volatile
+device (the default, ``"mem"``) has none: its KV tables and bins are
+plain dictionaries that a crash clears, and it rejoins empty-handed.
+With a backend, every KV record and object-bin manifest the device
+holds lives in one :class:`IStore`.  Two implementations:
 
-* :class:`MemStore` — plain dictionaries, nothing survives a crash
-  (the honest model of today's RAM-only node, and the empty-rejoin
-  baseline the durability bench measures against);
 * :class:`WalStore` — an append-only *simulated* write-ahead log with
   snapshot+compaction; appends are idealized (durable instantly, no
   latency), so recovery semantics can be studied in isolation;
@@ -17,17 +17,16 @@ Every KV record and object-bin manifest a device holds lives in one
 
 The WAL is simulated state, never a real file — simlint rule SIM108
 forbids real filesystem I/O in this package.  Backends are selected by
-``ClusterConfig(storage=...)`` ("off" | "mem" | "wal" | "disk") and
+``ClusterConfig(storage=...)`` ("mem" | "wal" | "disk") and
 tuned via :class:`repro.cluster.StorageConfig`.
 """
 
-from repro.storage.interface import IStore, MemStore, RecoveryReport, entry_bytes
+from repro.storage.interface import IStore, RecoveryReport, entry_bytes
 from repro.storage.wal import WalEntry, WalStore, WalTable
 from repro.storage.disk import SimDiskStore, StorageFlusher
 
 __all__ = [
     "IStore",
-    "MemStore",
     "WalStore",
     "WalTable",
     "WalEntry",
@@ -50,9 +49,7 @@ def make_store(
     jitter: float = 0.10,
     rng=None,
 ) -> IStore:
-    """Build a backend by name ("mem", "wal", or "disk")."""
-    if kind == "mem":
-        return MemStore(node=node, metrics=metrics)
+    """Build a durable backend by name ("wal" or "disk")."""
     if kind == "wal":
         return WalStore(node=node, metrics=metrics, snapshot_every=snapshot_every)
     if kind == "disk":
@@ -67,5 +64,5 @@ def make_store(
             rng=rng,
         )
     raise ValueError(
-        f"unknown storage backend {kind!r} (expected 'mem', 'wal', or 'disk')"
+        f"unknown storage backend {kind!r} (expected 'wal' or 'disk')"
     )

@@ -1,21 +1,22 @@
-"""The IStore backend interface and the volatile MemStore.
+"""The IStore interface of the durable storage backends.
 
 A backend owns a set of named *tables* — dict-like key spaces the
 consuming layers mutate directly (``table[key] = value``, ``del
 table[key]``, ``table.pop(key)``).  The KV store binds
 ``kv.primary`` / ``kv.replicas`` / ``kv.tombstones``; the vstore node
-binds ``bin.mandatory`` / ``bin.voluntary`` manifests.  Durable
-backends intercept every mutation and journal it; :class:`MemStore`
-hands out plain dictionaries, so the default deployment pays nothing.
-A table may name *volatile* values (soft state the program rebuilds on
-its own): durable backends keep those in RAM only, so a crash drops
-them and replay does not restore them.
+binds ``bin.mandatory`` / ``bin.voluntary`` manifests.  Backends
+intercept every mutation and journal it.  A volatile node (the default
+``ClusterConfig(storage="mem")``) has no backend at all: its layers keep
+plain dictionaries and a crash clears them.  A table may name
+*volatile* values (soft state the program rebuilds on its own):
+backends keep those in RAM only, so a crash drops them and replay does
+not restore them.
 
 The crash/recovery lifecycle is three calls:
 
 * :meth:`IStore.crash` — power loss: every table's live dict is wiped
   (without journaling the wipes — this is RAM vanishing, not deletes),
-  and durable backends drop any unsynced log tail;
+  and any unsynced log tail is dropped;
 * :meth:`IStore.replay` — rebuild every table from the durable state,
   returning a :class:`RecoveryReport`;
 * :meth:`IStore.replay_cost_s` — the simulated seconds that replay
@@ -28,7 +29,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-__all__ = ["IStore", "MemStore", "RecoveryReport", "ENTRY_OVERHEAD", "encoded_len", "entry_bytes"]
+__all__ = ["IStore", "RecoveryReport", "ENTRY_OVERHEAD", "encoded_len", "entry_bytes"]
 
 
 #: One shared encoder: ``encode`` gives exactly ``json.dumps(value,
@@ -78,8 +79,6 @@ class IStore:
 
     #: Backend name as selected by ``ClusterConfig.storage``.
     kind = "abstract"
-    #: True when state survives :meth:`crash` (WAL-backed stores).
-    durable = False
 
     def __init__(self, node: str = "", metrics=None) -> None:
         self.node = node
@@ -121,8 +120,7 @@ class IStore:
 
         Returns ``{"lost_records": n, "lost_ops": m}`` — live entries
         wiped from the tables and journal appends that never reached
-        durable state (always zero for non-durable backends, which
-        have no journal to lose a tail from).
+        durable state (zero here: the base class has no journal).
         """
         lost = sum(len(tbl) for tbl in self._tables.values())
         for tbl in self._tables.values():
@@ -145,7 +143,6 @@ class IStore:
         """JSON-ready backend summary."""
         return {
             "kind": self.kind,
-            "durable": self.durable,
             "tables": {name: len(tbl) for name, tbl in sorted(self._tables.items())},
             "crashes": self.crashes,
         }
@@ -153,16 +150,3 @@ class IStore:
     def _count(self, metric: str, amount: float = 1.0) -> None:
         if self.metrics is not None:
             self.metrics.counter(metric, node=self.node).inc(amount)
-
-
-class MemStore(IStore):
-    """Today's behaviour as an explicit backend: plain dictionaries.
-
-    Nothing survives :meth:`crash` — a revived node rejoins empty and
-    the resilience layer must re-replicate its payloads.  This is the
-    baseline the durability bench contrasts :class:`~repro.storage.WalStore`
-    against.
-    """
-
-    kind = "mem"
-    durable = False

@@ -107,7 +107,6 @@ class WalStore(IStore):
     """Durable backend: tables journaled to an append-only log."""
 
     kind = "wal"
-    durable = True
 
     def __init__(
         self, node: str = "", metrics=None, snapshot_every: int = 256

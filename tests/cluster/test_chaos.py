@@ -198,8 +198,9 @@ class TestChaosSchedule:
         c4h.sim.run(until=c4h.sim.now + 10.0)
         revive = chaos.events[-1]
         assert (revive.kind, revive.target) == ("revive", "netbook3")
-        # The next candidate is the first online member in device order.
-        assert revive.detail == "via netbook0"
+        # The next candidate is the first online member in device order,
+        # and the revive ends with its anti-entropy round.
+        assert revive.detail == "via netbook0, synced +0/-0 (pushed 0)"
         assert c4h.device("netbook3").chimera.joined
         assert c4h.network.hosts["netbook3"].online
 

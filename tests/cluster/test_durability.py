@@ -15,7 +15,9 @@ from repro.cluster import (
     ResilienceConfig,
     StorageConfig,
 )
+from repro.cluster.invariants import check_invariants, live_objects
 from repro.kvstore.records import is_soft_state
+from repro.vstore.node import object_key
 
 
 def fresh_cluster(seed, **kwargs):
@@ -25,11 +27,13 @@ def fresh_cluster(seed, **kwargs):
 
 
 class TestBackendWiring:
-    def test_storage_off_builds_no_backends(self):
+    def test_default_storage_builds_no_backends(self):
         c4h = fresh_cluster(910)
+        assert c4h.config.storage == "mem"
         assert all(d.storage is None for d in c4h.devices)
         assert all(d.flusher is None for d in c4h.devices)
-        assert all(d.kv.tombstones is None for d in c4h.devices)
+        # A volatile node still keeps tombstones, in a plain dict.
+        assert all(type(d.kv.tombstones) is dict for d in c4h.devices)
 
     def test_wal_attaches_a_backend_per_device(self):
         c4h = fresh_cluster(911, storage="wal")
@@ -55,10 +59,16 @@ class TestBackendWiring:
         assert all(d.flusher is not None and d.flusher.running for d in c4h.devices)
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            Cloud4Home(ClusterConfig(seed=913, storage="floppy")).start(
-                monitors=False
-            )
+        with pytest.raises(ValueError, match="ClusterConfig.storage"):
+            Cloud4Home(ClusterConfig(seed=913, storage="floppy"))
+
+    def test_off_is_rejected_at_build_time_naming_the_field(self):
+        """``"off"`` was a second crash model; it is no longer a value."""
+        with pytest.raises(ValueError) as info:
+            Cloud4Home(ClusterConfig(seed=913, storage="off"))
+        message = str(info.value)
+        assert "ClusterConfig.storage" in message and "'off'" in message
+        assert all(kind in message for kind in ("'mem'", "'wal'", "'disk'"))
 
 
 class TestWalCrashRevive:
@@ -117,7 +127,9 @@ class TestWalCrashRevive:
         chaos.start()
         c4h.sim.run(until=c4h.sim.now + 30.0)
         revive = next(e for e in chaos.events if e.kind == "revive")
-        assert "replayed 0 records" in revive.detail
+        # No backend, so nothing replays; the anti-entropy round runs.
+        assert "replayed" not in revive.detail
+        assert "synced" in revive.detail
         assert not victim.vstore.holds("vol.bin")
 
     def test_disk_backend_replays_synced_state(self):
@@ -165,6 +177,50 @@ class TestWalCrashRevive:
         c4h.sim.run(until=c4h.sim.now + 5.0)
         assert "lost" in chaos.events[0].detail
         assert "unsynced ops" in chaos.events[0].detail
+
+
+class TestVolatileCrash:
+    """The default ``"mem"`` storage: a crash loses the node's RAM."""
+
+    def test_a_crashed_device_holds_nothing_while_down(self):
+        c4h = fresh_cluster(914)
+        writer = c4h.devices[0]
+        for i in range(12):
+            c4h.run(writer.kv.put(f"gone-{i}", i))
+        for i in range(12):
+            c4h.run(writer.kv.delete(f"gone-{i}"))
+        victim = next(d for d in c4h.devices if d.kv.tombstones)
+        c4h.run(victim.client.store_file("vol.bin", 1.0))
+        assert victim.kv.replicas and victim.vstore.holds("vol.bin")
+        ChaosSchedule(c4h).crash(after=1.0, device_name=victim.name).start()
+        c4h.sim.run(until=c4h.sim.now + 5.0)
+        kv = victim.kv
+        assert (kv.primary, kv.replicas, kv.tombstones, dict(kv.cache)) == ({}, {}, {}, {})
+        inventory = victim.vstore.inventory()
+        assert (inventory["mandatory"], inventory["voluntary"]) == ({}, {})
+
+    def test_a_replica_holder_crashed_during_a_delete_keeps_no_stale_record(self):
+        c4h = fresh_cluster(915)
+        c4h.run(c4h.devices[0].client.store_file("gone.bin", 1.0))
+        key_hex = c4h.devices[0].kv.key_for(object_key("gone.bin")).hex
+        stale = next(d for d in c4h.devices if key_hex in d.kv.replicas)
+        chaos = (
+            ChaosSchedule(c4h)
+            .crash(after=1.0, device_name=stale.name)
+            .revive(after=20.0, device_name=stale.name)
+        )
+        chaos.start()
+        c4h.sim.run(until=c4h.sim.now + 5.0)
+        deleter = next(d for d in c4h.devices if d is not stale)
+        c4h.run(deleter.client.delete_object("gone.bin"))
+        c4h.sim.run(until=c4h.sim.now + 30.0)
+        assert [e.kind for e in chaos.events] == ["crash", "revive"]
+        assert key_hex not in stale.kv.primary and key_hex not in stale.kv.replicas
+        # The delete's owner keeps the tombstone, and the revive's
+        # anti-entropy round brings no copy back.
+        assert any(key_hex in d.kv.tombstones for d in c4h.devices)
+        assert "gone.bin" not in live_objects(c4h)
+        assert check_invariants(c4h) == []
 
 
 class TestReviveSkip:

@@ -216,3 +216,31 @@ def test_a_stale_replica_of_a_deleted_object_is_not_live():
     assert "gone.bin" not in live_objects(c4h)
     assert stale.vstore.holds("gone.bin")  # its payload drop was missed too
     assert check_invariants(c4h) == [Violation("orphan", "gone.bin", f"on {stale.name}")]
+
+
+@pytest.mark.parametrize("seed", [7, 3, 11, 21])
+def test_a_heal_drops_a_stale_replica_of_a_deleted_object(seed):
+    """A replica holder cut off by a partition during a delete keeps the
+    old ``object:*`` record until the heal: the heal's anti-entropy
+    round gives it the tombstone, with the default volatile storage.
+    Its missed payload drop (resilience off) stays an orphan."""
+    c4h = Cloud4Home(ClusterConfig(seed=seed))
+    c4h.start(monitors=False)
+    c4h.run(c4h.devices[0].client.store_file("gone.bin", 1.0))
+    key_hex = c4h.devices[0].kv.key_for(object_key("gone.bin")).hex
+    stale = next(d for d in c4h.devices if key_hex in d.kv.replicas)
+    others = [d.name for d in c4h.devices if d is not stale]
+    chaos = ChaosSchedule(c4h).partition(1.0, [stale.name], others, duration=10.0)
+    t0 = c4h.sim.now
+    chaos.start()
+    c4h.sim.run(until=t0 + 2.0)
+    deleter = next(d for d in c4h.devices if d is not stale)
+    c4h.run(deleter.client.delete_object("gone.bin"))
+    assert key_hex in stale.kv.replicas  # the missed notice
+    c4h.sim.run(until=t0 + 30.0)
+    heal = chaos.events[-1]
+    assert (heal.kind, heal.detail) == ("heal", "synced +0/-1 (pushed 1)")
+    assert key_hex not in stale.kv.replicas
+    assert key_hex in stale.kv.tombstones
+    assert "gone.bin" not in live_objects(c4h)
+    assert check_invariants(c4h) == [Violation("orphan", "gone.bin", f"on {stale.name}")]

@@ -14,7 +14,7 @@ class Builder:
         if res is not None:
             registry = BreakerRegistry(res)
         # Guard via a different accepted flag spelling on a ternary.
-        store = make_store(endpoint) if self.config.storage != "off" else None
+        store = make_store(endpoint) if self.config.storage != "mem" else None
         return caller, registry, store
 
     def wire_repairs(self, endpoint):

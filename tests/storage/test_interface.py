@@ -1,10 +1,9 @@
-"""Tests for the IStore interface, MemStore, and the factory."""
+"""Tests for the IStore base behaviour and the backend factory."""
 
 import pytest
 
 from repro.storage import (
     IStore,
-    MemStore,
     RecoveryReport,
     SimDiskStore,
     WalStore,
@@ -14,21 +13,21 @@ from repro.storage import (
 from repro.telemetry import MetricsRegistry
 
 
-class TestMemStore:
+class TestIStore:
     def test_table_is_get_or_create(self):
-        store = MemStore()
+        store = IStore()
         t1 = store.table("kv.primary")
         t2 = store.table("kv.primary")
         assert t1 is t2
         assert store.table("kv.replicas") is not t1
 
     def test_tables_are_plain_dicts(self):
-        store = MemStore()
+        store = IStore()
         table = store.table("kv.primary")
         assert type(table) is dict
 
     def test_crash_wipes_everything(self):
-        store = MemStore()
+        store = IStore()
         store.table("a")["x"] = 1
         store.table("b")["y"] = 2
         report = store.crash()
@@ -38,7 +37,7 @@ class TestMemStore:
         assert store.crashes == 1
 
     def test_replay_restores_nothing(self):
-        store = MemStore()
+        store = IStore()
         store.table("a")["x"] = 1
         store.crash()
         report = store.replay()
@@ -48,23 +47,21 @@ class TestMemStore:
         assert store.table("a") == {}
 
     def test_stats_shape(self):
-        store = MemStore(node="n0")
+        store = IStore(node="n0")
         store.table("a")["x"] = 1
         stats = store.stats()
-        assert stats["kind"] == "mem"
-        assert stats["durable"] is False
+        assert stats["kind"] == "abstract"
         assert stats["tables"] == {"a": 1}
 
     def test_crash_metric_counted(self):
         metrics = MetricsRegistry()
-        store = MemStore(node="n0", metrics=metrics)
+        store = IStore(node="n0", metrics=metrics)
         store.crash()
         assert metrics.counter("storage.crashes", node="n0").value == 1.0
 
 
 class TestFactory:
     def test_kinds(self):
-        assert isinstance(make_store("mem"), MemStore)
         wal = make_store("wal", snapshot_every=8)
         assert isinstance(wal, WalStore)
         assert wal.snapshot_every == 8
@@ -73,11 +70,12 @@ class TestFactory:
         assert disk.write_mb_s == 10.0
 
     def test_unknown_kind_raises(self):
-        with pytest.raises(ValueError, match="unknown storage backend"):
-            make_store("floppy")
+        for kind in ("mem", "floppy"):
+            with pytest.raises(ValueError, match="unknown storage backend"):
+                make_store(kind)
 
     def test_every_backend_is_an_istore(self):
-        for kind in ("mem", "wal", "disk"):
+        for kind in ("wal", "disk"):
             assert isinstance(make_store(kind), IStore)
 
 

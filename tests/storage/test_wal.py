@@ -233,7 +233,6 @@ class TestCrashAndReplay:
         store.table("t")["k"] = 1
         stats = store.stats()
         assert stats["kind"] == "wal"
-        assert stats["durable"] is True
         assert stats["appends"] == 1
         assert stats["synced"] == 1
 
