@@ -104,15 +104,17 @@ THRESHOLDS = {"table1_sweep": 1.3}
 #: Protocol join vs fast_join at the largest A/B node count.
 SCALE_MIN_JOIN_SPEEDUP = 2.0
 
-#: Peak RSS (MB) ceiling of the 10,000-node load curve: 156.8 MB as
-#: measured with class-level RPC handler tables, a one-list leaf set and
-#: one interned object per id (182.3 MB with a per-endpoint dict of
-#: bound handlers, a member set beside each leaf ring and a digit tuple
-#: per id; 182.6 MB with each node's peer view kept as an id -> name
-#: dict over its cached sorted ids, 198.9 MB with a red-black tree
-#: beside them, 254.6 MB with idle queues and routing rows allocated up
-#: front too), plus 10%.
-SCALE_MAX_PEAK_RSS_MB = 172.4
+#: Peak RSS (MB) ceiling of the 10,000-node load curve: 131.2 MB as
+#: measured with each node's view kept as one sorted tuple of shared
+#: ``PeerInfo`` objects and a plain-dict route cache (156.8-157.8 MB
+#: with an id -> name dict beside a sorted-id tuple and an OrderedDict
+#: route cache; 182.3 MB with a per-endpoint dict of bound handlers, a
+#: member set beside each leaf ring and a digit tuple per id as well;
+#: 182.6 MB with each node's peer view kept as an id -> name dict over
+#: its cached sorted ids, 198.9 MB with a red-black tree beside them,
+#: 254.6 MB with idle queues and routing rows allocated up front too),
+#: plus 10%.
+SCALE_MAX_PEAK_RSS_MB = 144.3
 
 PARALLEL_THRESHOLDS = {
     "table1_parallel": 2.0,

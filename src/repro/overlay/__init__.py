@@ -6,8 +6,9 @@ Public surface:
 * :class:`ChimeraNode`, :class:`PeerInfo` — the overlay participant.
 * :class:`RoutingTable`, :class:`LeafSet` — per-node routing state.
   The "logical tree view" of known peers (a red-black tree in the
-  paper) is an ordered view on each node: ``ChimeraNode.known`` maps
-  id -> name and ``ChimeraNode.sorted_ids()`` caches its id order.
+  paper) is an ordered view on each node: ``ChimeraNode.view``, a
+  tuple of :class:`PeerInfo` sorted by id value, read through
+  ``knows()``, ``name_of()`` and ``peers()``.
 * Errors: :class:`OverlayError`, :class:`NotJoinedError`,
   :class:`RoutingFailure`.
 """

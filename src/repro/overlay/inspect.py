@@ -62,7 +62,7 @@ def routing_summary(node: ChimeraNode) -> str:
             populated += len(entries)
             lines.append(f"  row {row_index}: " + "  ".join(entries))
     lines.append(
-        f"  known peers: {len(node.known)}, table entries: {populated}"
+        f"  known peers: {len(node.view)}, table entries: {populated}"
     )
     return "\n".join(lines)
 

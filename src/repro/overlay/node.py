@@ -7,11 +7,13 @@ left/right-neighbour notification, failure-driven state repair, and the
 "logical tree view" of known nodes that ``chimeraGetDecision`` reads
 (Figure 2).
 
-The paper keeps that view in a red-black tree; here it is an ordered
-view: ``known``, a dict from peer id to host name, plus the sorted-id
-tuple that :meth:`ChimeraNode.sorted_ids` caches per ``view_version``.
-Queries that need id order read the tuple, so the ordered semantics
-are unchanged.
+The paper keeps that view in a red-black tree; here it is
+``ChimeraNode.view``, one immutable tuple of :class:`PeerInfo` sorted by
+id value.  Lookups by id bisect it, a membership change rebuilds it at
+the bisected index, and every query hands out the view's own
+``PeerInfo`` objects, so a peer known to many nodes (every node of a
+``fast_join`` overlay) is one object shared by all their views and
+route caches.
 
 A node owns the keys for which it is the numerically closest live
 identifier.  Upper layers (the key-value store) subscribe to
@@ -22,8 +24,7 @@ among the available set of nodes" (Section III-A).
 
 from __future__ import annotations
 
-import bisect
-from collections import OrderedDict
+from bisect import bisect_left
 from operator import attrgetter
 from typing import Callable, Iterable, Optional
 
@@ -53,18 +54,28 @@ MSG_PING = "chimera.ping"
 #: the root for the key).
 _ROUTE_MISS = object()
 
-#: Sort key for ids: the plain int, so sorting never calls ``NodeId.__lt__``.
-_ID_VALUE = attrgetter("value")
+#: Bisection key of the view: a peer's id as a plain int.
+_PEER_VALUE = attrgetter("id.value")
 
 
 class PeerInfo:
-    """(name, id) pair for a known overlay member."""
+    """(name, id) pair for a known overlay member.
+
+    Immutable, like :class:`NodeId`: one object is shared by every view
+    and route cache that holds the member.
+    """
 
     __slots__ = ("name", "id")
 
     def __init__(self, name: str, node_id: NodeId) -> None:
-        self.name = name
-        self.id = node_id
+        _set_name(self, name)
+        _set_id(self, node_id)
+
+    def __setattr__(self, name: str, val) -> None:
+        raise AttributeError("PeerInfo is immutable")
+
+    def __reduce__(self):
+        return (PeerInfo, (self.name, self.id))
 
     def wire(self) -> dict:
         return {"name": self.name, "id": self.id.hex}
@@ -75,6 +86,11 @@ class PeerInfo:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PeerInfo({self.name!r}, {self.id})"
+
+
+# Slot setters: they bypass ``__setattr__`` faster than ``object.__setattr__``.
+_set_name = PeerInfo.name.__set__
+_set_id = PeerInfo.id.__set__
 
 
 class ChimeraNode:
@@ -96,14 +112,16 @@ class ChimeraNode:
         paper describes).  This is what makes the DHT-lookup column of
         Table I a few milliseconds rather than pure wire time.
     route_cache_max:
-        Entry cap for the destination → next-hop cache.  Routing
-        decisions are pure functions of the node's membership view, so
-        results are cached per key and the whole cache is invalidated
-        on any join/leave/stabilizer-driven view change.  The cache is
-        a bounded LRU: the least recently used key is evicted when the
-        cap is reached, so hot keys survive and per-node memory stays
-        bounded.  Caching only affects wall-clock time, never simulated
-        results.
+        Entry cap for the destination → next-hop cache; 0 caches
+        nothing.  Routing decisions are pure functions of the node's
+        membership view, so results are cached per key and the whole
+        cache is invalidated on any join/leave/stabilizer-driven view
+        change.  The cache is a plain dict whose values are the view's
+        own ``PeerInfo`` objects (or None when we are the root), kept
+        in LRU order by re-inserting a key on every hit: the least
+        recently used key is evicted when the cap is reached, so hot
+        keys survive and per-node memory stays bounded.  Caching only
+        affects wall-clock time, never simulated results.
     """
 
     #: Default route-cache entry cap (LRU eviction past this size).
@@ -132,28 +150,24 @@ class ChimeraNode:
         self.id = NodeId.from_name(host.name)
         self.leaf = LeafSet(self.id, per_side=leaf_size)
         self.table = RoutingTable(self.id)
-        #: id -> peer name; ``sorted_ids()`` gives its id order
-        #: ("logical tree view", Fig. 2).
-        self.known: dict[NodeId, str] = {}
+        #: Known peers sorted by id value ("logical tree view", Fig. 2).
+        #: Immutable: every membership change installs a new tuple.
+        self.view: tuple[PeerInfo, ...] = ()
         self.hop_processing_s = hop_processing_s
         self.joined = False
         self.on_node_joined: list[Callable[[PeerInfo], None]] = []
         self.on_node_left: list[Callable[[PeerInfo], None]] = []
         #: Diagnostics: total hops taken by route requests we initiated.
         self.routes_resolved = 0
-        self.route_cache_max = (
-            route_cache_max if route_cache_max is not None else self.ROUTE_CACHE_MAX
-        )
+        if route_cache_max is None:
+            route_cache_max = self.ROUTE_CACHE_MAX
+        if route_cache_max < 0:
+            raise ValueError(f"route_cache_max must be >= 0, got {route_cache_max}")
+        self.route_cache_max = route_cache_max
         #: key -> next hop (PeerInfo, or None when we are the root),
         #: in LRU order (oldest first).
-        self._route_cache: OrderedDict[NodeId, Optional[PeerInfo]] = OrderedDict()
+        self._route_cache: dict[NodeId, Optional[PeerInfo]] = {}
         self.route_cache_hits = 0
-        #: Bumped on every membership-view change; consumers (sorted-id
-        #: snapshot below, the stabilizer's probe cursor) use it to
-        #: detect staleness without rescanning the view.
-        self.view_version = 0
-        self._ids_cache: tuple[NodeId, ...] = ()
-        self._ids_cache_version = -1
         self.endpoint.serve(self)
 
     @property
@@ -166,28 +180,20 @@ class ChimeraNode:
 
     # -- membership views ---------------------------------------------------
 
-    def peers(self) -> list[PeerInfo]:
-        """All known peers in id order."""
-        known = self.known
-        return [PeerInfo(known[nid], nid) for nid in self.sorted_ids()]
+    def peers(self) -> tuple[PeerInfo, ...]:
+        """All known peers in id order (the view itself)."""
+        return self.view
+
+    def knows(self, node_id: NodeId) -> bool:
+        """True if ``node_id`` is in our view (never for our own id)."""
+        return self._locate(node_id)[1] is not None
 
     def name_of(self, node_id: NodeId) -> Optional[str]:
         """The host name for a known overlay id (None if unknown)."""
         if node_id == self.id:
             return self.name
-        return self.known.get(node_id)
-
-    def sorted_ids(self) -> tuple[NodeId, ...]:
-        """Known peer ids in ascending order, cached per view version.
-
-        This is the view's only ordered copy.  It is re-sorted lazily
-        after a membership change, so steady-state callers (ring-window
-        queries, the stabilizer's probe cursor, :meth:`peers`) pay O(1).
-        """
-        if self._ids_cache_version != self.view_version:
-            self._ids_cache = tuple(sorted(self.known, key=_ID_VALUE))
-            self._ids_cache_version = self.view_version
-        return self._ids_cache
+        peer = self._locate(node_id)[1]
+        return None if peer is None else peer.name
 
     def nearest_peers(self, key: NodeId, count: int) -> list[PeerInfo]:
         """The ``count`` known peers closest to ``key``.
@@ -196,21 +202,20 @@ class ChimeraNode:
         order the key-value layer's replica selection has always used.
 
         The ``k`` nearest ids form a contiguous arc around ``key`` on
-        the ring, so this bisects the sorted-id snapshot and ranks only
-        the ``2*count`` ids flanking the insertion point — O(k log k +
+        the ring, so this bisects the view and ranks only the
+        ``2*count`` peers flanking the insertion point — O(k log k +
         log N) instead of a full sort's O(N log N).
         """
-        if count <= 0 or not self.known:
+        view = self.view
+        if count <= 0 or not view:
             return []
-        ids = self.sorted_ids()
-        n = len(ids)
+        n = len(view)
         if n <= 2 * count:
-            window = ids
+            window = view
         else:
-            i = bisect.bisect_left(ids, key)
-            window = [ids[(i + j) % n] for j in range(-count, count)]
-        ranked = sorted((nid.distance(key), nid.value, nid) for nid in window)[:count]
-        return [PeerInfo(self._peer_name(nid), nid) for _d, _v, nid in ranked]
+            i = bisect_left(view, key.value, key=_PEER_VALUE)
+            window = [view[(i + j) % n] for j in range(-count, count)]
+        return sorted(window, key=lambda p: (p.id.distance(key), p.id.value))[:count]
 
     def closest_known(self, key: NodeId) -> PeerInfo:
         """The member of our view (including ourselves) closest to ``key``.
@@ -231,10 +236,7 @@ class ChimeraNode:
 
     def successors(self, count: int) -> list[PeerInfo]:
         """Up to ``count`` clockwise neighbours (replica targets)."""
-        out = []
-        for nid in self.leaf.rights()[:count]:
-            out.append(PeerInfo(self._peer_name(nid), nid))
-        return out
+        return [self._peer(nid) for nid in self.leaf.rights()[:count]]
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -305,44 +307,38 @@ class ChimeraNode:
         if not self.joined:
             raise NotJoinedError(f"{self.name} has not joined the overlay")
         cache = self._route_cache
-        hit = cache.get(key, _ROUTE_MISS)
+        hit = cache.pop(key, _ROUTE_MISS)
         if hit is not _ROUTE_MISS:
             self.route_cache_hits += 1
-            cache.move_to_end(key)
+            cache[key] = hit  # re-inserted: now the most recently used
             return hit
         result = self._next_hop_uncached(key)
-        if len(cache) >= self.route_cache_max:
-            cache.popitem(last=False)
-        cache[key] = result
+        if self.route_cache_max:
+            if len(cache) >= self.route_cache_max:
+                del cache[next(iter(cache))]
+            cache[key] = result
         return result
 
     def _next_hop_uncached(self, key: NodeId) -> Optional[PeerInfo]:
-        if key == self.id or not self.known:
+        if key == self.id or not self.view:
             return None
         if self.leaf.covers(key):
             closest = self.leaf.closest(key)
-            if closest == self.id:
-                return None
-            return PeerInfo(self._peer_name(closest), closest)
+            return None if closest == self.id else self._peer(closest)
         entry = self.table.lookup(key)
         if entry is not None:
-            return PeerInfo(self._peer_name(entry), entry)
+            return self._peer(entry)
         # Fallback: strictly closer node with >= shared prefix length,
         # ranked by (distance, id value) so ties go to the smaller id.
         own_prefix = self.id.shared_prefix_len(key)
-        own_distance = self.id.distance(key)
         best = min(
-            (
-                (nid.distance(key), nid.value, nid)
-                for nid in self.known
-                if nid.shared_prefix_len(key) >= own_prefix
-            ),
+            (p for p in self.view if p.id.shared_prefix_len(key) >= own_prefix),
+            key=lambda p: (p.id.distance(key), p.id.value),
             default=None,
         )
-        if best is None or best[0] >= own_distance:
+        if best is None or best.id.distance(key) >= self.id.distance(key):
             return None
-        nid = best[2]
-        return PeerInfo(self.known[nid], nid)
+        return best
 
     def resolve(self, key: NodeId, ctx=None):
         """Process: find the overlay root for ``key``.
@@ -462,68 +458,69 @@ class ChimeraNode:
         entries.update(self.leaf.members())
         out = []
         for nid in entries:
-            name = self._peer_name(nid) if nid != self.id else self.name
-            out.append(PeerInfo(name, nid).wire())
+            peer = self._peer(nid) if nid != self.id else PeerInfo(self.name, self.id)
+            out.append(peer.wire())
         return out
 
     def seed_view(self, peers: "Iterable[PeerInfo]") -> None:
         """Bulk-install a pre-computed membership view.
 
         Used by the cluster builder's ``fast_join`` path: inserts every
-        peer into the known view, leaf set, and routing table without
-        firing per-peer join callbacks or announcements — the caller is
+        peer into the view, leaf set, and routing table without firing
+        per-peer join callbacks or announcements — the caller is
         constructing the whole overlay at once, so there is no stored
         data to redistribute and no protocol traffic to emit.
 
-        On an empty view the sorted-id tuple is set straight from the
-        sorted peers, so the first :meth:`sorted_ids` does not re-sort.
-        The routing table is filled in the given peer order (its slots
-        are first-writer-wins), and the leaf set is pruned once: pruning
-        after every add and pruning at the end keep the same closest
-        members.
+        The given ``PeerInfo`` objects go into the view as they are, so
+        a builder that passes one object per member shares it across
+        every view.  The routing table is filled in the given peer
+        order (its slots are first-writer-wins, so that order decides
+        which peer a slot keeps), and the leaf set is pruned once:
+        pruning after every add and pruning at the end keep the same
+        closest members.  A given peer replaces a known one with the
+        same id.
         """
         fresh: dict[int, PeerInfo] = {}
         own = self.id.value
         for peer in peers:
             if peer.id.value != own:
                 fresh.setdefault(peer.id.value, peer)
-        bulk = not self.known
         for peer in fresh.values():
-            self.known[peer.id] = peer.name
             self.table.add(peer.id)
         self.leaf.update(peer.id for peer in fresh.values())
+        merged = {peer.id.value: peer for peer in self.view} | fresh
+        self.view = tuple(merged[value] for value in sorted(merged))
         self._route_cache.clear()
-        self.view_version += 1
-        if bulk:
-            self._ids_cache = tuple(fresh[value].id for value in sorted(fresh))
-            self._ids_cache_version = self.view_version
 
     def _add_peer(self, peer: PeerInfo) -> None:
+        """Add ``peer`` to the view; a known id keeps its object unless
+        the peer comes back under another name."""
         if peer.id == self.id:
             return
-        is_new = peer.id not in self.known
-        self.known[peer.id] = peer.name
+        index, known = self._locate(peer.id)
+        if known is None or known.name != peer.name:
+            rest = index if known is None else index + 1
+            self.view = self.view[:index] + (peer,) + self.view[rest:]
+            self._route_cache.clear()
         self.leaf.add(peer.id)
         self.table.add(peer.id)
-        if is_new:
-            self._route_cache.clear()
-            self.view_version += 1
+        if known is None:
             for callback in self.on_node_joined:
                 callback(peer)
 
     def _forget(self, node_id: NodeId, notify: bool = True) -> None:
-        name = self.known.pop(node_id, None)
-        if name is None:
+        index, peer = self._locate(node_id)
+        if peer is None:
             return
+        view = self.view[:index] + self.view[index + 1 :]
+        self.view = view
         self.leaf.remove(node_id)
         self.table.remove(node_id)
-        # Backfill the leaf set from the remaining known view so the
-        # ring stays connected after departures.
-        self.leaf.update(self.known)
+        # Backfill the leaf set from the remaining view so the ring
+        # stays connected after departures.
+        self.leaf.update(p.id for p in view)
         self._route_cache.clear()
-        self.view_version += 1
         if notify:
-            peer = PeerInfo(name, node_id)
             for callback in self.on_node_left:
                 callback(peer)
 
@@ -542,11 +539,21 @@ class ChimeraNode:
             except HostDownError:
                 self._forget(peer.id)
 
-    def _peer_name(self, node_id: NodeId) -> str:
-        name = self.known.get(node_id)
-        if name is None:
+    def _locate(self, node_id: NodeId) -> tuple[int, Optional[PeerInfo]]:
+        """``node_id``'s index in the view, and its peer if it is there."""
+        view = self.view
+        value = node_id.value
+        index = bisect_left(view, value, key=_PEER_VALUE)
+        if index < len(view) and view[index].id.value == value:
+            return index, view[index]
+        return index, None
+
+    def _peer(self, node_id: NodeId) -> PeerInfo:
+        """The view's ``PeerInfo`` for a routing-state entry."""
+        peer = self._locate(node_id)[1]
+        if peer is None:
             raise RoutingFailure(f"{self.name}: no name known for {node_id}")
-        return name
+        return peer
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<ChimeraNode {self.name!r} id={self.id} peers={len(self.known)}>"
+        return f"<ChimeraNode {self.name!r} id={self.id} peers={len(self.view)}>"

@@ -12,7 +12,6 @@ merging fresh ones.
 
 from __future__ import annotations
 
-import bisect
 from typing import Optional
 
 from repro.net import HostDownError, RemoteError, Request, RpcTimeoutError
@@ -106,7 +105,7 @@ class Stabilizer:
                 continue
             if self._last_alive.get(nid, float("-inf")) >= buried_at:
                 continue
-            if nid in self.node.known:
+            if self.node.knows(nid):
                 self.node._forget(nid)
                 self.evictions += 1
             self._bury(nid, buried_at=buried_at)
@@ -181,7 +180,7 @@ class Stabilizer:
                     peer = PeerInfo.from_wire(wire)
                     if (
                         peer.id != self.node.id
-                        and peer.id not in self.node.known
+                        and not self.node.knows(peer.id)
                         and not self._is_buried(peer.id)
                     ):
                         self.node._add_peer(peer)
@@ -197,26 +196,26 @@ class Stabilizer:
         Semantics: the in-order known view minus the leaf neighbours,
         indexed at ``rounds % len``.  Rather than materialize that
         filtered list (O(N) per round), the element is picked from the
-        node's cached sorted-id snapshot with index arithmetic: bisect
-        the (at most two) neighbour positions out, then shift the
-        round-robin index past them.
+        node's sorted view with index arithmetic: bisect the (at most
+        two) neighbour positions out, then shift the round-robin index
+        past them.
         """
-        ids = self.node.sorted_ids()
-        if not ids:
+        view = self.node.view
+        if not view:
             return None
         skip: set[int] = set()
         for nb in neighbours:
-            pos = bisect.bisect_left(ids, nb)
-            if pos < len(ids) and ids[pos] == nb:
+            pos, peer = self.node._locate(nb)
+            if peer is not None:
                 skip.add(pos)
-        remaining = len(ids) - len(skip)
+        remaining = len(view) - len(skip)
         if remaining <= 0:
             return None
         j = self.rounds % remaining
         for pos in sorted(skip):
             if pos <= j:
                 j += 1
-        return ids[j]
+        return view[j].id
 
     def _run(self):
         try:
@@ -237,7 +236,7 @@ class Stabilizer:
             peer = PeerInfo.from_wire(wire)
             if (
                 peer.id != self.node.id
-                and peer.id not in self.node.known
+                and not self.node.knows(peer.id)
                 and not self._is_buried(peer.id)
             ):
                 self.node._add_peer(peer)

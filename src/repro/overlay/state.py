@@ -31,6 +31,8 @@ class RoutingTable:
 
     COLUMNS = 16
 
+    __slots__ = ("owner", "_rows")
+
     def __init__(self, owner: NodeId) -> None:
         self.owner = owner
         self._rows: list[Optional[list[Optional[NodeId]]]] = [None] * ID_DIGITS
@@ -108,6 +110,8 @@ class LeafSet:
     Clockwise distances from the owner are distinct, so the
     counter-clockwise order is exactly the clockwise order reversed.
     """
+
+    __slots__ = ("owner", "per_side", "_ring")
 
     def __init__(self, owner: NodeId, per_side: int = 4) -> None:
         if per_side <= 0:

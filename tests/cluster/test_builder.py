@@ -41,7 +41,7 @@ class TestAssembly:
         c4h = Cloud4Home(ClusterConfig(seed=3))
         c4h.start(monitors=False)
         for device in c4h.devices:
-            assert len(device.chimera.known) == len(c4h.devices) - 1
+            assert len(device.chimera.view) == len(c4h.devices) - 1
 
     def test_start_publishes_snapshots(self):
         c4h = Cloud4Home(ClusterConfig(seed=3))

@@ -44,7 +44,7 @@ class TestFastJoinRouting:
     def test_views_are_partial_not_global(self, overlay):
         """fast_join must not cheat by handing every node a full view."""
         chimeras = [d.chimera for d in overlay.devices]
-        assert max(len(c.known) for c in chimeras) < len(chimeras) // 2
+        assert max(len(c.view) for c in chimeras) < len(chimeras) // 2
 
     def test_leaf_sets_are_ring_neighbours(self, overlay):
         chimeras = sorted(
@@ -67,7 +67,7 @@ class TestFastJoinDeterminism:
             c4h = Cloud4Home(scale_overlay(24, seed=seed))
             c4h.start(monitors=False, publish=False)
             return [
-                [nid.hex for nid in d.chimera.sorted_ids()]
+                [peer.id.hex for peer in d.chimera.view]
                 for d in c4h.devices
             ]
 
@@ -90,26 +90,26 @@ class TestSeedViewMatchesPerPeerJoin:
         c4h = Cloud4Home(scale_overlay(2000, seed=3))
         c4h.start(monitors=False, publish=False)
         assert len(seeded) == 2000
+        # One PeerInfo per member, shared by every view that holds it.
+        shared = {id(peer) for d in c4h.devices for peer in d.chimera.view}
+        assert len(shared) <= 2000
         for device in c4h.devices:
             node = device.chimera
             bulk = (
-                sorted(node.known.items()),
+                list(node.view),
                 node.leaf.members(),
                 [node.table.row(i) for i in range(ID_DIGITS)],
-                node.sorted_ids(),
             )
-            node.known = {}
+            node.view = ()
             node.leaf = LeafSet(node.id, per_side=node.leaf.per_side)
             node.table = RoutingTable(node.id)
             node.on_node_joined = []
             for peer in seeded[node.name]:
                 node._add_peer(peer)
-            # The ordered view's invariant: the cached tuple is exactly
-            # the dict's ids in ascending order.
-            assert node.sorted_ids() == tuple(sorted(node.known)), node.name
+            values = [peer.id.value for peer in node.view]
+            assert values == sorted(set(values)), node.name
             assert (
-                sorted(node.known.items()),
+                list(node.view),
                 node.leaf.members(),
                 [node.table.row(i) for i in range(ID_DIGITS)],
-                node.sorted_ids(),
             ) == bulk, node.name

@@ -20,7 +20,7 @@ class TestBuild:
             n = len(home.devices)
             for device in home.devices:
                 # Each device knows only its own home's peers.
-                assert len(device.chimera.known) == n - 1
+                assert len(device.chimera.view) == n - 1
 
     def test_device_names_are_prefixed(self, federation):
         names = [d.name for home in federation.homes for d in home.devices]

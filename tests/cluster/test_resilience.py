@@ -789,7 +789,7 @@ class TestRepairTriggers:
         ChaosSchedule(c4h).crash(0.0, victim.name).start()
         c4h.sim.run(until=crashed + 4 * c4h.config.monitor_period_s + 2.0)
         assert any(d.detector.reports == [victim.name] for d in others)
-        assert all(victim.chimera.id not in d.chimera.known for d in others)
+        assert not any(d.chimera.knows(victim.chimera.id) for d in others)
         # Several holders report the crash; each device acts on one.
         assert {d.name: d.repairer.scans - before[d.name] for d in others} == {
             d.name: 1 for d in others
@@ -818,7 +818,7 @@ class TestFailureDetector:
         holders = [d for d in c4h.devices if quiet.name in d.detector.stale]
         assert holders  # its snapshot went stale where it is held
         assert all(d.detector.reports == [] for d in c4h.devices)
-        assert all(quiet.chimera.id in d.chimera.known for d in c4h.devices if d is not quiet)
+        assert all(d.chimera.knows(quiet.chimera.id) for d in c4h.devices if d is not quiet)
         assert {d.name: d.repairer.scans for d in c4h.devices} == scans
 
     def test_a_wrongly_evicted_node_announces_itself(self):
@@ -833,5 +833,5 @@ class TestFailureDetector:
             accuser.kv.endpoint.notify(device.name, MSG_SUSPECT, {"node": victim.name})
         c4h.sim.run(until=c4h.sim.now + 0.5)
         assert {("left", d.name) for d in others} <= set(seen)
-        assert all(victim.chimera.id in d.chimera.known for d in others)
+        assert all(d.chimera.knows(victim.chimera.id) for d in others)
         assert {("back", d.name) for d in others} <= set(seen)

@@ -62,22 +62,16 @@ def install_full_sort_ring_scan(monkeypatch):
 
     def nearest_peers(self, key, count):
         calls["nearest_peers"] += 1
-        if count <= 0 or not self.known:
+        if count <= 0:
             return []
-        ranked = sorted(
-            (nid.distance(key), nid.value, nid) for nid in self.known.keys()
-        )[:count]
-        return [PeerInfo(self._peer_name(nid), nid) for _d, _v, nid in ranked]
+        return sorted(self.view, key=lambda p: (p.id.distance(key), p.id.value))[:count]
 
     def closest_known(self, key):
         calls["closest_known"] += 1
-        best = min(
-            [self.id, *self.known.keys()],
-            key=lambda nid: (nid.distance(key), nid.value),
+        return min(
+            [PeerInfo(self.name, self.id), *self.view],
+            key=lambda p: (p.id.distance(key), p.id.value),
         )
-        if best == self.id:
-            return PeerInfo(self.name, self.id)
-        return PeerInfo(self._peer_name(best), best)
 
     monkeypatch.setattr(ChimeraNode, "nearest_peers", nearest_peers)
     monkeypatch.setattr(ChimeraNode, "closest_known", closest_known)

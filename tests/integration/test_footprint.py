@@ -25,18 +25,21 @@ from repro.overlay.ids import clear_id_caches
 from repro.sim import Resource, Simulator, Store
 
 #: Traced bytes per node of a started ``scale_overlay(1000, seed=0)``
-#: in a fresh interpreter: 9,578 B (CPython 3.11), plus a 10% margin.
-#: A per-endpoint dict of bound RPC handlers, a member set beside the
-#: leaf ring and a digit tuple per id read 12,015; keeping a red-black
-#: tree of each node's known peers beside its sorted-id tuple as well
-#: reads ~13,950; allocating every idle queue and routing row up front
-#: too reads ~20,600.
-BYTES_PER_NODE_BUDGET = 10_500
+#: in a fresh interpreter: 8,348 B (CPython 3.11), plus a 10% margin.
+#: Keeping each node's view as an id -> name dict beside a sorted-id
+#: tuple, with no ``__slots__`` on the routing table and leaf set,
+#: reads 9,642; a per-endpoint dict of bound RPC handlers, a member set
+#: beside the leaf ring and a digit tuple per id as well read 12,015;
+#: keeping a red-black tree of each node's known peers beside its
+#: sorted-id tuple too reads ~13,950; allocating every idle queue and
+#: routing row up front too reads ~20,600.
+BYTES_PER_NODE_BUDGET = 9_200
 
-#: GC-tracked objects per node of the same started overlay: 61.2, plus
-#: a small margin (82.2 with the per-endpoint handler dicts, leaf member
-#: sets and id digit tuples above).
-OBJECTS_PER_NODE_BUDGET = 63.0
+#: GC-tracked objects per node of the same started overlay: 60.2, plus
+#: a small margin (61.2 with the id -> name view dict above, 82.2 with
+#: the per-endpoint handler dicts, leaf member sets and id digit tuples
+#: as well).
+OBJECTS_PER_NODE_BUDGET = 62.0
 
 
 def queues(obj) -> list:

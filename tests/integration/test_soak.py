@@ -122,7 +122,7 @@ def soak(c4h):
     # to gossip and probe, the dead node's ring neighbours have evicted
     # it, and every resolution lands on a live owner.
     # (The probe sweep visits every known peer roughly once per
-    # len(known) rounds; give it a few sweeps plus gossip time.)
+    # len(view) rounds; give it a few sweeps plus gossip time.)
     c4h.sim.run(until=c4h.sim.now + 300.0)
     dead = c4h.device(victims[2]).chimera
     evicted_count = sum(
@@ -130,7 +130,7 @@ def soak(c4h):
         for device in c4h.devices
         if device.chimera.joined
         and device.name != victims[2]
-        and dead.id not in device.chimera.known
+        and not device.chimera.knows(dead.id)
     )
     live_count = sum(
         1

@@ -59,7 +59,7 @@ class TestChurnResilience:
         for node in nodes:
             if node is victim:
                 continue
-            assert victim.id not in node.known
+            assert not node.knows(victim.id)
         # All replicated data remains readable.
         for i in range(12):
             assert run(sim, stores[1].get(f"s-{i}")) == i

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import Cloud4Home, scale_overlay
 from repro.overlay import ChimeraNode, NodeId, PeerInfo
 from repro.overlay.ids import ID_SPACE
 from repro.overlay.stabilizer import Stabilizer
@@ -52,9 +53,9 @@ def node_with_view(values):
 
 
 def known_ids(node):
-    """The known view in id order, sorted here rather than read from the
-    node's cached tuple, so the oracles stay independent of it."""
-    return sorted(node.known, key=lambda nid: nid.value)
+    """The view's ids in id order, sorted here rather than trusted to
+    the view's own order, so the oracles stay independent of it."""
+    return sorted((p.id for p in node.view), key=lambda nid: nid.value)
 
 
 def oracle_nearest(node, key, count):
@@ -182,3 +183,17 @@ class TestRouteCacheLru:
         node.next_hop(keys[5])
         assert len(node._route_cache) == 4
         assert keys[2] not in node._route_cache
+
+    def test_zero_caches_nothing(self):
+        c4h = Cloud4Home(scale_overlay(40, seed=1, route_cache_max=0))
+        c4h.start(monitors=False, publish=False)
+        for i in range(5):
+            c4h.run(c4h.devices[i].kv.put(f"uncached-{i}", i))
+            assert c4h.run(c4h.devices[-1 - i].kv.get(f"uncached-{i}")) == i
+        for device in c4h.devices:
+            assert device.chimera._route_cache == {}
+            assert device.chimera.route_cache_hits == 0
+
+    def test_negative_cap_is_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="route_cache_max"):
+            Cloud4Home(scale_overlay(40, seed=1, route_cache_max=-5))

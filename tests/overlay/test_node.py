@@ -27,13 +27,13 @@ class TestJoin:
 
     def test_two_node_join(self):
         sim, net, nodes = build_overlay(2)
-        assert nodes[1].known.get(nodes[0].id) == nodes[0].name
-        assert nodes[0].known.get(nodes[1].id) == nodes[1].name
+        assert nodes[1].name_of(nodes[0].id) == nodes[0].name
+        assert nodes[0].name_of(nodes[1].id) == nodes[1].name
 
     def test_all_nodes_learn_full_view_at_home_scale(self):
         sim, net, nodes = build_overlay(6)
         for node in nodes:
-            assert len(node.known) == 5
+            assert len(node.view) == 5
 
     def test_not_joined_raises(self):
         sim, net, hosts = build_lan(1)
@@ -83,7 +83,7 @@ class TestLeave:
         for node in nodes:
             if node is leaver:
                 continue
-            assert leaver.id not in node.known
+            assert not node.knows(leaver.id)
 
     def test_keys_move_to_new_owner_after_leave(self):
         sim, net, nodes = build_overlay(5)
@@ -152,8 +152,8 @@ class TestChurn:
         sim.run(until=proc)
         sim.run()
         assert late.joined
-        assert crashed.id not in bootstrap.known
-        assert late.id in bootstrap.known
+        assert not bootstrap.knows(crashed.id)
+        assert bootstrap.knows(late.id)
 
     def test_joined_callback_fires_on_existing_nodes(self):
         sim, net, nodes = build_overlay(3)

@@ -54,7 +54,7 @@ class TestJoinStateTransfer:
         sim.run()
         # The joiner learned at least its bootstrap, its leaf
         # neighbourhood, and some routing entries.
-        assert len(joiner.known) >= 3
+        assert len(joiner.view) >= 3
         assert any(joiner.table.entries())
 
     def test_join_contribution_has_no_duplicates(self):

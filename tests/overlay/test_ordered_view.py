@@ -1,13 +1,17 @@
-"""The ordered peer view: ``known`` (id -> name) plus the cached sorted ids.
+"""The ordered peer view: one tuple of ``PeerInfo`` sorted by id value.
 
 A Hypothesis sequence of ``_add_peer`` / ``_forget`` / ``seed_view``
 runs against a brute-force model (a plain dict, sorted on every check),
 and every view query is compared with its definition after each step.
-The routing fallback's tie-break is pinned separately.
+Queries must hand out the view's own ``PeerInfo`` objects, never fresh
+copies.  The routing fallback's tie-break is pinned separately.
 """
 
+import copy
+import pickle
 from itertools import count
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -54,23 +58,36 @@ def ring_window(owner, ids, per_side):
     return set(ring[:per_side] + ring[-per_side:])
 
 
+def in_view(node, peers):
+    """True if every peer is one of the view's own objects."""
+    own = {id(p) for p in node.view}
+    return all(id(p) in own for p in peers)
+
+
 def check_against_model(node, model):
     ids = sorted(model, key=lambda nid: nid.value)
-    assert node.sorted_ids() == tuple(ids)
+    assert [p.id for p in node.view] == ids
     assert [(p.name, p.id) for p in node.peers()] == [(model[n], n) for n in ids]
-    assert len(node.known) == len(model)
+    assert in_view(node, node.peers())
     for nid in ids:
+        assert node.knows(nid)
         assert node.name_of(nid) == model[nid]
+    assert not node.knows(node.id)
     assert node.name_of(node.id) == node.name
     assert node.leaf.members() == ring_window(node.id, ids, LEAF_SIZE)
+    assert in_view(node, node.successors(LEAF_SIZE))
     probes = [NodeId(0), NodeId(ID_SPACE - 1), node.id, *ids[:3]]
     for key in probes:
         for n in (1, 3, len(ids) + 1):
             expected = [(model[nid], nid) for nid in ranked(ids, key)[:n]]
-            assert [(p.name, p.id) for p in node.nearest_peers(key, n)] == expected
+            nearest = node.nearest_peers(key, n)
+            assert [(p.name, p.id) for p in nearest] == expected
+            assert in_view(node, nearest)
         best = ranked([node.id, *ids], key)[0]
         closest = node.closest_known(key)
         assert (closest.name, closest.id) == (node.name_of(best), best)
+        node.next_hop(key)
+    assert in_view(node, [hop for hop in node._route_cache.values() if hop is not None])
 
 
 class TestViewModel:
@@ -102,13 +119,11 @@ class TestViewModel:
     @settings(max_examples=60, deadline=None)
     @given(values=st.sets(id_values, max_size=30))
     def test_bulk_seed_sets_the_sorted_tuple(self, values):
-        """An empty node's ``seed_view`` installs the tuple directly; it
-        must equal what a re-sort of the dict gives."""
+        """An empty node's ``seed_view`` installs the given peers as one
+        sorted tuple."""
         node = fresh_node()
         node.seed_view(PeerInfo(f"p{v}", NodeId(v)) for v in values)
         model = {NodeId(v): f"p{v}" for v in values if v != node.id.value}
-        check_against_model(node, model)
-        node.view_version += 1  # force a rebuild from the dict
         check_against_model(node, model)
 
 
@@ -145,3 +160,18 @@ class TestFallbackTieBreak:
         assert low.distance(key) < node.id.distance(key)
         hop = node.next_hop(key)
         assert (hop.name, hop.id) == (f"cand-{low.hex}", low)
+
+
+class TestPeerInfo:
+    def test_immutable(self):
+        peer = PeerInfo("a", NodeId(5))
+        with pytest.raises(AttributeError):
+            peer.name = "b"
+        with pytest.raises(AttributeError):
+            peer.id = NodeId(6)
+        assert (peer.name, peer.id) == ("a", NodeId(5))
+
+    def test_copies_and_pickles_by_value(self):
+        peer = PeerInfo("a", NodeId(5))
+        for clone in (copy.copy(peer), pickle.loads(pickle.dumps(peer))):
+            assert (clone.name, clone.id) == (peer.name, peer.id)

@@ -25,10 +25,10 @@ class TestStabilizer:
 
     def test_round_on_healthy_overlay_changes_nothing(self):
         sim, net, nodes, stabs = with_stabilizers(4)
-        views_before = [len(n.known) for n in nodes]
+        views_before = [len(n.view) for n in nodes]
         evicted, discovered = run(sim, stabs[0].stabilize_once())
         assert evicted == 0
-        assert [len(n.known) for n in nodes] == views_before
+        assert [len(n.view) for n in nodes] == views_before
 
     def test_silent_failure_is_evicted(self):
         sim, net, nodes, stabs = with_stabilizers(4)
@@ -39,17 +39,17 @@ class TestStabilizer:
         net.take_offline(victim.name)
         evicted, _ = run(sim, stabs[0].stabilize_once())
         assert evicted >= 1
-        assert victim.id not in nodes[0].known
+        assert not nodes[0].knows(victim.id)
 
     def test_view_exchange_spreads_membership(self):
         sim, net, nodes, stabs = with_stabilizers(5)
         # Artificially remove a member from node 0's view only.
         missing = nodes[3]
         nodes[0]._forget(missing.id, notify=False)
-        assert missing.id not in nodes[0].known
+        assert not nodes[0].knows(missing.id)
         # A stabilization round with a neighbour that knows it heals it.
         run(sim, stabs[0].stabilize_once())
-        assert missing.id in nodes[0].known
+        assert nodes[0].knows(missing.id)
         assert stabs[0].discoveries >= 1
 
     def test_periodic_operation(self):
@@ -79,4 +79,4 @@ class TestStabilizer:
             stab.start()
         sim.run(until=sim.now + 30.0)
         for node in nodes:
-            assert len(node.known) == 5
+            assert len(node.view) == 5
